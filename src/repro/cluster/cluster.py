@@ -31,14 +31,17 @@ Determinism contracts (enforced by tests and the ``cluster`` probe):
   holds never fails one of its reads, and per-array QoS reports stay
   well-formed (no mid-flight corruption to merge around).
 
-Roll-up leans on the mergeable observability primitives: per-shard
-:class:`~repro.flash.metrics.IntervalSeries` fold into one
-cluster-wide series whose state equals recording the concatenated
-sample stream (order-independent histogram + exact-moment state).
+Roll-up: the per-array :class:`~repro.flash.metrics.IntervalSeries`
+merge, in array order, into one cluster-wide series -- the left fold
+of the per-array states.  Histogram counts, extremes, sample and delay
+totals equal those of one series over every array's samples; the
+moments (hence ``avg``/``std`` bits) depend on the merge order, which
+is fixed, so the roll-up is deterministic.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -240,12 +243,13 @@ class BoundaryRecord:
 class ClusterReport:
     """Cluster-wide roll-up of one play-through.
 
-    ``series`` merges the per-array interval series through the
-    mergeable histogram/exact-moment state, so its totals equal a
-    single report over the concatenated samples; the per-request
-    accounting (``n_failed``, ``n_violations``, ...) sums the
-    per-array counts plus the reads the router could not place
-    (``n_unrouted`` -- every replica array dead at arrival).
+    ``series`` is the per-array interval series merged in array
+    order (the left fold, see :mod:`repro.flash.metrics`): its counts,
+    extremes and totals equal a single report over the concatenated
+    samples.  The per-request accounting (``n_failed``,
+    ``n_violations``, ...) sums the per-array counts plus the reads the
+    router could not place (``n_unrouted`` -- every replica array dead
+    at arrival).
     """
 
     config: ClusterConfig
@@ -254,17 +258,28 @@ class ClusterReport:
     n_unrouted: int
     routed: List[int]
     audit: List[BoundaryRecord] = field(default_factory=list)
+    _rollup: Optional[IntervalSeries] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _rolled_up(self) -> IntervalSeries:
+        """The roll-up, merged once per report and shared by the
+        readers below; never handed out, so no caller can write to it."""
+        if self._rollup is None:
+            merged = IntervalSeries()
+            for ar in self.arrays:
+                merged.merge(ar.series)
+            self._rollup = merged
+        return self._rollup
 
     @property
     def series(self) -> IntervalSeries:
-        merged = IntervalSeries()
-        for ar in self.arrays:
-            merged.merge(ar.series)
-        return merged
+        """The cluster-wide roll-up as a fresh series: writing to it
+        leaves this report unchanged."""
+        return copy.copy(self._rolled_up())
 
     @property
     def overall(self):
-        return self.series.overall()
+        return self._rolled_up().overall()
 
     @property
     def n_requests(self) -> int:

@@ -98,11 +98,12 @@ class WorkloadRun:
     def per_part_series(self) -> IntervalSeries:
         """Response stats re-bucketed by *trace part* (15-min interval)
         instead of the QoS scheduling interval."""
+        requests = self.report.requests
         series = IntervalSeries()
-        for pr in self.report.requests:
-            part_idx = self.part_of_request[pr.index]
-            series.record(part_idx, pr.io.response_ms,
-                          pr.io.delay_ms if pr.delayed else 0.0)
+        series.record_array(
+            [self.part_of_request[pr.index] for pr in requests],
+            [pr.io.response_ms for pr in requests],
+            [pr.io.delay_ms if pr.delayed else 0.0 for pr in requests])
         return series
 
 
@@ -226,11 +227,10 @@ def _play_original_fast(parts: Sequence[Trace],
 
     Each device is an independent FCFS constant-rate server fed its
     requests in arrival order, so per-device completion times are one
-    :func:`~repro.flash.fastpath.fcfs_completion_times` call.  Sample
-    lists are filled per part in the DES's stream order (stable sort by
-    arrival), which makes the resulting :class:`IntervalSeries`
-    indistinguishable from the event-loop run -- same floats, same
-    list order.
+    :func:`~repro.flash.fastpath.fcfs_completion_times` call.  Samples
+    are recorded in the DES's stream order (stable sort by arrival),
+    which makes the resulting :class:`IntervalSeries` indistinguishable
+    from the event-loop run -- same floats, same write order.
     """
     import numpy as np
 
@@ -259,10 +259,8 @@ def _play_original_fast(parts: Sequence[Trace],
     response = np.empty(issue.size, dtype=np.float64)
     response[grouping] = \
         stacked_fcfs_completion_times(u, offsets, service) - u
-    for p in np.unique(part_idx):
-        series.stats(int(p)).record_array(response[part_idx == p])
+    series.record_array(part_idx, response)
     if obs.ACTIVE:
-        # same stream-order bulk record as the DES loop above; the
-        # fold state is order-independent, so payloads stay identical
+        # same stream-order bulk record as the DES loop above
         obs.SESSION.observe_responses_array(response)
     return series

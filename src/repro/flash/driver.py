@@ -160,18 +160,20 @@ def _collect_series(played: Sequence["PlayedRequest"]) -> IntervalSeries:
     # Observability sees every played request here -- the one pass both
     # engines share -- so instrumented metrics/spans are derived from
     # the same bit-identical timestamps regardless of engine.
-    session = obs.SESSION if obs.ACTIVE else None
+    if obs.ACTIVE:
+        for pr in played:
+            obs.SESSION.observe_request(pr)
+    # Never-served requests carry no meaningful response time; the QoS
+    # layer accounts them separately (rejection counts, degraded-mode
+    # ledger entries).
+    served = [pr for pr in played if not (pr.rejected or pr.failed)]
+    n = len(served)
     series = IntervalSeries()
-    for pr in played:
-        if session is not None:
-            session.observe_request(pr)
-        if pr.rejected or pr.failed:
-            # Never-served requests carry no meaningful response time;
-            # the QoS layer accounts them separately (rejection counts,
-            # degraded-mode ledger entries).
-            continue
-        series.record(pr.interval, pr.io.response_ms,
-                      pr.io.delay_ms if pr.delayed else 0.0)
+    series.record_array(
+        np.fromiter((pr.interval for pr in served), np.int64, n),
+        np.fromiter((pr.io.response_ms for pr in served), np.float64, n),
+        np.fromiter((pr.io.delay_ms if pr.delayed else 0.0
+                     for pr in served), np.float64, n))
     return series
 
 

@@ -18,6 +18,8 @@ approximately -- which the property tests in
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -25,7 +27,40 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "ExactSum", "DEFAULT_LATENCY_BUCKETS"]
+           "ExactSum", "exact_expansion", "DEFAULT_LATENCY_BUCKETS"]
+
+
+def exact_expansion(*terms: Iterable[float]) -> List[float]:
+    """The unique minimal expansion of the exact sum of ``terms``.
+
+    Each argument is a re-iterable of floats (list, tuple, 1-D float64
+    ``memoryview``).  ``math.fsum`` rounds the exact sum of its whole
+    input once, in C; greedily peeling off that correctly-rounded value
+    and summing again yields an expansion that is a pure function of
+    the exact real sum -- any two inputs with the same exact sum give
+    the same floats, in ascending magnitude (a valid
+    :class:`ExactSum` partials list).  Each peel is one C pass; sums
+    of latency samples need two or three.
+    """
+    peeled: List[float] = []
+    while True:
+        v = math.fsum(itertools.chain(*terms, peeled))
+        if v == 0.0:
+            break
+        if not math.isfinite(v):
+            return [v]
+        peeled.append(-v)
+    return [-p for p in reversed(peeled)]
+
+
+def _float_terms(values) -> Iterable[float]:
+    """``values`` as a re-iterable for :func:`exact_expansion`."""
+    if isinstance(values, np.ndarray):
+        return memoryview(np.ascontiguousarray(values, dtype=np.float64)
+                          .reshape(-1))
+    if isinstance(values, (list, tuple, memoryview)):
+        return values
+    return list(values)
 
 
 class ExactSum:
@@ -61,8 +96,10 @@ class ExactSum:
         partials[i:] = [x]
 
     def add_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Add every value at once (C speed, see
+        :func:`exact_expansion`); same exact sum as an :meth:`add`
+        loop."""
+        self.partials = exact_expansion(self.partials, _float_terms(values))
 
     def merge(self, other: "ExactSum") -> None:
         """Fold ``other`` in; exact, so order never matters."""
@@ -84,16 +121,7 @@ class ExactSum:
         exact real value -- any two accumulators holding the same sum
         export the same floats.
         """
-        rest = ExactSum(self.partials)
-        out: List[float] = []
-        while True:
-            v = math.fsum(rest.partials)
-            if v == 0.0:
-                break
-            out.append(v)
-            rest.add(-v)
-        out.reverse()  # ascending magnitude, like the internal form
-        return out
+        return exact_expansion(self.partials)
 
     def copy(self) -> "ExactSum":
         return ExactSum(self.partials)
@@ -159,6 +187,16 @@ def _log_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
     return lo * np.power(10.0, k / per_decade)
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_edges(lo: float, hi: float,
+                  per_decade: int) -> Tuple[np.ndarray, Tuple[float, ...]]:
+    """One read-only edges array (and its float tuple) per layout,
+    shared by every :class:`Histogram` with that layout."""
+    edges = _log_edges(lo, hi, per_decade)
+    edges.setflags(write=False)
+    return edges, tuple(edges.tolist())
+
+
 #: default layout for latency histograms: 1 ns .. 1 s in milliseconds,
 #: 60 buckets per decade (~3.9 % relative bucket width, so quantile
 #: estimates are within ~2 % of the true sample quantile)
@@ -198,10 +236,11 @@ class Histogram:
         self.lo = float(lo)
         self.hi = float(hi)
         self.per_decade = int(per_decade)
-        self._edges = _log_edges(self.lo, self.hi, self.per_decade)
-        #: plain-list twin of the edges for the scalar (bisect) path;
-        #: identical floats, so bisect_right == np.searchsorted 'right'
-        self._edges_list = self._edges.tolist()
+        #: the layout's shared read-only edges, and their float-tuple
+        #: twin for the scalar (bisect) path; identical floats, so
+        #: bisect_right == np.searchsorted 'right'
+        self._edges, self._edges_list = _shared_edges(
+            self.lo, self.hi, self.per_decade)
         #: counts[0] = underflow, counts[1:-1] = log buckets,
         #: counts[-1] = overflow
         self.counts = np.zeros(len(self._edges_list) + 1, dtype=np.int64)
@@ -246,7 +285,7 @@ class Histogram:
             self._min = amin
         if amax > self._max:
             self._max = amax
-        self._sum.add_many(arr.tolist())
+        self._sum.add_many(arr)
 
     # -- reading ---------------------------------------------------------
     @property
@@ -318,6 +357,15 @@ class Histogram:
         if other._max > self._max:
             self._max = other._max
         self._sum.merge(other._sum)
+
+    def copy(self) -> "Histogram":
+        out = Histogram(self.lo, self.hi, self.per_decade)
+        out.counts[:] = self.counts
+        out.count = self.count
+        out._min = self._min
+        out._max = self._max
+        out._sum = self._sum.copy()
+        return out
 
     def state(self) -> Tuple:
         """Comparable full state (used by the merge property tests)."""

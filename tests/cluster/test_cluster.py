@@ -8,6 +8,7 @@ from repro.cluster import ClusterConfig, ShardedCluster
 from repro.flash.metrics import IntervalSeries
 from repro.runner import ParallelRunner
 from repro.traces.records import Trace
+from tests.support.reference_series import RefIntervalSeries
 
 
 def _parts(n_parts=3, n=60, n_blocks=24, seed=0):
@@ -25,21 +26,70 @@ def _parts(n_parts=3, n=60, n_blocks=24, seed=0):
 
 
 class TestRollUp:
-    def test_merged_series_equals_concatenated_recording(self):
-        """Cluster-wide roll-up == one series over every array's
-        samples, recorded in any interleaved order."""
-        config = ClusterConfig(n_arrays=3, n_devices=9,
+    def test_roll_up_is_left_fold_in_array_order(self):
+        """Cluster-wide roll-up == the reference per-array series
+        merged in array order, on queueing (non-constant) responses;
+        its histogram equals one over the concatenated samples."""
+        # 1 ms intervals admit up to 7 queued reads per module, and the
+        # dense arrivals queue them, so responses vary
+        config = ClusterConfig(n_arrays=3, n_devices=9, interval_ms=1.0,
                                cross_replication=2, hot_support=2)
-        report = ShardedCluster(config).play(_parts())
+        parts = [Trace.from_arrays(p.arrival_ms / 5.0, p.block)
+                 for p in _parts(n=120)]
+        report = ShardedCluster(config).play(parts)
+        rolled = RefIntervalSeries()
         flat = IntervalSeries()
-        # concatenate per-array request streams into one recording
+        responses = set()
         for result in report.arrays:
+            shard = RefIntervalSeries()
             for pr in result.report.requests:
                 if pr.rejected or pr.failed:
                     continue
-                flat.record(pr.interval, pr.io.response_ms,
-                            pr.io.delay_ms if pr.delayed else 0.0)
-        assert report.series.state() == flat.state()
+                responses.add(pr.io.response_ms)
+                delay = pr.io.delay_ms if pr.delayed else 0.0
+                shard.record(pr.interval, pr.io.response_ms, delay)
+                flat.record(pr.interval, pr.io.response_ms, delay)
+            rolled.merge(shard)
+        assert len(responses) > 5
+        assert repr(report.series.state()) == repr(rolled.state())
+        assert repr(report.overall.state()) == \
+            repr(rolled.overall().state())
+        assert report.overall.histogram().state() == \
+            flat.overall().histogram().state()
+        # the moments are not those of the concatenated recording: an
+        # array's first sample in an interval shifts its moments
+        assert report.overall.state() != flat.overall().state()
+
+    def test_summary_merges_each_array_once(self, monkeypatch):
+        config = ClusterConfig(n_arrays=3, n_devices=9,
+                               cross_replication=2, hot_support=2)
+        report = ShardedCluster(config).play(_parts())
+        merged = []
+        merge = IntervalSeries.merge
+
+        def counting_merge(self, other):
+            merged.append(other)
+            merge(self, other)
+
+        monkeypatch.setattr(IntervalSeries, "merge", counting_merge)
+        first = report.summary()
+        assert report.summary() == first
+        assert report.guarantee_met == bool(first["guarantee_met"])
+        assert len(merged) == len(report.arrays)
+
+    def test_writes_to_series_leave_the_report_unchanged(self):
+        config = ClusterConfig(n_arrays=3, n_devices=9,
+                               cross_replication=2, hot_support=2)
+        report = ShardedCluster(config).play(_parts())
+        before = (report.series.state(), report.overall.state(),
+                  report.summary())
+        written = report.series
+        written.record(0, 1e3)
+        written.merge(report.series)
+        assert written.overall().n_total == \
+            2 * report.overall.n_total + 1
+        assert (report.series.state(), report.overall.state(),
+                report.summary()) == before
 
     def test_counts_sum_across_arrays(self):
         config = ClusterConfig(n_arrays=3, n_devices=9,
