@@ -312,10 +312,12 @@ def _admission_small(seed: int) -> str:
     enabled and disabled, and demands byte-identical
     :class:`~repro.core.qos.QoSReport` fingerprints -- per-request
     timestamps, devices, delay/reject flags *and* the degraded-mode
-    counts ``n_failed``/``n_faulted``.  Also asserts the kernel
-    actually engaged (no silent scalar fallback would make the
-    comparison vacuous).  The returned payload then guards the
-    kernel's own run-to-run determinism.
+    counts ``n_failed``/``n_faulted``.  The ``mixed_rw`` cell adds
+    writes (``c`` budget units each) under the stochastic schedule.
+    Also asserts the kernel stayed engaged to the end of every cell --
+    a session that demoted mid-stream counts as scalar, since a silent
+    fallback would make the comparison vacuous.  The returned payload
+    then guards the kernel's own run-to-run determinism.
     """
     import json
     import random
@@ -336,14 +338,16 @@ def _admission_small(seed: int) -> str:
                        slow_rate=0.4, slow_mean_ms=1.0,
                        slow_factor=3.0, error_rate=0.4,
                        error_mean_ms=1.0, error_prob=0.5)
+    stochastic = model.materialize(9, horizon_ms=4.0, seed=seed + 31)
+    mixed_reads = [rng.random() >= 0.2 for _ in burst_arr]
     cells = [
-        ("pileup_delay", burst_arr, "delay", None),
-        ("pileup_reject", burst_arr, "reject", None),
-        ("random_delay", rand_arr, "delay", None),
+        ("pileup_delay", burst_arr, "delay", None, None),
+        ("pileup_reject", burst_arr, "reject", None, None),
+        ("random_delay", rand_arr, "delay", None, None),
         ("crash", burst_arr, "delay",
-         FaultSchedule.crashes([0, 4], at=0.5)),
-        ("stochastic", burst_arr, "delay",
-         model.materialize(9, horizon_ms=4.0, seed=seed + 31)),
+         FaultSchedule.crashes([0, 4], at=0.5), None),
+        ("stochastic", burst_arr, "delay", stochastic, None),
+        ("mixed_rw", burst_arr, "delay", stochastic, mixed_reads),
     ]
 
     def fingerprint(report) -> str:
@@ -356,24 +360,29 @@ def _admission_small(seed: int) -> str:
 
     def run_cells() -> Dict[str, str]:
         out = {}
-        for name, arr, overflow, faults in cells:
+        for name, arr, overflow, faults, reads in cells:
             player = OnlineTracePlayer(alloc, interval_ms=0.4,
                                        overflow=overflow,
                                        faults=faults)
             buckets = [i % alloc.n_buckets for i in range(len(arr))]
-            series, played = player.play(arr, buckets)
+            series, played = player.play(arr, buckets, reads=reads)
             params = player.params or FlashParams()
             guarantee = player.accesses * params.read_ms
             out[name] = fingerprint(
                 QoSReport(series, played, guarantee))
         return out
 
-    before = engine_tally().get("admission.vector", 0)
+    def on_kernel() -> int:
+        tally = engine_tally()
+        return tally.get("admission.vector", 0) - \
+            tally.get("admission.demoted", 0)
+
+    before = on_kernel()
     vectorized = run_cells()
-    engaged = engine_tally().get("admission.vector", 0) - before
+    engaged = on_kernel() - before
     if engaged < len(cells):
         raise ValueError(
-            f"the vectorized admission kernel engaged on only "
+            f"the vectorized admission kernel stayed engaged on only "
             f"{engaged}/{len(cells)} probe cells -- the on-vs-off "
             "comparison would be vacuous")
     with admitpath.disabled():

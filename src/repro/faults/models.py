@@ -61,6 +61,12 @@ FAULT_SCOPES = ("module", "array")
 
 _INF = float("inf")
 
+#: one module's change-point table: ``(boundaries, slowdown, error_prob,
+#: available_from)``, the last three with one entry per segment (see
+#: :meth:`FaultSchedule._build_module_table`)
+_ModuleTable = Tuple[List[float], List[float], List[float],
+                     List[Optional[float]]]
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -234,6 +240,9 @@ class FaultSchedule:
                                          List[frozenset]]] = None
         self._array_mask_cache: Optional[Tuple[List[float],
                                                List[frozenset]]] = None
+        #: lazily built per-module service-time change points (see
+        #: available_from / slowdown / error_prob)
+        self._tables: Dict[int, _ModuleTable] = {}
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -284,39 +293,101 @@ class FaultSchedule:
                 return True
         return False
 
+    # The three service-time queries below run once per served request
+    # (and per read attempt), so each answers from the module's
+    # change-point table with one bisection; see _build_module_table
+    # for why that is exact.
     def available_from(self, module: int, t: float) -> float:
         """Earliest time ``>= t`` at which ``module`` can serve.
 
         ``inf`` if the module is (or goes) dead before it ever clears
         its down windows.
         """
-        u = t
-        events = self._by_module.get(module, ())
-        for _ in range(len(events) + 1):
-            if self.is_dead(module, u):
-                return _INF
-            blocked = [e.end for e in events
-                       if e.kind == "down" and e.active_at(u)]
-            if not blocked:
-                return u
-            u = max(blocked)
-        return u  # pragma: no cover - loop bound covers all windows
+        tab = self._tables.get(module) or self._module_table(module)
+        value = tab[3][bisect_right(tab[0], t)]
+        return t if value is None else value
 
     def slowdown(self, module: int, t: float) -> float:
-        """Multiplicative service-time factor in force at ``t``."""
-        factor = 1.0
-        for e in self._by_module.get(module, ()):
-            if e.kind == "slow" and e.active_at(t):
-                factor *= e.factor
-        return factor
+        """Multiplicative service-time factor in force at ``t`` (the
+        product of the active ``slow`` factors, in event order)."""
+        tab = self._tables.get(module) or self._module_table(module)
+        return tab[1][bisect_right(tab[0], t)]
 
     def error_prob(self, module: int, t: float) -> float:
         """Per-read failure probability in force at ``t`` (max rule)."""
-        prob = 0.0
-        for e in self._by_module.get(module, ()):
-            if e.kind == "read_error" and e.active_at(t):
-                prob = max(prob, e.prob)
-        return prob
+        tab = self._tables.get(module) or self._module_table(module)
+        return tab[2][bisect_right(tab[0], t)]
+
+    def _module_table(self, module: int) -> _ModuleTable:
+        tab = self._tables[module] = self._build_module_table(
+            self._by_module.get(module, ()),
+            self._crash_at.get(module, _INF))
+        return tab
+
+    @staticmethod
+    def _build_module_table(events: Sequence[FaultEvent],
+                            crash_at: float) -> _ModuleTable:
+        """Change-point table for one module's service-time queries.
+
+        Every event is active on a right-continuous set (``[start,
+        end)``, or ``[start, inf)`` for a crash), so all three answers
+        are constant between consecutive event boundaries: segment
+        ``j`` of ``(boundaries, slow, err, avail)`` covers
+        ``[boundaries[j-1], boundaries[j])`` and is looked up with
+        ``bisect_right(boundaries, t)``; segment 0 precedes every
+        event and is neutral.  Per segment:
+
+        * ``slow`` multiplies the active factors in event order, the
+          same floats through the same operations as a scan;
+        * ``err`` is the maximum active read-error probability;
+        * ``avail`` is ``None`` when the module serves at once
+          (``available_from(t) == t``), else the constant answer --
+          ``inf`` once dead, otherwise the end of the latest active
+          down window followed through whatever down windows or crash
+          it runs into.  Those answers resolve right to left: the
+          chain continues at a later boundary, whose segment is
+          already done.
+        """
+        pts = sorted({e.start for e in events} |
+                     {e.end for e in events if e.kind != "crash"})
+        slow: List[float] = [1.0]
+        err: List[float] = [0.0]
+        active: Dict[int, FaultEvent] = {}
+        starts: Dict[float, List[int]] = {}
+        ends: Dict[float, List[int]] = {}
+        for i, e in enumerate(events):
+            starts.setdefault(e.start, []).append(i)
+            if e.kind != "crash":
+                ends.setdefault(e.end, []).append(i)
+        down_ends: List[float] = []
+        for p in pts:
+            for i in ends.get(p, ()):
+                del active[i]
+            for i in starts.get(p, ()):
+                active[i] = events[i]
+            factor = 1.0
+            prob = 0.0
+            blocked = -_INF
+            for i in sorted(active):
+                e = active[i]
+                if e.kind == "slow":
+                    factor *= e.factor
+                elif e.kind == "read_error":
+                    prob = max(prob, e.prob)
+                elif e.kind == "down" and e.end > blocked:
+                    blocked = e.end
+            slow.append(factor)
+            err.append(prob)
+            down_ends.append(blocked)
+        avail: List[Optional[float]] = [None] * (len(pts) + 1)
+        for j in range(len(pts), 0, -1):
+            if pts[j - 1] >= crash_at:
+                avail[j] = _INF
+            elif down_ends[j - 1] != -_INF:
+                u = down_ends[j - 1]
+                later = avail[bisect_right(pts, u)]
+                avail[j] = u if later is None else later
+        return (pts, slow, err, avail)
 
     def masked_at(self, t: float) -> frozenset:
         """Modules failure-aware retrieval must avoid at time ``t``

@@ -45,18 +45,12 @@ class ModuleFaultView:
 
     def available_from(self, t: float) -> float:
         """Earliest service instant ``>= t`` (``inf`` once dead)."""
-        if self.quiet:
-            return t
         return self.schedule.available_from(self.module_id, t)
 
     def slowdown(self, t: float) -> float:
-        if self.quiet:
-            return 1.0
         return self.schedule.slowdown(self.module_id, t)
 
     def error_prob(self, t: float) -> float:
-        if self.quiet:
-            return 0.0
         return self.schedule.error_prob(self.module_id, t)
 
     def next_error_draw(self) -> float:

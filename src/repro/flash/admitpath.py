@@ -12,16 +12,22 @@ segmented recurrence that vectorizes exactly:
     tie-breaking), map to QoS intervals with the driver's own formula
     ``k = int(t / T + 1e-9)`` -- elementwise, so the floats agree
     bit-for-bit with the scalar ``interval_of``.
-2.  **Segmented count vs the cap.**  Within one interval the counting
-    controller admits exactly the first ``S - count₀`` requests in
-    processing order (``count₀`` carries across :meth:`advance` cuts);
-    the rest spill.  The per-position rank within each interval run is
-    a segmented iota (the same offset trick
-    :mod:`repro.flash.batch` uses for its segmented cummax), so
-    *congested* intervals -- any rank reaching ``S`` -- are located in
-    one vector comparison.  Spans of uncongested intervals admit
-    everything at their own arrival times and are emitted wholesale;
-    only congested intervals and delayed-spill chains run the
+2.  **Segmented units vs the cap.**  A read costs one budget unit and
+    a write ``c`` (it lands on every replica), and the controller
+    admits a request while ``count + cost <= S``.  The running units
+    within each interval run are a segmented cumulative sum of the
+    cost column (the same offset trick :mod:`repro.flash.batch` uses
+    for its segmented cummax), resumed from ``count₀``, the units an
+    :meth:`advance` cut left in the live interval.  An interval whose
+    running units never pass ``S`` admits everything, so *congested*
+    intervals are located in one vector comparison; spans of
+    uncongested intervals are emitted wholesale at their own arrival
+    times.  Each congested interval applies the greedy rule once, in
+    vector form (:func:`_greedy_admit`): requests admit up to the
+    first that does not fit, after which every write is denied and
+    the next reads fill whatever room is left -- so admission is not
+    a prefix, and a denied write can be followed by admitted reads.
+    Only congested intervals and delayed-spill chains run the
     per-interval (never per-request) Python loop.
 3.  **Spill to the next interval.**  Denied requests under the paper's
     ``delay`` policy re-enter at ``(k+1)·T`` *behind* boundary-
@@ -39,10 +45,12 @@ segmented recurrence that vectorizes exactly:
     (then the scalar batch would absorb the later one at the earlier
     anchor).  The kernel checks this boundary condition up front --
     one ``diff`` over the processed slice plus the carry instant and
-    the first deferred entry -- and raises :class:`DemotionRequired`
+    the first deferred entry -- and again at each spill boundary it
+    creates (``(k+1)·T`` may round to within ``1e-12`` of a distinct
+    arrival), and raises :class:`DemotionRequired`
     when the trace is too finely spaced, letting the session rebuild
     its heap and fall back to the scalar loop mid-stream.  The same
-    escape covers mixed read/write chunks and out-of-order feeds.
+    escape covers out-of-order feeds.
 
 Statistical admission (ε > 0), exact admission and tenant budgets keep
 the scalar loop (see :func:`supports_vector_admission`); their inner
@@ -170,6 +178,38 @@ _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
 
+def _greedy_admit(costs: np.ndarray, count0: int,
+                  limit: int) -> Tuple[int, Optional[np.ndarray], int]:
+    """The scalar ``count + cost <= S`` rule over one interval's
+    requests in processing order, without a per-request loop.
+
+    Returns ``(first, later, units)``: the first ``first`` requests
+    are admitted, ``later`` holds the positions of any admitted after
+    the first denial (``None`` when there are none), and ``units`` is
+    the budget they consume.  Costs are 1 (a read) or ``c`` (a
+    write), which makes the greedy rule two-phase: requests admit
+    until the first one that does not fit; the room left is then
+    below that request's cost, hence below ``c`` if it was a write and
+    0 if it was a read, so every later write is denied and the first
+    ``room`` later reads still fit.
+    """
+    n = int(costs.size)
+    # Every cost is at least 1 and count0 <= limit, so the first
+    # denial falls within the first limit - count0 + 1 requests: a
+    # long delayed carry need not be summed.
+    units = count0 + np.cumsum(costs[:limit - count0 + 1])
+    first = int(np.searchsorted(units, limit, side="right"))
+    if first == n:
+        return n, None, int(units[-1]) - count0
+    used = int(units[first] - costs[first])
+    room = limit - used
+    if room:
+        later = np.flatnonzero(costs[first + 1:] == 1)[:room] + first + 1
+        if later.size:
+            return first, later, used + int(later.size) - count0
+    return first, None, used - count0
+
+
 class VectorAdmissionWindow:
     """Streaming counting-admission classifier for one session.
 
@@ -198,6 +238,11 @@ class VectorAdmissionWindow:
         self._i = _EMPTY_I8
         self._chunks_t: List[np.ndarray] = []
         self._chunks_i: List[np.ndarray] = []
+        #: budget units per pending request (1 read, ``c`` write),
+        #: aligned with ``_t`` / ``_chunks_t`` / ``_carry``
+        self._c = _EMPTY_I8
+        self._chunks_c: List[np.ndarray] = []
+        self._carry_c = _EMPTY_I8
         #: delayed-spill queue: session indices due at ``_carry_time``
         #: (always the start boundary of interval ``_carry_interval``)
         self._carry = _EMPTY_I8
@@ -218,8 +263,17 @@ class VectorAdmissionWindow:
             n += int(chunk.size)
         return n
 
-    def feed(self, times: np.ndarray, indices: np.ndarray) -> None:
-        """Append one chunk of arrivals (session column indices)."""
+    def feed(self, times: np.ndarray, indices: np.ndarray,
+             costs: Optional[np.ndarray] = None) -> None:
+        """Append one chunk of arrivals (session column indices).
+
+        ``costs`` are the budget units each request takes when
+        admitted: 1 for a read (the default, for a chunk of reads
+        only), the replication degree ``c`` for a write.
+        """
+        self._chunks_c.append(
+            np.ones(len(times), dtype=np.int64) if costs is None
+            else np.ascontiguousarray(costs, dtype=np.int64))
         self._chunks_t.append(np.ascontiguousarray(times,
                                                    dtype=np.float64))
         self._chunks_i.append(np.ascontiguousarray(indices,
@@ -237,11 +291,14 @@ class VectorAdmissionWindow:
             return
         t = np.concatenate([self._t] + self._chunks_t)
         i = np.concatenate([self._i] + self._chunks_i)
+        c = np.concatenate([self._c] + self._chunks_c)
         self._chunks_t = []
         self._chunks_i = []
+        self._chunks_c = []
         order = np.argsort(t, kind="stable")
         self._t = t[order]
         self._i = i[order]
+        self._c = c[order]
 
     # -- state export (for demotion) ---------------------------------------
     def export_state(self) -> dict:
@@ -295,6 +352,7 @@ class VectorAdmissionWindow:
 
         t = t_all[:m]
         idx = i_all[:m]
+        cost = self._c[:m]
         # The driver's own interval formula, elementwise: for t >= 0
         # int() truncation == floor == the int64 cast.
         k_arr = (t / T + 1e-9).astype(np.int64)
@@ -304,10 +362,11 @@ class VectorAdmissionWindow:
             # heap handles that naturally, the kernel does not.
             raise DemotionRequired("out_of_order")
 
-        # Segmented rank within each interval run (offset trick): the
-        # counting controller admits ranks < S, so positions with
-        # rank >= S mark congested intervals.  The first (possibly
-        # resumed) interval starts from the carried-over count.
+        # Segmented cumulative cost within each interval run (offset
+        # trick): an interval whose running units never exceed S admits
+        # everything, so positions with units > S mark congested
+        # intervals.  The first (possibly resumed) interval starts from
+        # the carried-over count.
         if m:
             new_run = np.empty(m, dtype=bool)
             new_run[0] = True
@@ -315,26 +374,31 @@ class VectorAdmissionWindow:
             run_ids = np.cumsum(new_run) - 1
             run_starts = np.flatnonzero(new_run)
             start_of = run_starts[run_ids]
-            rank = np.arange(m, dtype=np.int64) - start_of
+            units = np.cumsum(cost)
+            units -= (units - cost)[start_of]
             if int(k_arr[0]) == self._interval and self._count:
                 first_end = int(run_starts[1]) if run_starts.size > 1 \
                     else m
-                rank[:first_end] += self._count
-            congested = np.flatnonzero(rank >= S)
+                units[:first_end] += self._count
+            congested = np.flatnonzero(units > S)
         else:
             start_of = _EMPTY_I8
-            rank = _EMPTY_I8
+            units = _EMPTY_I8
             congested = _EMPTY_I8
 
         out_i: List[np.ndarray] = []
         out_t: List[np.ndarray] = []
         out_k: List[np.ndarray] = []
         out_a: List[np.ndarray] = []
+        state0 = (self._interval, self._count)
+        # spill boundaries created by this take (checked at the end)
+        new_carry_times: List[float] = []
         n_admitted = 0
         n_rejected = 0
         n_delayed = 0
         delay = self.overflow == "delay"
         carry = self._carry
+        carry_c = self._carry_c
         carry_t = self._carry_time
         carry_k = self._carry_interval
         pos = 0
@@ -354,7 +418,7 @@ class VectorAdmissionWindow:
                     out_a.append(np.ones(bulk_end - pos, dtype=bool))
                     n_admitted += bulk_end - pos
                     self._interval = int(k_arr[bulk_end - 1])
-                    self._count = int(rank[bulk_end - 1]) + 1
+                    self._count = int(units[bulk_end - 1])
                     pos = bulk_end
                     continue
 
@@ -374,8 +438,10 @@ class VectorAdmissionWindow:
                 seg_t = t[pos:hi]
                 n_pre = int(np.searchsorted(seg_t, carry_t,
                                             side="right"))
-                ord_i = np.concatenate((idx[pos:pos + n_pre], carry,
-                                        idx[pos + n_pre:hi]))
+                mid = pos + n_pre
+                ord_i = np.concatenate((idx[pos:mid], carry, idx[mid:hi]))
+                ord_c = np.concatenate((cost[pos:mid], carry_c,
+                                        cost[mid:hi]))
                 ord_t = np.concatenate((
                     seg_t[:n_pre],
                     np.full(carry.size, carry_t, dtype=np.float64),
@@ -386,6 +452,7 @@ class VectorAdmissionWindow:
                 hi = pos + int(np.searchsorted(k_arr[pos:m], k,
                                                side="right"))
                 ord_i = idx[pos:hi]
+                ord_c = cost[pos:hi]
                 ord_t = t[pos:hi]
                 carry_len = 0
             else:
@@ -395,44 +462,57 @@ class VectorAdmissionWindow:
             if cpos == 0:
                 break
             count0 = self._count if k == self._interval else 0
-            budget = S - count0
-            if budget < 0:
-                budget = 0
-            adm_n = cpos if cpos < budget else budget
             proc_i = ord_i[:cpos]
             proc_t = ord_t[:cpos]
+            proc_c = ord_c[:cpos]
+            first, later, used = _greedy_admit(proc_c, count0, S)
+            if later is None:
+                adm = slice(0, first)
+                den = slice(first, cpos)
+                adm_n = first
+            else:
+                adm = np.zeros(cpos, dtype=bool)
+                adm[:first] = True
+                adm[later] = True
+                den = ~adm
+                adm_n = first + int(later.size)
             self._interval = k
-            self._count = count0 + adm_n
+            self._count = count0 + used
             if carry_len:
                 # carry_t < cut, so the whole carry fell inside cpos.
                 pos += cpos - carry_len
                 carry = _EMPTY_I8
+                carry_c = _EMPTY_I8
             else:
                 pos += cpos
             denied = cpos - adm_n
             if denied and delay:
                 n_delayed += denied
-                spill = proc_i[adm_n:]
+                spill = proc_i[den].copy()
+                spill_c = proc_c[den].copy()
                 if carry.size:
                     # New spills from a late-fed batch in an already-
                     # processed interval join an existing carry for
                     # the same boundary, behind it (their re-queue
                     # sequence numbers are larger).
                     carry = np.concatenate((carry, spill))
+                    carry_c = np.concatenate((carry_c, spill_c))
                 else:
-                    carry = spill.copy()
+                    carry = spill
+                    carry_c = spill_c
                     carry_t = (k + 1) * T
                     carry_k = k + 1
+                    new_carry_times.append(carry_t)
                 if adm_n:
-                    out_i.append(proc_i[:adm_n])
-                    out_t.append(proc_t[:adm_n])
+                    out_i.append(proc_i[adm])
+                    out_t.append(proc_t[adm])
                     out_k.append(np.full(adm_n, k, dtype=np.int64))
                     out_a.append(np.ones(adm_n, dtype=bool))
                     n_admitted += adm_n
             elif denied:
                 n_rejected += denied
                 flags = np.zeros(cpos, dtype=bool)
-                flags[:adm_n] = True
+                flags[adm] = True
                 # Within each simultaneous batch the scalar loop
                 # appends rejections immediately and dispatches the
                 # admitted afterwards: stable-sort on (time, admitted)
@@ -452,9 +532,26 @@ class VectorAdmissionWindow:
             if cpos < len(ord_t):
                 break
 
+        if new_carry_times:
+            # A spill boundary (k+1)·T may sit within the batching
+            # tolerance of a distinct arrival: the hazard the up-front
+            # guard checks, for instants that did not exist yet.  The
+            # scalar loop would batch the two, so undo and demote.
+            ct = np.array(new_carry_times)
+            lo = t_all.searchsorted(ct - _BATCH_TOL)
+            hi = t_all.searchsorted(ct + _BATCH_TOL, "right")
+            near = lo < hi
+            if near.any():
+                lo, hi, ct = lo[near], hi[near], ct[near]
+                if bool(np.any((t_all[lo] != ct) | (t_all[hi - 1] != ct))):
+                    self._interval, self._count = state0
+                    raise DemotionRequired("time_resolution")
+
         self._t = t_all[pos:]
         self._i = i_all[pos:]
+        self._c = self._c[pos:]
         self._carry = carry
+        self._carry_c = carry_c
         self._carry_time = carry_t
         self._carry_interval = carry_k
 

@@ -1010,7 +1010,12 @@ class OnlineStreamSession:
 
         Chunks must be fed in arrival order *between* calls (the heap
         orders within a chunk); an arrival earlier than a timestamp
-        already processed by :meth:`advance` raises.
+        already processed by :meth:`advance` raises.  Every arrival
+        must be a finite time ``>= 0``: a NaN or infinite arrival
+        would never be served, and a negative one would fall into a
+        negative QoS interval on one engine and interval 0 on the
+        other, so the chunk is refused with a ``ValueError`` naming
+        the first bad index.
         """
         if self._drained:
             raise RuntimeError("session already drained")
@@ -1022,32 +1027,41 @@ class OnlineStreamSession:
             if apps is None or len(apps) != len(buckets):
                 raise ValueError(
                     "tenant budgets require an aligned apps sequence")
-        if self._vec is not None and reads is not None \
-                and not all(reads):
-            # Writes cost ``replication`` budget units and fan out to
-            # every replica -- inherently scalar; rebuild the heap and
-            # continue on the reference loop.
-            self._demote("writes")
+        times = np.asarray(arrivals, dtype=np.float64).reshape(-1)
+        ok = times >= 0.0
+        ok &= times < np.inf
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ValueError(
+                f"arrival {bad} of the chunk is {times[bad]!r}; "
+                "arrivals must be finite times >= 0")
+        base = len(self.arrivals)
+        n = len(times)
         if self._vec is not None:
-            base = len(self.arrivals)
-            n = len(arrivals)
-            times = np.ascontiguousarray(arrivals, dtype=np.float64)
             self.arrivals.extend(times.tolist())
             self.buckets.extend(int(b) for b in buckets)
-            self.is_read.extend([True] * n)
+            costs = None
+            if reads is None:
+                self.is_read.extend([True] * n)
+            else:
+                flags = np.asarray(reads, dtype=bool).reshape(-1)
+                self.is_read.extend(flags.tolist())
+                if not flags.all():
+                    # A write lands on every replica: c budget units.
+                    costs = np.where(
+                        flags, 1, self.player.allocation.replication)
             self._vec.feed(times, np.arange(base, base + n,
-                                            dtype=np.int64))
+                                            dtype=np.int64), costs)
             return
-        base = len(self.arrivals)
-        for i, t in enumerate(arrivals):
+        for i, t in enumerate(times.tolist()):
             seq = base + i
-            self.arrivals.append(float(t))
+            self.arrivals.append(t)
             self.buckets.append(int(buckets[i]))
             self.is_read.append(True if reads is None
                                 else bool(reads[i]))
             if self.apps is not None:
                 self.apps.append(apps[i])
-            heapq.heappush(self.heap, (float(t), 0, seq, seq))
+            heapq.heappush(self.heap, (t, 0, seq, seq))
 
     # -- processing --------------------------------------------------------
     def interval_of(self, t: float) -> int:
@@ -1195,13 +1209,14 @@ class OnlineStreamSession:
         """Dispatch one :class:`~repro.flash.admitpath.AdmissionPlan`.
 
         Placement is the scalar loop inlined.  Maximal runs of
-        *simple* entries -- singleton batches the kernel admitted --
-        go through :meth:`_bulk_span`, a jammed loop that skips the
-        per-request candidate filtering, ``masked_at`` bisection and
-        conflict arithmetic whenever the first live replica is idle
-        (provably the scalar outcome; see the method).  Everything
-        else -- rejected entries, simultaneous batches -- walks
-        :meth:`_scalar_span`, the reference loop verbatim.
+        *simple* entries -- singleton batches the kernel admitted,
+        reads or writes -- go through :meth:`_bulk_span`, a jammed
+        loop that skips the per-request candidate filtering,
+        ``masked_at`` bisection and conflict arithmetic whenever the
+        first live replica is idle (provably the scalar outcome; see
+        the method).  Everything else -- rejected entries,
+        simultaneous batches -- walks :meth:`_scalar_span`, the
+        reference loop verbatim.
         ``offer_conflict`` cannot arise here (vector mode requires
         ε = 0, where conflicts always hold the request).
         """
@@ -1247,16 +1262,19 @@ class OnlineStreamSession:
     def _scalar_span(self, i: int, hi: int, order, times, intervals,
                      admitted, starts) -> None:
         """Reference dispatch of plan entries ``[i, hi)`` (both batch
-        boundaries): per simultaneous batch, rejected entries are
-        appended first, multi-request batches go through the shared
-        :meth:`OnlineTracePlayer._dispatch` (combined retrieval), and
-        singleton batches run the ``_pick``/conflict/issue arithmetic
-        directly -- the same floats through the same operations, minus
-        the heap and the per-request admission bookkeeping the kernel
-        already did."""
+        boundaries), ordered per simultaneous batch as
+        :meth:`process_now` orders it: rejected entries are appended
+        first, then the admitted reads are placed -- several through
+        the shared :meth:`OnlineTracePlayer._dispatch` (combined
+        retrieval), a singleton batch through the ``_pick``/conflict/
+        issue arithmetic inline -- and the admitted writes go last,
+        through :meth:`OnlineTracePlayer._issue_write`.  The same
+        floats through the same operations, minus the heap and the
+        per-request admission bookkeeping the kernel already did."""
         player = self.player
         arrivals = self.arrivals
         bucket_col = self.buckets
+        is_read = self.is_read
         busy = self.busy_until
         service = self.service
         played = self.played
@@ -1276,22 +1294,29 @@ class OnlineStreamSession:
             while b < j and not admitted[b]:
                 orig = order[b]
                 io = IORequest(arrival=arrivals[orig],
-                               bucket=bucket_col[orig])
+                               bucket=bucket_col[orig],
+                               is_read=is_read[orig])
                 played.append(PlayedRequest(
                     io=io, interval=idx, index=orig,
                     delayed=False, rejected=True))
                 b += 1
-            if j - b > 1:
-                player._dispatch(order[b:j], t, idx, arrivals,
-                                 bucket_col, busy, service, None,
-                                 played, self.admission)
-                i = j
-                continue
+            i = j
             if j == b:
-                i = j
                 continue
             orig = order[b]
-            i = j
+            if j - b > 1 or not is_read[orig]:
+                batch = order[b:j]
+                reads = [o for o in batch if is_read[o]]
+                if reads:
+                    player._dispatch(reads, t, idx, arrivals,
+                                     bucket_col, busy, service, None,
+                                     played, self.admission)
+                for orig in batch:
+                    if not is_read[orig]:
+                        player._issue_write(
+                            orig, t, idx, arrivals, bucket_col, busy,
+                            self.params, None, played, self.admission)
+                continue
             bucket = bucket_col[orig]
             cs = cand_cache.get(bucket)
             if cs is None:
@@ -1344,7 +1369,10 @@ class OnlineStreamSession:
     def _bulk_span(self, plan, a: int, b: int, order, times,
                    intervals) -> None:
         """Jammed dispatch of plan entries ``[a, b)``, all admitted
-        singleton batches.
+        singleton batches.  A write among them goes through the
+        reference :meth:`OnlineTracePlayer._issue_write` in place, so
+        the roughly one-in-ten writes of a mixed trace do not cut the
+        run.
 
         The span is cut at fault-mask change points (one
         ``searchsorted`` over the whole time column replaces a
@@ -1366,6 +1394,7 @@ class OnlineStreamSession:
         player = self.player
         arrivals = self.arrivals
         bucket_col = self.buckets
+        is_read = self.is_read
         busy = self.busy_until
         service = self.service
         played_append = self.played.append
@@ -1400,6 +1429,18 @@ class OnlineStreamSession:
             lo, hi = a + s0, a + s1
             for orig, t, itv in zip(order[lo:hi], times[lo:hi],
                                     intervals[lo:hi]):
+                if not is_read[orig]:
+                    # A singleton write: the reference fan-out, with
+                    # the replay's sequence counter handed over.
+                    if replay is not None:
+                        replay._seq = seq
+                    player._issue_write(orig, t, itv, arrivals,
+                                        bucket_col, busy, self.params,
+                                        None, self.played,
+                                        self.admission)
+                    if replay is not None:
+                        seq = replay._seq
+                    continue
                 bkt = bucket_col[orig]
                 ent = per_get(bkt)
                 if ent is None:

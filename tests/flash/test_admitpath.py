@@ -116,6 +116,20 @@ class TestDemotion:
             win.take(None)
         assert exc.value.reason == "out_of_order"
 
+    def test_spill_boundary_near_an_arrival_demotes(self):
+        # 20 requests at t=0 spill through 0.4 and 0.8 to the boundary
+        # 3 * 0.4 == 1.2000000000000002, within the batching tolerance
+        # of the arrival at 1.2: the scalar loop batches both at 1.2,
+        # so the kernel must hand over -- with its state untouched
+        win = window(limit=5)
+        feed(win, [0.0] * 20 + [1.2])
+        with pytest.raises(DemotionRequired) as exc:
+            win.take(None)
+        assert exc.value.reason == "time_resolution"
+        state = win.export_state()
+        assert (state["interval"], state["count"]) == (-1, 0)
+        assert state["times"].size == 21
+
     def test_export_state_mid_interval(self):
         win = window(limit=2)
         feed(win, [0.0, 0.01, 0.02, 0.5])
@@ -125,26 +139,120 @@ class TestDemotion:
         assert state["count"] == 1  # the spill consumed one slot
         assert state["times"].tolist() == [0.5]
 
-    def test_session_demotes_on_writes_and_matches_scalar(self):
-        arrivals = [i * 0.05 for i in range(40)]
-        buckets = [i % 36 for i in range(40)]
-        reads = [i != 25 for i in range(40)]
+    def test_time_resolution_demotion_resumes_units(self):
+        # A read and a write (1 + c = 4 units, 2 requests) fill most of
+        # interval 0 before a sub-tolerance gap forces the scalar loop:
+        # resume() must adopt the 4 units, so the next read fits
+        # (5 <= S = 5) and the write after it does not.
+        arrivals = [0.0, 0.05, 0.1, 0.1 + 5e-13, 0.2, 0.3]
+        buckets = [0, 1, 2, 3, 4, 5]
+        reads = [True, False, True, True, True, False]
 
         def run():
             player = OnlineTracePlayer(design_alloc(), interval_ms=0.4)
             session = player.session()
-            session.feed(arrivals[:20], buckets[:20])
-            session.feed(arrivals[20:], buckets[20:],
-                         reads=reads[20:])
+            session.feed(arrivals[:2], buckets[:2], reads=reads[:2])
+            session.advance(0.08)
+            session.feed(arrivals[2:], buckets[2:], reads=reads[2:])
             return session, session.drain()
 
-        session, (series, played) = run()
+        session, (_, played) = run()
         assert session.admission_kernel == "scalar"
-        assert session.admission_fallback_reason == "writes"
+        assert session.admission_fallback_reason == "time_resolution"
         with admitpath.disabled():
-            _, (series_ref, played_ref) = run()
-        assert [(p.index, p.io.completed_at) for p in played] == \
-            [(p.index, p.io.completed_at) for p in played_ref]
+            _, (_, played_ref) = run()
+        key = [(p.index, p.interval, p.delayed, p.io.issued_at,
+                p.io.completed_at) for p in played]
+        assert key == [(p.index, p.interval, p.delayed, p.io.issued_at,
+                        p.io.completed_at) for p in played_ref]
+        # index 2 (a read) fit at 5 units; 3, 4 and the write 5 spilled
+        assert [p.index for p in played if p.interval == 0] == [0, 1, 2]
+
+
+class TestWrites:
+    """Writes cost ``c`` budget units and keep the session on the
+    kernel."""
+
+    def test_denied_write_then_reads_still_fit(self):
+        # S = 5: three reads (3 units), a write (3 more: denied), then
+        # two reads fill the last 2 units; the third read spills
+        win = window(limit=5)
+        arr = np.array([0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06])
+        costs = np.array([1, 1, 1, 3, 1, 1, 1])
+        win.feed(arr, np.arange(7, dtype=np.int64), costs)
+        plan = win.take(None)
+        assert plan.order.tolist() == [0, 1, 2, 4, 5, 3, 6]
+        assert plan.intervals.tolist() == [0, 0, 0, 0, 0, 1, 1]
+        assert plan.n_delayed == 2
+        # the spill keeps processing order: write first, then read
+        assert plan.starts.tolist() == [True] * 6 + [False]
+
+    def test_denied_write_under_reject(self):
+        win = window(limit=5, overflow="reject")
+        win.feed(np.array([0.0, 0.01, 0.02, 0.03, 0.04]),
+                 np.arange(5, dtype=np.int64),
+                 np.array([3, 1, 3, 1, 1]))
+        plan = win.take(None)
+        assert plan.order.tolist() == [0, 1, 2, 3, 4]
+        assert plan.admitted.tolist() == [True, True, False, True, False]
+        assert plan.n_rejected == 2
+
+    def test_first_write_after_read_only_spill(self):
+        # a read-only chunk overflows interval 0, so reads are carried
+        # into interval 1 when the first write arrives: the carried
+        # reads must count one unit each next to the write's c
+        arrivals = [i * 0.01 for i in range(8)] + [0.41, 0.42, 0.43]
+        buckets = list(range(11))
+        reads = [True] * 8 + [False, True, False]
+
+        def run():
+            player = OnlineTracePlayer(design_alloc(), interval_ms=0.4)
+            session = player.session()
+            session.feed(arrivals[:8], buckets[:8])
+            session.advance(0.405)
+            session.feed(arrivals[8:], buckets[8:], reads=reads[8:])
+            return session, session.drain()[1]
+
+        session, played = run()
+        assert session.admission_kernel == "vector"
+        with admitpath.disabled():
+            _, ref = run()
+        key = [(p.index, p.interval, p.delayed, p.io.issued_at)
+               for p in played]
+        assert key == [(p.index, p.interval, p.delayed, p.io.issued_at)
+                       for p in ref]
+        # 3 carried reads + a write would be 6 units > S = 5: both
+        # writes wait for interval 2, the read between them fits
+        assert [p.index for p in played if p.interval == 1] == [5, 6, 7, 9]
+
+    def test_session_stays_vector_and_matches_scalar(self):
+        arrivals = [i * 0.05 for i in range(40)]
+        buckets = [i % 36 for i in range(40)]
+        reads = [i % 4 != 1 for i in range(40)]
+
+        def run(**kw):
+            player = OnlineTracePlayer(design_alloc(), interval_ms=0.4,
+                                       **kw)
+            session = player.session()
+            session.feed(arrivals[:20], buckets[:20], reads=reads[:20])
+            session.advance(arrivals[20])
+            session.feed(arrivals[20:], buckets[20:], reads=reads[20:])
+            return session, session.drain()
+
+        for kw in ({}, {"overflow": "reject"},
+                   {"faults": crash_schedule(0, at=0.6)}):
+            session, (_, played) = run(**kw)
+            assert session.admission_kernel == "vector"
+            assert session.admission_fallback_reason == ""
+            with admitpath.disabled():
+                _, (_, played_ref) = run(**kw)
+            key = [(p.index, p.interval, p.delayed, p.rejected,
+                    p.io.is_read, p.io.device, p.io.issued_at,
+                    p.io.completed_at) for p in played]
+            assert key == [(p.index, p.interval, p.delayed, p.rejected,
+                            p.io.is_read, p.io.device, p.io.issued_at,
+                            p.io.completed_at) for p in played_ref]
+            assert any(not p.io.is_read for p in played)
 
 
 class TestSessionReporting:

@@ -6,10 +6,13 @@ into ``feed``/``advance`` steps, the drained result must be
 byte-identical to a single ``play`` call.
 """
 
+import contextlib
+
 import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.faults import FaultSchedule
+from repro.flash import admitpath
 from repro.flash.driver import OnlineTracePlayer
 
 ALLOC = DesignTheoreticAllocation.from_parameters(9, 3)
@@ -157,3 +160,35 @@ class TestLifecycle:
         session.feed([0.0], [0], apps=["a"])
         _, played = session.drain()
         assert len(played) == 1
+
+
+class TestArrivalValidation:
+    """Arrivals are checked once, when a chunk is fed: a NaN, infinite
+    or negative time raises on every engine instead of being dropped
+    (vector kernel), failing a cast (scalar loop), hanging the event
+    loop (DES) or landing in a negative interval (fast engine)."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -0.5])
+    @pytest.mark.parametrize("engine", ["vector", "scalar", "des"])
+    def test_bad_arrival_raises_naming_its_index(self, bad, engine):
+        player = make_player(engine="des" if engine == "des" else "auto")
+        with contextlib.ExitStack() as stack:
+            if engine == "scalar":
+                stack.enter_context(admitpath.disabled())
+            with pytest.raises(ValueError, match=r"arrival 1 of the chunk"):
+                player.play([0.1, bad, 0.3], [0, 1, 2])
+
+    def test_index_is_within_the_chunk(self):
+        session = make_player().session()
+        session.feed([0.1, 0.2], [0, 1])
+        with pytest.raises(ValueError, match=r"arrival 2 of the chunk"):
+            session.feed([0.3, 0.4, float("nan")], [2, 3, 4])
+        # the refused chunk left nothing behind
+        assert len(session) == 2 and session.n_pending == 2
+
+    @pytest.mark.parametrize("engine", ["auto", "des"])
+    def test_zero_and_negative_zero_are_valid(self, engine):
+        _, played = make_player(engine=engine).play([-0.0, 0.0, 0.2],
+                                                    [0, 1, 2])
+        assert [p.interval for p in played] == [0, 0, 0]
