@@ -28,6 +28,7 @@ import numpy as np
 from repro import obs
 from repro.core.guarantees import guarantee_capacity
 from repro.graph.kernels import WarmStartMatcher
+from repro.obs.metrics import sequential_sum
 
 __all__ = [
     "AdmissionDecision",
@@ -35,21 +36,6 @@ __all__ = [
     "ExactAdmission",
     "StatisticalAdmission",
 ]
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Strict left-to-right float sum (``((v0 + v1) + v2) + ...``).
-
-    The same contract as :func:`repro.flash.batch.sequential_sum`,
-    restated here because importing :mod:`repro.flash` from this
-    module would close an import cycle through the trace drivers.
-    Pairwise ``np.sum`` would be faster but reorders additions; the
-    reference dict loop accumulated strictly left to right, and Q
-    must stay bit-identical to it.
-    """
-    if values.size == 0:
-        return 0.0
-    return float(np.add.accumulate(values)[-1])
 
 
 @dataclass(frozen=True)
@@ -227,12 +213,12 @@ class StatisticalAdmission:
         total = self._hist_total + 1
         slot = self._slot.get(hypothetical_size)
         if slot is None:
-            q = _sequential_sum(omp * (self._hist_counts[:n] / total)) \
+            q = sequential_sum(omp * (self._hist_counts[:n] / total)) \
                 + (1.0 - self.p_k(hypothetical_size)) * (1 / total)
         else:
             counts = self._hist_counts[:n].copy()
             counts[slot] += 1
-            q = _sequential_sum(omp * (counts / total))
+            q = sequential_sum(omp * (counts / total))
         q += (self._violations + extra_violations) / total
         return min(1.0, q)
 

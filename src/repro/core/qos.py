@@ -152,7 +152,7 @@ class QoSFlashArray:
     engine:
         Playback engine: ``"auto"`` (closed-form fast path when the
         configuration is eligible, DES otherwise), ``"des"`` or
-        ``"fast"`` -- see :func:`repro.flash.driver.resolve_engine`.
+        ``"fast"`` -- see :func:`repro.flash.driver.select_engine`.
     admission:
         Online admission mode: ``"counting"`` (the paper's
         controllers, default) or ``"exact"`` (per-interval feasibility

@@ -1,36 +1,44 @@
-"""Stacked sweep evaluation: many FCFS streams in one numpy pass.
+"""Stacked FCFS evaluation: many constant-rate queues in one numpy pass.
 
-The fast path (:mod:`repro.flash.fastpath`) evaluates *one* module's
-queue per call; sweeps evaluate hundreds -- trials x intervals x
-modules -- and the per-stream Python loop around those calls is what
-the profiles show.  This module stacks the streams: all of a sweep's
-independent FCFS queues are concatenated into one ragged array
-(`issue`, `offsets` in CSR style) and the Lindley recurrence runs over
-the whole stack at once -- one busy-period location pass, one
-verification pass, one accumulate loop over busy periods instead of
-one full kernel invocation per stream.
+The paper's default array is the degenerate queueing regime: every
+module is a deterministic constant-rate FCFS server (one 8 KB read =
+0.132507 ms, no positional delays).  In that regime stepping the event
+loop request-by-request computes nothing the Lindley recurrence does
+not give in closed form:
+
+.. math::
+
+    c_i = \\max(u_i, c_{i-1}) + s_i
+
+where ``u_i`` is the issue time of the *i*-th request on a module,
+``s_i`` its service time and ``c_i`` its completion time.  Sweeps and
+the faulted replay evaluate hundreds of such queues -- trials x
+intervals x modules -- so this module stacks them: all independent
+FCFS streams are concatenated into one ragged array (`issue`,
+`offsets` in CSR style) and the recurrence runs over the whole stack
+at once -- one busy-period location pass, one verification pass, one
+accumulate loop over busy periods.  A single queue is the one-stream
+stack ``offsets = [0, n]``.
 
 Exactness contract
 ------------------
-Per-stream results are **bit-identical** to
-:func:`repro.flash.fastpath.fcfs_completion_times` (and therefore to
-the DES): busy periods are replayed with ``np.add.accumulate`` --
-strict left-to-right addition, the event loop's exact operation
-sequence -- and the located busy-period boundaries are verified
-against the exact completions, falling back to the per-stream
-sequential recurrence wherever a boundary moved.  The locator may be
-sloppy (it shifts streams by large constants to run one global
-cumulative maximum); the verifier is not.
-
-Per-item service times are supported (mixed read/write queues): within
-a busy period the recurrence is still plain repeated addition
-``c_i = c_{i-1} + s_i``, so the same accumulate trick stays exact.
+Per-stream results are **bit-identical** to the scalar recurrence
+(:func:`_sequential_var`, and therefore to the DES).  The textbook
+vectorization re-associates the floating-point additions (``k * s``
+instead of ``s`` added ``k`` times), so it is used only to *locate*
+busy periods; each busy period is then replayed with
+``np.add.accumulate`` -- strict left-to-right addition, the event
+loop's exact operation sequence -- and the located boundaries are
+verified against the exact completions, falling back to the
+per-stream sequential recurrence wherever a boundary moved.  The
+locator may be sloppy (it shifts streams by large constants to run one
+global cumulative maximum); the verifier is not.
 
 :func:`played_metrics` is the other half of sweep cost: per-cell
 request metrics folded with numpy instead of per-request Python
 loops, reproducing the reference loop's float additions exactly
-(``np.add.accumulate`` again -- not ``np.sum``, whose pairwise
-reassociation could drift a rounded golden digit).
+(:func:`repro.obs.metrics.sequential_sum` -- not ``np.sum``, whose
+pairwise reassociation could drift a rounded golden digit).
 """
 
 from __future__ import annotations
@@ -39,12 +47,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.flash.fastpath import _sequential_completions
+from repro.obs.metrics import sequential_sum
 
 __all__ = [
     "stacked_fcfs_completion_times",
     "stream_offsets",
-    "sequential_sum",
     "played_metrics",
 ]
 
@@ -161,9 +168,8 @@ def stacked_fcfs_completion_times(issue_ms, offsets,
     Returns
     -------
     numpy.ndarray
-        Stacked completions, each stream bit-identical to
-        :func:`repro.flash.fastpath.fcfs_completion_times` on that
-        stream alone.
+        Stacked completions, each stream bit-identical to the scalar
+        recurrence (:func:`_sequential_var`) on that stream alone.
     """
     u = np.ascontiguousarray(issue_ms, dtype=np.float64)
     offs = np.ascontiguousarray(offsets, dtype=np.intp)
@@ -194,26 +200,8 @@ def stacked_fcfs_completion_times(issue_ms, offsets,
     if bad.size:
         for s in np.unique(np.searchsorted(offs, bad, side="right") - 1):
             a, b = offs[s], offs[s + 1]
-            seg_svc = svc[a:b]
-            if seg_svc.size and np.all(seg_svc == seg_svc[0]):
-                out[a:b] = _sequential_completions(
-                    u[a:b], float(seg_svc[0]))
-            else:
-                out[a:b] = _sequential_var(u[a:b], seg_svc)
+            out[a:b] = _sequential_var(u[a:b], svc[a:b])
     return out
-
-
-def sequential_sum(values) -> float:
-    """Left-to-right float sum, identical to Python's ``sum`` loop.
-
-    ``np.add.accumulate`` performs the same strict sequential
-    additions the reference per-request loops do; ``np.sum``'s
-    pairwise reassociation would not.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.add.accumulate(arr)[-1])
 
 
 def played_metrics(played: Sequence, guarantee_ms: float,

@@ -14,22 +14,23 @@ Two drivers mirror the paper's two retrieval modes:
   interval* (budget overflow).
 
 Both drivers support two interchangeable playback engines (see
-:func:`resolve_engine`): the DES, which executes the actual service
+:func:`select_engine`): the DES, which executes the actual service
 through the simulated flash array, and a closed-form *fast* engine.
-The online driver keeps a busy-until mirror to make placement
-decisions; with deterministic service times the mirror is exact, so on
-homogeneous constant-latency configurations the fast engine reads the
-completion times straight off the mirror (and the batch player off the
-Lindley recurrence, :mod:`repro.flash.fastpath`) instead of stepping
-the event loop.  The engines are bit-for-bit identical where both
-apply -- enforced by property tests and the determinism probes -- and
-``"auto"`` falls back to the DES whenever an FTL or a custom module
-type makes service times state-dependent.
+Both keep a busy-until mirror to make placement decisions; with
+deterministic service times the mirror is exact, so on homogeneous
+constant-latency configurations the fast engine reads the completion
+times straight off the mirror instead of stepping the event loop
+(under a fault schedule, :class:`repro.flash.faulted.FaultedReplay`
+serves the placed queues instead).  The engines are bit-for-bit
+identical where both apply -- enforced by property tests and the
+determinism probes -- and ``"auto"`` falls back to the DES whenever an
+FTL or a custom module type makes service times state-dependent.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +45,6 @@ from repro.core.admission import (
 )
 from repro.flash import admitpath
 from repro.flash.array import FlashArray, IORequest
-from repro.flash.fastpath import supports_fast_playback
 from repro.flash.metrics import IntervalSeries
 from repro.flash.params import FlashParams
 from repro.retrieval.design_theoretic import design_theoretic_retrieval
@@ -53,8 +53,7 @@ from repro.sim import Environment
 
 __all__ = ["BatchTracePlayer", "OnlineTracePlayer",
            "OnlineStreamSession", "PlayedRequest",
-           "resolve_engine", "select_engine", "engine_tally",
-           "reset_engine_tally"]
+           "select_engine", "engine_tally", "reset_engine_tally"]
 
 
 #: process-wide tally of engine selections and fallback reasons --
@@ -105,55 +104,43 @@ def _tally_admission(kind: str, reason: str) -> None:
         _ENGINE_TALLY[key] = _ENGINE_TALLY.get(key, 0) + 1
 
 
-def select_engine(engine: str, module_factory=None, ftl_factory=None,
-                  priority_queues: bool = False,
-                  faults=None) -> Tuple[str, str]:
+def select_engine(engine: str, module_factory=None,
+                  ftl_factory=None) -> Tuple[str, str]:
     """Pick the playback engine; returns ``(engine, fallback_reason)``.
 
     ``"auto"`` (the default everywhere) selects the closed-form fast
-    path whenever the configuration is eligible (see
-    :func:`repro.flash.fastpath.supports_fast_playback`) and the DES
-    otherwise; ``"fast"`` insists and raises on ineligible
-    configurations; ``"des"`` always steps the event loop.  Both
-    engines produce bit-identical results on eligible configurations --
-    enforced by the property tests and the ``fastpath``/``faults``
-    determinism probes.
+    path whenever per-request service time is a pure function of the
+    submission order and the DES otherwise; ``"fast"`` insists and
+    raises on ineligible configurations; ``"des"`` always steps the
+    event loop.  Both engines produce bit-identical results on eligible
+    configurations -- enforced by the property tests and the
+    ``fastpath``/``faults`` determinism probes.
 
     Fault schedules (:mod:`repro.faults`) -- empty *or* non-empty --
-    keep the fast engine: playback is replayed event-free by
-    :class:`repro.flash.faulted.FaultedReplay`, byte-identical to the
-    DES.  Only state-dependent service hooks still fall back, and the
-    returned ``fallback_reason`` names which one (``"module_factory"``,
-    ``"ftl_factory"``, ``"priority_queues"``, or ``"forced"`` when the
-    caller demanded ``"des"``; empty string when the fast path runs).
+    keep the fast engine: they are materialised before playback, so
+    :class:`repro.flash.faulted.FaultedReplay` replays them event-free,
+    byte-identical to the DES.  Only hooks that make service time
+    depend on hidden simulation state fall back: a custom module type
+    (``module_factory``: HDD seek/rotation, channel geometry) or an
+    FTL whose garbage collection stalls the module (``ftl_factory``).
+    The returned ``fallback_reason`` names which one, or ``"forced"``
+    when the caller demanded ``"des"``; it is empty when the fast path
+    runs.
     """
     if engine not in ("auto", "des", "fast"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "des":
         return "des", "forced"
-    eligible = supports_fast_playback(module_factory=module_factory,
-                                      ftl_factory=ftl_factory,
-                                      priority_queues=priority_queues,
-                                      faults=faults)
-    if eligible:
+    if module_factory is None and ftl_factory is None:
         return "fast", ""
     if engine == "fast":
         raise ValueError(
             "fast playback requires homogeneous constant-latency FCFS "
-            "modules (no module_factory, no ftl_factory, no priority "
-            "queues); fault schedules are fine")
+            "modules (no module_factory, no ftl_factory); fault "
+            "schedules are fine")
     if module_factory is not None:
         return "des", "module_factory"
-    if ftl_factory is not None:
-        return "des", "ftl_factory"
-    return "des", "priority_queues"
-
-
-def resolve_engine(engine: str, module_factory=None,
-                   ftl_factory=None, faults=None) -> str:
-    """:func:`select_engine` without the reason (compatibility API)."""
-    return select_engine(engine, module_factory=module_factory,
-                         ftl_factory=ftl_factory, faults=faults)[0]
+    return "des", "ftl_factory"
 
 
 def _collect_series(played: Sequence["PlayedRequest"]) -> IntervalSeries:
@@ -256,7 +243,7 @@ class BatchTracePlayer:
         ``M(b)``, the Table II semantics).
     engine:
         ``"auto"`` (closed-form fast path when eligible, else DES),
-        ``"des"`` or ``"fast"`` -- see :func:`resolve_engine`.
+        ``"des"`` or ``"fast"`` -- see :func:`select_engine`.
     faults:
         Optional :class:`repro.faults.FaultSchedule`.  Dead and down
         modules are masked out of every batch's candidate sets at the
@@ -282,7 +269,7 @@ class BatchTracePlayer:
         self.module_factory = module_factory
         self.faults = faults
         self.engine, self.fallback_reason = select_engine(
-            engine, module_factory=module_factory, faults=faults)
+            engine, module_factory=module_factory)
 
     @property
     def engine_selected(self) -> str:
@@ -338,18 +325,30 @@ class BatchTracePlayer:
             raise ValueError("BatchTracePlayer is read-only; use "
                              "OnlineTracePlayer for writes")
         _tally_engine(self.engine, self.fallback_reason)
-        if self.engine == "fast":
-            return self._play_fast(arrivals, buckets)
-        env = Environment()
-        array = FlashArray(env, self.allocation.n_devices, self.params,
-                           module_factory=self.module_factory,
-                           faults=self.faults)
+        n_devices = self.allocation.n_devices
+        array = replay = None
+        if self.engine == "des":
+            array = FlashArray(Environment(), n_devices, self.params,
+                               module_factory=self.module_factory,
+                               faults=self.faults)
+            params = array.params
+        else:
+            params = self.params or FlashParams()
+            if self.faults is not None and len(self.faults):
+                from repro.flash.faulted import FaultedReplay
+
+                replay = FaultedReplay(self.faults, n_devices, params)
         groups = _group_by_interval(arrivals, self.interval_ms)
         played: List[PlayedRequest] = []
-        service = array.params.read_ms
-        busy_until = [0.0] * self.allocation.n_devices
+        service = params.read_ms
+        busy_until = [0.0] * n_devices
 
         def run():
+            """The scheduling loop.  The engines differ only in who
+            serves an issue: the DES modules, the busy-until mirror
+            (exact for constant service times) or the faulted replay.
+            Placement never reads service outcomes, so the mirror
+            drives it identically on every engine."""
             for idx in sorted(groups):
                 member = groups[idx]
                 start = idx * self.interval_ms
@@ -358,8 +357,8 @@ class BatchTracePlayer:
                 batch_time = start
                 if any(arrivals[i] > start + 1e-9 for i in member):
                     batch_time = (idx + 1) * self.interval_ms
-                if batch_time > env.now:
-                    yield env.timeout_until(batch_time)
+                if array is not None and batch_time > array.env.now:
+                    yield array.env.timeout_until(batch_time)
                 # Failure-aware retrieval: dead/down modules leave the
                 # candidate sets at the batch instant.
                 masked = self.faults.masked_at(batch_time) \
@@ -389,92 +388,38 @@ class BatchTracePlayer:
                 for i, dev in zip(live_member, schedule.assignment):
                     io = IORequest(arrival=float(arrivals[i]),
                                    bucket=int(buckets[i]))
-                    array.issue(io, dev)
-                    busy_until[dev] = max(busy_until[dev],
-                                          batch_time) + service
+                    started = max(busy_until[dev], batch_time)
+                    busy_until[dev] = started + service
+                    issued = batch_time
+                    if array is not None:
+                        array.issue(io, dev)
+                        # the DES clock starts at 0, so a batch before
+                        # time 0 issues at 0
+                        issued = io.issued_at
+                    elif replay is not None:
+                        # Batch issues have no failover (as in the DES
+                        # batch driver): candidates stay None.
+                        replay.submit_read(io, dev, batch_time,
+                                           batch_time)
+                    else:
+                        io.device = dev
+                        io.issued_at = batch_time
+                        io.enqueued_at = batch_time
+                        io.started_at = started
+                        io.completed_at = busy_until[dev]
                     played.append(PlayedRequest(
                         io=io, interval=idx, index=i,
-                        delayed=io.issued_at > io.arrival + 1e-9))
+                        delayed=issued > io.arrival + 1e-9))
 
-        env.process(run())
-        env.run()
-        return _finish_play(played, self.allocation.n_devices,
-                            self.interval_ms)
-
-    def _play_fast(self, arrivals: Sequence[float],
-                   buckets: Sequence[int],
-                   ) -> Tuple[IntervalSeries, List[PlayedRequest]]:
-        """Closed-form batch playback: the busy-until recurrence IS the
-        module behaviour when service times are constant, so the DES
-        adds nothing -- same scheduling decisions, same floats.  Under
-        a fault schedule the scheduling loop is unchanged (the mirror
-        is fault-independent by construction) and service runs through
-        :class:`repro.flash.faulted.FaultedReplay` instead of the
-        mirror arithmetic."""
-        params = self.params or FlashParams()
-        replay = None
-        if self.faults is not None and len(self.faults):
-            from repro.flash.faulted import FaultedReplay
-
-            replay = FaultedReplay(self.faults,
-                                   self.allocation.n_devices, params)
-        groups = _group_by_interval(arrivals, self.interval_ms)
-        played: List[PlayedRequest] = []
-        service = params.read_ms
-        busy_until = [0.0] * self.allocation.n_devices
-        for idx in sorted(groups):
-            member = groups[idx]
-            start = idx * self.interval_ms
-            batch_time = start
-            if any(arrivals[i] > start + 1e-9 for i in member):
-                batch_time = (idx + 1) * self.interval_ms
-            masked = self.faults.masked_at(batch_time) \
-                if self.faults is not None else None
-            live_member: List[int] = []
-            cands = []
-            for i in member:
-                cs = self.allocation.devices_for(int(buckets[i]))
-                if masked:
-                    live = tuple(d for d in cs if d not in masked)
-                    if not live:
-                        io = _unavailable_io(float(arrivals[i]),
-                                             int(buckets[i]),
-                                             batch_time)
-                        played.append(PlayedRequest(
-                            io=io, interval=idx, index=i,
-                            delayed=False))
-                        continue
-                    cs = live
-                live_member.append(i)
-                cands.append(cs)
-            if not live_member:
-                continue
-            carry = [max(0.0, b - batch_time) / service
-                     for b in busy_until]
-            schedule = self._schedule(cands, carry)
-            for i, dev in zip(live_member, schedule.assignment):
-                io = IORequest(arrival=float(arrivals[i]),
-                               bucket=int(buckets[i]))
-                if replay is not None:
-                    # Batch issues have no failover (as in the DES
-                    # batch driver): candidates stay None.
-                    replay.submit_read(io, dev, batch_time, batch_time)
-                    busy_until[dev] = max(busy_until[dev],
-                                          batch_time) + service
-                else:
-                    io.device = dev
-                    io.issued_at = batch_time
-                    io.enqueued_at = batch_time
-                    io.started_at = max(busy_until[dev], batch_time)
-                    busy_until[dev] = io.started_at + service
-                    io.completed_at = busy_until[dev]
-                played.append(PlayedRequest(
-                    io=io, interval=idx, index=i,
-                    delayed=batch_time > io.arrival + 1e-9))
-        if replay is not None:
-            replay.run()
-        return _finish_play(played, self.allocation.n_devices,
-                            self.interval_ms)
+        if array is not None:
+            array.env.process(run())
+            array.env.run()
+        else:
+            for _ in run():
+                pass  # without an event loop the generator never yields
+            if replay is not None:
+                replay.run()
+        return _finish_play(played, n_devices, self.interval_ms)
 
 
 class OnlineTracePlayer:
@@ -567,8 +512,7 @@ class OnlineTracePlayer:
         self.faults = faults
         self.engine, self.fallback_reason = select_engine(
             engine, module_factory=module_factory,
-            ftl_factory=ftl_factory, faults=faults)
-        self._replay = None
+            ftl_factory=ftl_factory)
 
     @property
     def engine_selected(self) -> str:
@@ -638,266 +582,18 @@ advance` the clock to an interval boundary, act on what it saw
         _tally_engine(self.engine, self.fallback_reason)
         return OnlineStreamSession(self)
 
-    # -- placement ---------------------------------------------------------
-    def _dispatch(self, admitted: List[int], t: float, idx: int,
-                  arrivals, buckets, busy_until: List[float],
-                  service: float, array: Optional[FlashArray],
-                  played: List[PlayedRequest], admission) -> None:
-        """Place an admitted batch of simultaneous requests.
-
-        With a fault schedule, dead/down modules leave every candidate
-        set first (failure-aware retrieval); a request whose replicas
-        are all masked fails as ``"unavailable"`` without touching the
-        array.
-        """
-        masked = self.faults.masked_at(t) \
-            if self.faults is not None else None
-        live_admitted: List[int] = []
-        cands = []
-        for i in admitted:
-            cs = self.allocation.devices_for(int(buckets[i]))
-            if masked:
-                live = tuple(d for d in cs if d not in masked)
-                if not live:
-                    io = _unavailable_io(float(arrivals[i]),
-                                         int(buckets[i]), t)
-                    played.append(PlayedRequest(
-                        io=io, interval=idx, index=i, delayed=False))
-                    continue
-                cs = live
-            live_admitted.append(i)
-            cands.append(cs)
-        if not live_admitted:
-            return
-        if len(live_admitted) > 1:
-            # Simultaneous arrivals are scheduled together (§IV-B).
-            schedule = combined_retrieval(cands, self.allocation.n_devices)
-            chosen = list(schedule.assignment)
-        else:
-            chosen = [self._pick(cands[0], t, busy_until)]
-        for orig, dev, cs in zip(live_admitted, chosen, cands):
-            self._issue_one(orig, dev, t, idx, arrivals, buckets,
-                            busy_until, service, array, played,
-                            admission, candidates=cs)
-
-    def _pick(self, candidates: Sequence[int], t: float,
-              busy_until: List[float]) -> int:
-        for d in candidates:
-            if busy_until[d] <= t + 1e-12:
-                return d
-        return min(candidates, key=lambda d: busy_until[d])
-
-    def _issue_one(self, orig: int, dev: int, t: float, idx: int,
-                   arrivals, buckets, busy_until: List[float],
-                   service: float, array: Optional[FlashArray],
-                   played: List[PlayedRequest], admission,
-                   candidates: Optional[Sequence[int]] = None) -> None:
-        io = IORequest(arrival=float(arrivals[orig]),
-                       bucket=int(buckets[orig]))
-        wait = busy_until[dev] - t
-        guarantee = self.accesses * service
-        # A queued request still meets the guarantee while
-        # wait + service <= M * service; only waits beyond that are
-        # QoS-relevant conflicts.  (With M = 1 any wait conflicts,
-        # which is the paper's real-trace setting.)
-        conflict = wait + service > guarantee + 1e-12
-        admit_queued = False
-        if conflict and self.epsilon > 0:
-            # Statistical QoS: knowingly violate the guarantee for this
-            # request (it queues) as long as the violation mass Q stays
-            # below epsilon (see StatisticalAdmission.offer_conflict).
-            admit_queued = bool(admission.offer_conflict())
-        if conflict and not admit_queued:
-            # Deterministic QoS (or epsilon budget exhausted): hold the
-            # request until the device is idle, then issue -- response
-            # time stays one service time and the wait is accounted as
-            # admission delay (Fig 8c/d).
-            issue_at = busy_until[dev]
-            delayed = True
-        else:
-            # Serve now; within-guarantee queueing (or an admitted
-            # conflict) absorbs the wait into the response (Fig 10b).
-            issue_at = t
-            delayed = io.arrival + 1e-9 < t  # delayed by budget earlier
-        started = max(busy_until[dev], issue_at)
-        busy_until[dev] = started + service
-        if array is None:
-            if self._replay is not None:
-                # Faulted fast engine: placement above is final (the
-                # mirror ignores fault outcomes, as in the DES); the
-                # replay serves the queue after the driver loop ends.
-                self._replay.submit_read(io, dev, issue_at, t,
-                                         candidates=candidates)
-            else:
-                # Fast engine: with constant service times the
-                # busy-until mirror *is* the module, so fill the
-                # timestamps directly (same max, same single addition
-                # as the service loop).
-                io.device = dev
-                io.issued_at = issue_at
-                io.enqueued_at = issue_at
-                io.started_at = started
-                io.completed_at = busy_until[dev]
-        else:
-            array.env.process(
-                self._issue_process(array, io, dev, issue_at,
-                                    candidates))
-        played.append(PlayedRequest(io=io, interval=idx, index=orig,
-                                    delayed=delayed))
-
-    def _issue_process(self, array: FlashArray, io: IORequest,
-                       dev: int, issue_at: float,
-                       candidates: Optional[Sequence[int]] = None):
-        """Issue one read; under faults, fail over across replicas.
-
-        The healthy path is a single issue-and-wait, unchanged.  With
-        a fault schedule, a failed attempt (dead module, read retries
-        exhausted) is retried on the next live untried replica after
-        the schedule's backoff; ``issued_at`` keeps the *first* issue
-        time so the recorded response spans every attempt.  When no
-        live replica remains (or the retry budget runs out) the
-        request stays failed.
-        """
-        if issue_at > array.env.now:
-            yield array.env.timeout_until(issue_at)
-        done = array.issue(io, dev)
-        if self.faults is None:
-            yield done
-            return
-        first_issue = io.issued_at
-        retry = self.faults.retry
-        tried = [dev]
-        attempt = 0
-        while True:
-            yield done
-            if not io.failed:
-                return
-            if candidates is None:
-                return
-            masked = self.faults.masked_at(array.env.now)
-            alive = [d for d in candidates
-                     if d not in tried and d not in masked]
-            if not alive or attempt >= retry.max_retries:
-                if obs.ACTIVE:
-                    obs.SESSION.on_fault("unavailable")
-                return
-            nxt = alive[0]
-            if obs.ACTIVE:
-                obs.SESSION.on_fault("failover")
-            backoff = retry.delay(attempt)
-            attempt += 1
-            io.retries += 1
-            io.failed = False
-            io.fail_reason = ""
-            io.faulted = True
-            if backoff > 0:
-                yield array.env.timeout(backoff)
-            tried.append(nxt)
-            done = array.issue(io, nxt)
-            io.issued_at = first_issue
-
-    # -- writes --------------------------------------------------------------
-    def _issue_write(self, orig: int, t: float, idx: int,
-                     arrivals, buckets, busy_until: List[float],
-                     params: FlashParams, array: Optional[FlashArray],
-                     played: List[PlayedRequest],
-                     admission) -> None:
-        """Apply a write to every live replica of its bucket.
-
-        The logical request completes when the slowest replica does;
-        conflict policy mirrors the read path (deterministic QoS waits
-        for all replicas to go idle, statistical QoS may queue).
-
-        Under faults the write goes to the *live* replicas only (a
-        degraded write, flagged ``faulted``); with every replica
-        masked the write fails as ``"unavailable"``.
-        """
-        devices = self.allocation.devices_for(int(buckets[orig]))
-        degraded_write = False
-        if self.faults is not None:
-            masked = self.faults.masked_at(t)
-            if masked:
-                live = tuple(d for d in devices if d not in masked)
-                if not live:
-                    io = _unavailable_io(float(arrivals[orig]),
-                                         int(buckets[orig]), t,
-                                         is_read=False)
-                    played.append(PlayedRequest(
-                        io=io, interval=idx, index=orig,
-                        delayed=False))
-                    return
-                if len(live) < len(devices):
-                    degraded_write = True
-                    if obs.ACTIVE:
-                        obs.SESSION.on_fault("degraded_write")
-                devices = live
-        write_service = params.write_ms
-        read_service = params.read_ms
-        master = IORequest(arrival=float(arrivals[orig]),
-                           bucket=int(buckets[orig]), is_read=False)
-        master.faulted = degraded_write
-        guarantee = self.accesses * read_service
-        worst_wait = max(busy_until[d] - t for d in devices)
-        conflict = worst_wait + write_service > \
-            max(guarantee, write_service) + 1e-12
-        admit_queued = False
-        if conflict and self.epsilon > 0:
-            admit_queued = bool(admission.offer_conflict())
-        if conflict and not admit_queued:
-            issue_at = max(busy_until[d] for d in devices)
-            delayed = True
-        else:
-            issue_at = t
-            delayed = master.arrival + 1e-9 < t
-        for d in devices:
-            busy_until[d] = max(busy_until[d], issue_at) + write_service
-        if array is None:
-            master.issued_at = issue_at
-            if self._replay is not None:
-                self._replay.submit_write(master, devices, issue_at, t)
-            else:
-                master.completed_at = max(busy_until[d] for d in devices)
-        else:
-            array.env.process(
-                self._write_process(array, master, devices, issue_at))
-        played.append(PlayedRequest(io=master, interval=idx, index=orig,
-                                    delayed=delayed))
-
-    @staticmethod
-    def _write_process(array: FlashArray, master: IORequest,
-                       devices, issue_at: float):
-        from repro.sim import AllOf
-
-        if issue_at > array.env.now:
-            yield array.env.timeout_until(issue_at)
-        master.issued_at = array.env.now
-        events = []
-        replicas = []
-        for d in devices:
-            replica = IORequest(arrival=master.arrival,
-                                bucket=master.bucket, is_read=False)
-            replicas.append(replica)
-            events.append(array.issue(replica, d))
-        yield AllOf(array.env, events)
-        master.completed_at = array.env.now
-        # Fault accounting: a replica lost mid-write degrades the
-        # logical write; losing every replica fails it.
-        if any(r.failed or r.faulted for r in replicas):
-            master.faulted = True
-            master.retries = sum(r.retries for r in replicas)
-        if replicas and all(r.failed for r in replicas):
-            master.failed = True
-            master.fail_reason = replicas[0].fail_reason
-
 
 class OnlineStreamSession:
     """One long-running play-through of an :class:`OnlineTracePlayer`.
 
     Owns every piece of state the online driver threads through a
     trace -- the admission window, the tenant budgets, the busy-until
-    device mirror, the pending-request heap and the played-request
-    log -- so that a caller can interleave *feeding* traffic with
-    *acting* on what has been served so far:
+    device mirror, the pending-request heap, the played-request log and
+    (faulted fast engine) the :class:`~repro.flash.faulted.FaultedReplay`
+    -- and the placement that reads and writes it, so that sessions
+    and plays sharing one player never interfere, and a caller can
+    interleave *feeding* traffic with *acting* on what has been served
+    so far:
 
     >>> session = player.session()              # doctest: +SKIP
     >>> session.feed(chunk.arrivals, chunk.buckets)  # doctest: +SKIP
@@ -920,16 +616,23 @@ class OnlineStreamSession:
 
     def __init__(self, player: OnlineTracePlayer):
         self.player = player
+        self.faults = player.faults
         self.fast = player.engine == "fast"
+        #: the faulted fast engine's service queue: placement below is
+        #: final (the mirror ignores fault outcomes, as in the DES) and
+        #: the replay serves what was placed when the session drains.
+        #: Per session, so sessions and plays on one player never share
+        #: one.
+        self.replay = None
         if self.fast:
             self.env = None
             self.array = None
             self.params = player.params or FlashParams()
-            if player.faults is not None and len(player.faults):
+            if self.faults is not None and len(self.faults):
                 from repro.flash.faulted import FaultedReplay
 
-                player._replay = FaultedReplay(
-                    player.faults, player.allocation.n_devices,
+                self.replay = FaultedReplay(
+                    self.faults, player.allocation.n_devices,
                     self.params)
         else:
             self.env = Environment()
@@ -950,6 +653,15 @@ class OnlineStreamSession:
                                           player.accesses)
         self.service = self.params.read_ms
         self.busy_until = [0.0] * player.allocation.n_devices
+        #: fault-mask change points: the masked module set is
+        #: ``self._masks[bisect_right(self._mask_pts, t)]`` (see
+        #: :meth:`repro.faults.FaultSchedule.mask_segments`)
+        self._mask_pts, self._masks = (
+            self.faults.mask_segments() if self.faults is not None
+            else ([], [frozenset()]))
+        #: per mask segment: bucket -> live replica tuple
+        self._live: List[Dict[int, Tuple[int, ...]]] = \
+            [{} for _ in self._masks]
         self.played: List[PlayedRequest] = []
         #: request columns, growing with every feed()
         self.arrivals: List[float] = []
@@ -970,10 +682,6 @@ class OnlineStreamSession:
         #: ``admission_fallback_reason`` report the resolution the
         #: same way ``engine_selected`` / ``fallback_reason`` do.
         self._vec = None
-        self._cand_cache: Dict[int, Tuple[int, ...]] = {}
-        #: per fault-mask segment: bucket -> (first live replica or
-        #: -1, live candidate tuple); see _bulk_span
-        self._bulk_cache: Dict[int, Dict[int, Tuple[int, tuple]]] = {}
         self.admission_kernel = "scalar"
         self.admission_fallback_reason = "des_engine"
         if self.fast:
@@ -1088,7 +796,6 @@ class OnlineStreamSession:
             _, _, _, orig = heapq.heappop(self.heap)
             batch.append(orig)
         admitted: List[int] = []
-        admitted_writes: List[int] = []
         for orig in batch:
             cost = 1 if self.is_read[orig] else \
                 player.allocation.replication
@@ -1102,20 +809,11 @@ class OnlineStreamSession:
             if granted:
                 if obs.ACTIVE:
                     obs.SESSION.on_admission("admitted")
-                if self.is_read[orig]:
-                    admitted.append(orig)
-                else:
-                    admitted_writes.append(orig)
+                admitted.append(orig)
             elif player.overflow == "reject":
                 if obs.ACTIVE:
                     obs.SESSION.on_admission("rejected")
-                io = IORequest(
-                    arrival=float(self.arrivals[orig]),
-                    bucket=int(self.buckets[orig]),
-                    is_read=self.is_read[orig])
-                self.played.append(PlayedRequest(
-                    io=io, interval=idx, index=orig,
-                    delayed=False, rejected=True))
+                self._reject(orig, idx)
             else:
                 # Budget overflow: delay to the next interval.
                 if obs.ACTIVE:
@@ -1124,16 +822,260 @@ class OnlineStreamSession:
                 heapq.heappush(self.heap, (next_start, 1,
                                            self._requeues, orig))
                 self._requeues += 1
-        if admitted:
-            player._dispatch(admitted, t, idx, self.arrivals,
-                             self.buckets, self.busy_until,
-                             self.service, self.array, self.played,
-                             self.admission)
-        for orig in admitted_writes:
-            player._issue_write(orig, t, idx, self.arrivals,
-                                self.buckets, self.busy_until,
-                                self.params, self.array, self.played,
-                                self.admission)
+        self._place(admitted, t, idx, bisect_right(self._mask_pts, t))
+
+    # -- placement ---------------------------------------------------------
+    def _reject(self, orig: int, idx: int) -> None:
+        """Log a request admission rejected outright; never served."""
+        self.played.append(PlayedRequest(
+            io=IORequest(arrival=self.arrivals[orig],
+                         bucket=self.buckets[orig],
+                         is_read=self.is_read[orig]),
+            interval=idx, index=orig, delayed=False, rejected=True))
+
+    def _place(self, admitted: List[int], t: float, idx: int,
+               seg: int) -> None:
+        """Place one admitted batch of simultaneous requests, in
+        :meth:`process_now` order: the reads together, then the writes
+        one by one.  ``seg`` is the fault-mask segment holding ``t``."""
+        is_read = self.is_read
+        reads = [o for o in admitted if is_read[o]]
+        if reads:
+            self._dispatch(reads, t, idx, seg)
+        for orig in admitted:
+            if not is_read[orig]:
+                self._issue_write(orig, t, idx, seg)
+
+    def _live_replicas(self, seg: int, bucket: int) -> Tuple[int, ...]:
+        """``bucket``'s replicas outside fault-mask segment ``seg``'s
+        masked set (failure-aware retrieval), memoised per segment."""
+        live = self._live[seg].get(bucket)
+        if live is None:
+            live = self.player.allocation.devices_for(bucket)
+            masked = self._masks[seg]
+            if masked:
+                live = tuple(d for d in live if d not in masked)
+            self._live[seg][bucket] = live
+        return live
+
+    def _dispatch(self, admitted: List[int], t: float, idx: int,
+                  seg: int) -> None:
+        """Place an admitted batch of simultaneous reads.
+
+        With a fault schedule, dead/down modules leave every candidate
+        set first; a request whose replicas are all masked fails as
+        ``"unavailable"`` without touching the array.
+        """
+        live_admitted: List[int] = []
+        cands = []
+        for i in admitted:
+            cs = self._live_replicas(seg, self.buckets[i])
+            if not cs:
+                io = _unavailable_io(self.arrivals[i], self.buckets[i], t)
+                self.played.append(PlayedRequest(
+                    io=io, interval=idx, index=i, delayed=False))
+                continue
+            live_admitted.append(i)
+            cands.append(cs)
+        if not live_admitted:
+            return
+        if len(live_admitted) > 1:
+            # Simultaneous arrivals are scheduled together (§IV-B).
+            schedule = combined_retrieval(
+                cands, self.player.allocation.n_devices)
+            chosen = list(schedule.assignment)
+        else:
+            chosen = [self._pick(cands[0], t)]
+        for orig, dev, cs in zip(live_admitted, chosen, cands):
+            self._issue_one(orig, dev, t, idx, cs)
+
+    def _pick(self, candidates: Sequence[int], t: float) -> int:
+        """The first idle replica, else the one that finishes first."""
+        busy_until = self.busy_until
+        for d in candidates:
+            if busy_until[d] <= t + 1e-12:
+                return d
+        return min(candidates, key=lambda d: busy_until[d])
+
+    def _issue_one(self, orig: int, dev: int, t: float, idx: int,
+                   candidates: Sequence[int]) -> None:
+        busy_until = self.busy_until
+        service = self.service
+        io = IORequest(self.arrivals[orig], self.buckets[orig])
+        wait = busy_until[dev] - t
+        guarantee = self.player.accesses * service
+        # A queued request still meets the guarantee while
+        # wait + service <= M * service; only waits beyond that are
+        # QoS-relevant conflicts.  (With M = 1 any wait conflicts,
+        # which is the paper's real-trace setting.)
+        conflict = wait + service > guarantee + 1e-12
+        admit_queued = False
+        if conflict and self.player.epsilon > 0:
+            # Statistical QoS: knowingly violate the guarantee for this
+            # request (it queues) as long as the violation mass Q stays
+            # below epsilon (see StatisticalAdmission.offer_conflict).
+            admit_queued = bool(self.admission.offer_conflict())
+        if conflict and not admit_queued:
+            # Deterministic QoS (or epsilon budget exhausted): hold the
+            # request until the device is idle, then issue -- response
+            # time stays one service time and the wait is accounted as
+            # admission delay (Fig 8c/d).
+            issue_at = busy_until[dev]
+            delayed = True
+        else:
+            # Serve now; within-guarantee queueing (or an admitted
+            # conflict) absorbs the wait into the response (Fig 10b).
+            issue_at = t
+            delayed = io.arrival + 1e-9 < t  # delayed by budget earlier
+        started = max(busy_until[dev], issue_at)
+        busy_until[dev] = started + service
+        if self.array is not None:
+            self.env.process(
+                self._issue_process(io, dev, issue_at, candidates))
+        elif self.replay is not None:
+            self.replay.submit_read(io, dev, issue_at, t,
+                                    candidates=candidates)
+        else:
+            # Fast engine: with constant service times the busy-until
+            # mirror *is* the module, so fill the timestamps directly
+            # (same max, same single addition as the service loop).
+            io.device = dev
+            io.issued_at = issue_at
+            io.enqueued_at = issue_at
+            io.started_at = started
+            io.completed_at = busy_until[dev]
+        self.played.append(PlayedRequest(io, idx, delayed, orig))
+
+    def _issue_process(self, io: IORequest, dev: int, issue_at: float,
+                       candidates: Sequence[int]):
+        """Issue one read; under faults, fail over across replicas.
+
+        The healthy path is a single issue-and-wait, unchanged.  With
+        a fault schedule, a failed attempt (dead module, read retries
+        exhausted) is retried on the next live untried replica after
+        the schedule's backoff; ``issued_at`` keeps the *first* issue
+        time so the recorded response spans every attempt.  When no
+        live replica remains (or the retry budget runs out) the
+        request stays failed.
+        """
+        array = self.array
+        if issue_at > array.env.now:
+            yield array.env.timeout_until(issue_at)
+        done = array.issue(io, dev)
+        if self.faults is None:
+            yield done
+            return
+        first_issue = io.issued_at
+        retry = self.faults.retry
+        tried = [dev]
+        attempt = 0
+        while True:
+            yield done
+            if not io.failed:
+                return
+            masked = self.faults.masked_at(array.env.now)
+            alive = [d for d in candidates
+                     if d not in tried and d not in masked]
+            if not alive or attempt >= retry.max_retries:
+                if obs.ACTIVE:
+                    obs.SESSION.on_fault("unavailable")
+                return
+            nxt = alive[0]
+            if obs.ACTIVE:
+                obs.SESSION.on_fault("failover")
+            backoff = retry.delay(attempt)
+            attempt += 1
+            io.retries += 1
+            io.failed = False
+            io.fail_reason = ""
+            io.faulted = True
+            if backoff > 0:
+                yield array.env.timeout(backoff)
+            tried.append(nxt)
+            done = array.issue(io, nxt)
+            io.issued_at = first_issue
+
+    def _issue_write(self, orig: int, t: float, idx: int,
+                     seg: int) -> None:
+        """Apply a write to every live replica of its bucket.
+
+        The logical request completes when the slowest replica does;
+        conflict policy mirrors the read path (deterministic QoS waits
+        for all replicas to go idle, statistical QoS may queue).
+
+        Under faults the write goes to the *live* replicas only (a
+        degraded write, flagged ``faulted``); with every replica
+        masked the write fails as ``"unavailable"``.
+        """
+        bucket = self.buckets[orig]
+        devices = self._live_replicas(seg, bucket)
+        if not devices:
+            io = _unavailable_io(self.arrivals[orig], bucket, t,
+                                 is_read=False)
+            self.played.append(PlayedRequest(
+                io=io, interval=idx, index=orig, delayed=False))
+            return
+        degraded_write = len(devices) < len(
+            self.player.allocation.devices_for(bucket))
+        if degraded_write and obs.ACTIVE:
+            obs.SESSION.on_fault("degraded_write")
+        busy_until = self.busy_until
+        write_service = self.params.write_ms
+        master = IORequest(arrival=self.arrivals[orig], bucket=bucket,
+                           is_read=False)
+        master.faulted = degraded_write
+        guarantee = self.player.accesses * self.service
+        worst_wait = max(busy_until[d] - t for d in devices)
+        conflict = worst_wait + write_service > \
+            max(guarantee, write_service) + 1e-12
+        admit_queued = False
+        if conflict and self.player.epsilon > 0:
+            admit_queued = bool(self.admission.offer_conflict())
+        if conflict and not admit_queued:
+            issue_at = max(busy_until[d] for d in devices)
+            delayed = True
+        else:
+            issue_at = t
+            delayed = master.arrival + 1e-9 < t
+        for d in devices:
+            busy_until[d] = max(busy_until[d], issue_at) + write_service
+        if self.array is not None:
+            self.env.process(self._write_process(master, devices,
+                                                 issue_at))
+        else:
+            master.issued_at = issue_at
+            if self.replay is not None:
+                self.replay.submit_write(master, devices, issue_at, t)
+            else:
+                master.completed_at = max(busy_until[d] for d in devices)
+        self.played.append(PlayedRequest(io=master, interval=idx,
+                                         index=orig, delayed=delayed))
+
+    def _write_process(self, master: IORequest, devices,
+                       issue_at: float):
+        from repro.sim import AllOf
+
+        array = self.array
+        if issue_at > array.env.now:
+            yield array.env.timeout_until(issue_at)
+        master.issued_at = array.env.now
+        events = []
+        replicas = []
+        for d in devices:
+            replica = IORequest(arrival=master.arrival,
+                                bucket=master.bucket, is_read=False)
+            replicas.append(replica)
+            events.append(array.issue(replica, d))
+        yield AllOf(array.env, events)
+        master.completed_at = array.env.now
+        # Fault accounting: a replica lost mid-write degrades the
+        # logical write; losing every replica fails it.
+        if any(r.failed or r.faulted for r in replicas):
+            master.faulted = True
+            master.retries = sum(r.retries for r in replicas)
+        if replicas and all(r.failed for r in replicas):
+            master.failed = True
+            master.fail_reason = replicas[0].fail_reason
 
     def advance(self, until_ms: float) -> None:
         """Process every pending request strictly before ``until_ms``.
@@ -1208,17 +1150,19 @@ class OnlineStreamSession:
     def _run_plan(self, plan) -> None:
         """Dispatch one :class:`~repro.flash.admitpath.AdmissionPlan`.
 
-        Placement is the scalar loop inlined.  Maximal runs of
-        *simple* entries -- singleton batches the kernel admitted,
-        reads or writes -- go through :meth:`_bulk_span`, a jammed
-        loop that skips the per-request candidate filtering,
-        ``masked_at`` bisection and conflict arithmetic whenever the
-        first live replica is idle (provably the scalar outcome; see
-        the method).  Everything else -- rejected entries,
-        simultaneous batches -- walks :meth:`_scalar_span`, the
-        reference loop verbatim.
-        ``offer_conflict`` cannot arise here (vector mode requires
-        ε = 0, where conflicts always hold the request).
+        Walks the plan batch by batch in the order :meth:`process_now`
+        produces: rejected entries are logged first, then the admitted
+        ones go through the same :meth:`_place`, minus the heap and the
+        per-request admission bookkeeping the kernel already did.  ``offer_conflict`` cannot arise here (vector mode
+        requires ε = 0, where conflicts always hold the request).
+
+        One case is inlined: an admitted singleton read whose first
+        live replica ``dev`` is idle (``busy[dev] <= t``).  There
+        ``_pick`` provably returns ``dev`` (the first candidate within
+        tolerance), the issue starts at ``t`` (``max(busy, t) == t``)
+        and there is no conflict (``busy - t + service <= service <=
+        accesses * service``), so placement collapses to one addition
+        -- the same addition, on the same floats.
         """
         if obs.ACTIVE:
             session = obs.SESSION
@@ -1232,290 +1176,54 @@ class OnlineStreamSession:
         times = plan.times.tolist()
         intervals = plan.intervals.tolist()
         admitted = plan.admitted.tolist()
-        starts = plan.starts.tolist()
-        n = len(order)
-        if n == 0:
-            return
-        # Maximal runs of admitted singleton batches (starts[i] and
-        # the next entry, if any, starts a new batch too).
-        simple = plan.starts & plan.admitted
-        if n > 1:
-            simple[:-1] &= plan.starts[1:]
-        flat = np.flatnonzero(np.diff(simple.view(np.int8)))
-        edges = (flat + 1).tolist()
-        if bool(simple[0]):
-            edges.insert(0, 0)
-        if bool(simple[-1]):
-            edges.append(n)
-        cols = (order, times, intervals, admitted, starts)
-        pos = 0
-        for a, b in zip(edges[::2], edges[1::2]):
-            if b - a < 8:
-                continue  # not worth the span set-up; scalar absorbs it
-            if pos < a:
-                self._scalar_span(pos, a, *cols)
-            self._bulk_span(plan, a, b, order, times, intervals)
-            pos = b
-        if pos < n:
-            self._scalar_span(pos, n, *cols)
-
-    def _scalar_span(self, i: int, hi: int, order, times, intervals,
-                     admitted, starts) -> None:
-        """Reference dispatch of plan entries ``[i, hi)`` (both batch
-        boundaries), ordered per simultaneous batch as
-        :meth:`process_now` orders it: rejected entries are appended
-        first, then the admitted reads are placed -- several through
-        the shared :meth:`OnlineTracePlayer._dispatch` (combined
-        retrieval), a singleton batch through the ``_pick``/conflict/
-        issue arithmetic inline -- and the admitted writes go last,
-        through :meth:`OnlineTracePlayer._issue_write`.  The same
-        floats through the same operations, minus the heap and the
-        per-request admission bookkeeping the kernel already did."""
-        player = self.player
+        bounds = np.flatnonzero(plan.starts).tolist()
+        bounds.append(len(order))
+        segs = np.searchsorted(np.asarray(self._mask_pts, np.float64),
+                               plan.times, side="right").tolist()
         arrivals = self.arrivals
-        bucket_col = self.buckets
+        buckets = self.buckets
         is_read = self.is_read
         busy = self.busy_until
         service = self.service
-        played = self.played
-        faults = player.faults
-        replay = player._replay
-        cand_cache = self._cand_cache
-        devices_for = player.allocation.devices_for
-        guarantee = player.accesses * service
-        n = hi
-        while i < n:
-            j = i + 1
-            while j < n and not starts[j]:
-                j += 1
+        append = self.played.append
+        submit = self.replay.submit_read if self.replay is not None \
+            else None
+        live = self._live
+        # busy <= t rules out a conflict only while one service fits
+        # the guarantee; otherwise every read takes _place.
+        inline = service <= self.player.accesses * service + 1e-12
+        for i, j in zip(bounds, bounds[1:]):
             t = times[i]
             idx = intervals[i]
+            seg = segs[i]
             b = i
             while b < j and not admitted[b]:
-                orig = order[b]
-                io = IORequest(arrival=arrivals[orig],
-                               bucket=bucket_col[orig],
-                               is_read=is_read[orig])
-                played.append(PlayedRequest(
-                    io=io, interval=idx, index=orig,
-                    delayed=False, rejected=True))
+                self._reject(order[b], idx)
                 b += 1
-            i = j
             if j == b:
                 continue
             orig = order[b]
-            if j - b > 1 or not is_read[orig]:
-                batch = order[b:j]
-                reads = [o for o in batch if is_read[o]]
-                if reads:
-                    player._dispatch(reads, t, idx, arrivals,
-                                     bucket_col, busy, service, None,
-                                     played, self.admission)
-                for orig in batch:
-                    if not is_read[orig]:
-                        player._issue_write(
-                            orig, t, idx, arrivals, bucket_col, busy,
-                            self.params, None, played, self.admission)
-                continue
-            bucket = bucket_col[orig]
-            cs = cand_cache.get(bucket)
-            if cs is None:
-                cs = devices_for(bucket)
-                cand_cache[bucket] = cs
-            if faults is not None:
-                masked = faults.masked_at(t)
-                if masked:
-                    live = tuple(d for d in cs if d not in masked)
-                    if not live:
-                        io = _unavailable_io(arrivals[orig], bucket, t)
-                        played.append(PlayedRequest(
-                            io=io, interval=idx, index=orig,
-                            delayed=False))
-                        continue
-                    cs = live
-            dev = -1
-            for d in cs:
-                if busy[d] <= t + 1e-12:
-                    dev = d
-                    break
-            if dev < 0:
-                dev = cs[0]
-                low = busy[dev]
-                for d in cs[1:]:
-                    if busy[d] < low:
-                        low = busy[d]
-                        dev = d
-            io = IORequest(arrival=arrivals[orig], bucket=bucket)
-            if busy[dev] - t + service > guarantee + 1e-12:
-                issue_at = busy[dev]
-                delayed = True
-            else:
-                issue_at = t
-                delayed = io.arrival + 1e-9 < t
-            started = busy[dev] if busy[dev] > issue_at else issue_at
-            busy[dev] = started + service
-            if replay is not None:
-                replay.submit_read(io, dev, issue_at, t,
-                                   candidates=cs)
-            else:
-                io.device = dev
-                io.issued_at = issue_at
-                io.enqueued_at = issue_at
-                io.started_at = started
-                io.completed_at = busy[dev]
-            played.append(PlayedRequest(io=io, interval=idx,
-                                        index=orig, delayed=delayed))
-
-    def _bulk_span(self, plan, a: int, b: int, order, times,
-                   intervals) -> None:
-        """Jammed dispatch of plan entries ``[a, b)``, all admitted
-        singleton batches.  A write among them goes through the
-        reference :meth:`OnlineTracePlayer._issue_write` in place, so
-        the roughly one-in-ten writes of a mixed trace do not cut the
-        run.
-
-        The span is cut at fault-mask change points (one
-        ``searchsorted`` over the whole time column replaces a
-        ``masked_at`` bisection per request); within a segment the
-        masked set is constant, so each bucket's live candidates and
-        first choice resolve through a per-mask memo.  When the first
-        live replica ``dev`` is idle (``busy[dev] <= t``) the scalar
-        loop provably picks it (``_pick`` returns the first candidate
-        within tolerance), starts at ``t`` (``max(busy, t) == t``) and
-        sees no conflict (``busy - t + service <= service <=
-        accesses * service``), so the emit collapses to one addition
-        -- the same addition, on the same floats.  Any other case
-        (queued device, all replicas masked, ``accesses == 0``) runs
-        the reference arithmetic inline, so the span never needs a
-        fallback walk.
-        """
-        from repro.flash.faulted import _Submission
-
-        player = self.player
-        arrivals = self.arrivals
-        bucket_col = self.buckets
-        is_read = self.is_read
-        busy = self.busy_until
-        service = self.service
-        played_append = self.played.append
-        faults = player.faults
-        replay = player._replay
-        cand_cache = self._cand_cache
-        bulk_cache = self._bulk_cache
-        devices_for = player.allocation.devices_for
-        guarantee = player.accesses * service
-        # busy <= t alone rules out a conflict only while one service
-        # fits the guarantee; otherwise every entry takes the slow arm.
-        fastable = service <= guarantee + 1e-12
-        if faults is not None:
-            pts, masks = faults.mask_segments()
-            mk = np.searchsorted(np.asarray(pts, dtype=np.float64),
-                                 plan.times[a:b], side="right")
-            cuts = (np.flatnonzero(mk[:-1] != mk[1:]) + 1).tolist()
-            bounds = [0, *cuts, b - a]
-        else:
-            mk, masks = None, (frozenset(),)
-            bounds = [0, b - a]
-        if replay is not None:
-            heap_append = replay._heap.append
-            seq = replay._seq
-        for s0, s1 in zip(bounds[:-1], bounds[1:]):
-            ki = int(mk[s0]) if mk is not None else 0
-            mask = masks[ki]
-            per = bulk_cache.get(ki)
-            if per is None:
-                per = bulk_cache[ki] = {}
-            per_get = per.get
-            lo, hi = a + s0, a + s1
-            for orig, t, itv in zip(order[lo:hi], times[lo:hi],
-                                    intervals[lo:hi]):
-                if not is_read[orig]:
-                    # A singleton write: the reference fan-out, with
-                    # the replay's sequence counter handed over.
-                    if replay is not None:
-                        replay._seq = seq
-                    player._issue_write(orig, t, itv, arrivals,
-                                        bucket_col, busy, self.params,
-                                        None, self.played,
-                                        self.admission)
-                    if replay is not None:
-                        seq = replay._seq
-                    continue
-                bkt = bucket_col[orig]
-                ent = per_get(bkt)
-                if ent is None:
-                    cs = cand_cache.get(bkt)
-                    if cs is None:
-                        cs = devices_for(bkt)
-                        cand_cache[bkt] = cs
-                    if mask:
-                        cs = tuple(d for d in cs if d not in mask)
-                    ent = per[bkt] = (cs[0] if cs else -1, cs)
-                dev, live = ent
-                arr = arrivals[orig]
-                if fastable and dev >= 0 and busy[dev] <= t:
-                    # Idle first replica: issue = start = t.
-                    comp = t + service
-                    busy[dev] = comp
-                    io = IORequest(arr, bkt)
-                    if replay is not None:
-                        sub = _Submission(io, dev, t, t, seq,
-                                          candidates=live,
-                                          first_issue=t)
-                        heap_append((t, t, seq, sub))
-                        seq += 1
+            if j - b == 1 and is_read[orig] and inline:
+                bucket = buckets[orig]
+                cs = live[seg].get(bucket) or \
+                    self._live_replicas(seg, bucket)
+                if cs and busy[cs[0]] <= t:
+                    dev = cs[0]
+                    done = t + service
+                    busy[dev] = done
+                    arrival = arrivals[orig]
+                    io = IORequest(arrival, bucket)
+                    if submit is not None:
+                        submit(io, dev, t, t, cs)
                     else:
                         io.device = dev
                         io.issued_at = t
                         io.enqueued_at = t
                         io.started_at = t
-                        io.completed_at = comp
-                    played_append(PlayedRequest(io, itv,
-                                                arr + 1e-9 < t, orig))
+                        io.completed_at = done
+                    append(PlayedRequest(io, idx, arrival + 1e-9 < t, orig))
                     continue
-                if dev < 0:  # every replica masked: unavailable
-                    io = _unavailable_io(arr, bkt, t)
-                    played_append(PlayedRequest(io, itv,
-                                                False, orig))
-                    continue
-                # Queued device: the reference arithmetic, inline.
-                dev = -1
-                for d in live:
-                    if busy[d] <= t + 1e-12:
-                        dev = d
-                        break
-                if dev < 0:
-                    dev = live[0]
-                    low = busy[dev]
-                    for d in live[1:]:
-                        if busy[d] < low:
-                            low = busy[d]
-                            dev = d
-                io = IORequest(arr, bkt)
-                if busy[dev] - t + service > guarantee + 1e-12:
-                    issue_at = busy[dev]
-                    delayed = True
-                else:
-                    issue_at = t
-                    delayed = arr + 1e-9 < t
-                started = busy[dev] if busy[dev] > issue_at else issue_at
-                busy[dev] = started + service
-                if replay is not None:
-                    sub = _Submission(io, dev, issue_at, t, seq,
-                                      candidates=live,
-                                      first_issue=issue_at)
-                    heap_append((issue_at, t, seq, sub))
-                    seq += 1
-                else:
-                    io.device = dev
-                    io.issued_at = issue_at
-                    io.enqueued_at = issue_at
-                    io.started_at = started
-                    io.completed_at = busy[dev]
-                played_append(PlayedRequest(io, itv,
-                                            delayed, orig))
-        if replay is not None:
-            replay._seq = seq
+            self._place(order[b:j], t, idx, seg)
 
     def drain(self) -> Tuple[IntervalSeries, List[PlayedRequest]]:
         """Process everything pending and close the session."""
@@ -1528,9 +1236,8 @@ class OnlineStreamSession:
                 self._advance_vector(None)
             while self.heap:
                 self.process_now(self.heap[0][0])
-            if player._replay is not None:
-                player._replay.run()
-                player._replay = None
+            if self.replay is not None:
+                self.replay.run()
         else:
             env = self.env
 

@@ -33,8 +33,7 @@ How the replay stays exact
   and feed nothing back into the replay (no failovers originate from
   them), so their submissions are deferred and evaluated in bulk with
   the vectorized Lindley recurrence
-  (:func:`repro.flash.fastpath.fcfs_completion_times` /
-  :func:`repro.flash.batch.stacked_fcfs_completion_times`); only
+  (:func:`repro.flash.batch.stacked_fcfs_completion_times`); only
   fault-affected modules replay request-by-request.
 
 Driver failover (the online driver's retry on the next live replica)
@@ -141,8 +140,7 @@ class FaultedReplay:
         failover across the request's untried live replicas.
         """
         self._push(_Submission(io, module, issue_at, created,
-                               self._seq, candidates=candidates,
-                               first_issue=issue_at))
+                               self._seq, candidates, issue_at))
         self._seq += 1
 
     def submit_write(self, master, devices: Sequence[int],
@@ -270,7 +268,7 @@ class FaultedReplay:
     def _after_failure(self, sub: _Submission, t: float) -> None:
         """Driver failover: re-submit on the next live untried replica.
 
-        Mirrors :meth:`repro.flash.driver.OnlineTracePlayer._issue_process`;
+        Mirrors :meth:`repro.flash.driver.OnlineStreamSession._issue_process`;
         write replicas and batch submissions (``candidates is None``)
         stay failed -- the DES drivers never fail those over either.
         """
@@ -344,7 +342,7 @@ class FaultedReplay:
 
     def _finalize_writes(self) -> None:
         """Fold replica outcomes into each write master, mirroring
-        :meth:`~repro.flash.driver.OnlineTracePlayer._write_process`."""
+        :meth:`~repro.flash.driver.OnlineStreamSession._write_process`."""
         for wm in self._writes:
             master = wm.master
             replicas = wm.replicas

@@ -27,7 +27,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "ExactSum", "exact_expansion", "DEFAULT_LATENCY_BUCKETS"]
+           "ExactSum", "exact_expansion", "sequential_sum",
+           "DEFAULT_LATENCY_BUCKETS"]
 
 
 def exact_expansion(*terms: Iterable[float]) -> List[float]:
@@ -125,6 +126,20 @@ class ExactSum:
 
     def copy(self) -> "ExactSum":
         return ExactSum(self.partials)
+
+
+def sequential_sum(values) -> float:
+    """Strict left-to-right float sum (``((v0 + v1) + v2) + ...``).
+
+    :class:`ExactSum`'s counterpart for results that must stay
+    bit-identical to a reference per-item loop: ``np.add.accumulate``
+    performs exactly the loop's sequential additions, where the
+    pairwise ``np.sum`` would reassociate them.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.size == 0:
+        return 0.0
+    return float(np.add.accumulate(arr)[-1])
 
 
 class Counter:

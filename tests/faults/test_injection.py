@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultEvent, FaultSchedule
-from repro.flash.driver import BatchTracePlayer, resolve_engine
+from repro.flash.driver import BatchTracePlayer, select_engine
 from repro.flash.params import MSR_SSD_PARAMS
 from tests.support.builders import (
     crash_schedule,
@@ -24,23 +24,29 @@ class TestEngineFallback:
     def test_faulty_configs_keep_fast_path(self):
         # Fault schedules are materialised before playback, so the
         # replay engine handles them without falling back to the DES.
-        assert resolve_engine("auto", faults=crash_schedule(0)) == "fast"
+        alloc = design_alloc()
+        assert online_player(alloc, faults=crash_schedule(0)).engine \
+            == "fast"
+        assert BatchTracePlayer(alloc, 0.4,
+                                faults=crash_schedule(0)).engine == "fast"
 
     def test_empty_schedule_keeps_fast_path(self):
-        assert resolve_engine("auto", faults=FaultSchedule.none()) \
+        alloc = design_alloc()
+        assert online_player(alloc, faults=FaultSchedule.none()).engine \
             == "fast"
-        assert resolve_engine("auto", faults=None) == "fast"
+        assert online_player(alloc, faults=None).engine == "fast"
 
     def test_fast_accepts_faults(self):
-        assert resolve_engine("fast", faults=crash_schedule(0)) == "fast"
+        player = online_player(design_alloc(), faults=crash_schedule(0),
+                               engine="fast")
+        assert (player.engine, player.fallback_reason) == ("fast", "")
 
     def test_module_factory_still_falls_back(self):
-        from repro.flash.driver import select_engine
-
-        engine, reason = select_engine(
-            "auto", module_factory=object(), faults=crash_schedule(0))
-        assert engine == "des"
-        assert reason == "module_factory"
+        player = BatchTracePlayer(design_alloc(), 0.4,
+                                  module_factory=object(),
+                                  faults=crash_schedule(0))
+        assert player.engine == "des"
+        assert player.fallback_reason == "module_factory"
         with pytest.raises(ValueError):
             select_engine("fast", module_factory=object())
 

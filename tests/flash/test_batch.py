@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro.flash.batch import (
+    _sequential_var,
     played_metrics,
-    sequential_sum,
     stacked_fcfs_completion_times,
     stream_offsets,
 )
-from repro.flash.fastpath import fcfs_completion_times
+
+
+def _scalar(u, service_ms):
+    """The scalar FCFS recurrence with uniform service."""
+    return _sequential_var(u, np.full(u.size, float(service_ms)))
 
 
 def _ragged(rng, n_streams, max_len=40, horizon=20.0):
@@ -30,7 +34,7 @@ class TestStackedKernel:
             svc = float(rng.uniform(0.01, 2.0))
             out = stacked_fcfs_completion_times(u, offsets, svc)
             ref = (np.concatenate(
-                [fcfs_completion_times(u[a:b], svc)
+                [_scalar(u[a:b], svc)
                  for a, b in zip(offsets[:-1], offsets[1:])])
                 if u.size else np.empty(0))
             assert np.array_equal(out, ref)
@@ -54,8 +58,7 @@ class TestStackedKernel:
         s = 0.132507
         u = np.array([0.0, s, 2 * s, 10.0, 10.0 + s])
         offsets = np.array([0, 3, 5])
-        ref = np.concatenate([fcfs_completion_times(u[:3], s),
-                              fcfs_completion_times(u[3:], s)])
+        ref = np.concatenate([_scalar(u[:3], s), _scalar(u[3:], s)])
         out = stacked_fcfs_completion_times(u, offsets, s)
         assert np.array_equal(out, ref)
 
@@ -84,14 +87,6 @@ class TestStackedKernel:
         order, offsets = stream_offsets(ids, 4)
         assert list(offsets) == [0, 2, 3, 6, 6]
         assert list(order) == [1, 4, 3, 0, 2, 5]  # stable per stream
-
-
-class TestSequentialSum:
-    def test_matches_python_sum_exactly(self):
-        rng = np.random.default_rng(7)
-        values = list(rng.uniform(0, 1, size=1000))
-        assert sequential_sum(values) == sum(values)
-        assert sequential_sum([]) == 0.0
 
 
 class TestPlayedMetrics:

@@ -10,15 +10,11 @@ import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.experiments.common import play_original
+from repro.flash.batch import _sequential_var, stacked_fcfs_completion_times
 from repro.flash.driver import (
     BatchTracePlayer,
     OnlineTracePlayer,
-    resolve_engine,
-)
-from repro.flash.fastpath import (
-    _sequential_completions,
-    fcfs_completion_times,
-    supports_fast_playback,
+    select_engine,
 )
 from repro.flash.params import MSR_SSD_PARAMS
 from repro.traces.records import Trace
@@ -27,46 +23,53 @@ READ = MSR_SSD_PARAMS.read_ms
 T = 0.133
 
 
+def fcfs(issue_ms, service_ms):
+    """One FCFS queue: the one-stream case of the stacked kernel."""
+    u = np.asarray(issue_ms, dtype=np.float64)
+    return stacked_fcfs_completion_times(u, [0, u.size], service_ms)
+
+
 class TestSupportsFastPlayback:
     def test_plain_config_supported(self):
-        assert supports_fast_playback()
+        assert select_engine("auto") == ("fast", "")
+        assert select_engine("fast") == ("fast", "")
 
     def test_any_hook_disqualifies(self):
-        assert not supports_fast_playback(module_factory=object())
-        assert not supports_fast_playback(ftl_factory=object())
-        assert not supports_fast_playback(priority_queues=True)
+        assert select_engine("auto", module_factory=object()) \
+            == ("des", "module_factory")
+        assert select_engine("auto", ftl_factory=object()) \
+            == ("des", "ftl_factory")
 
-    def test_resolve_engine(self):
-        assert resolve_engine("auto") == "fast"
-        assert resolve_engine("auto", ftl_factory=object()) == "des"
-        assert resolve_engine("des") == "des"
+    def test_select_engine(self):
+        assert select_engine("des") == ("des", "forced")
         with pytest.raises(ValueError):
-            resolve_engine("bogus")
+            select_engine("bogus")
         with pytest.raises(ValueError):
-            resolve_engine("fast", module_factory=object())
+            select_engine("fast", module_factory=object())
+        with pytest.raises(ValueError):
+            select_engine("fast", ftl_factory=object())
 
 
 class TestFcfsCompletionTimes:
     def test_validation(self):
         with pytest.raises(ValueError):
-            fcfs_completion_times([[0.0]], 1.0)
+            fcfs([1.0, 0.5], 1.0)
         with pytest.raises(ValueError):
-            fcfs_completion_times([1.0, 0.5], 1.0)
+            fcfs([0.0], -1.0)
         with pytest.raises(ValueError):
-            fcfs_completion_times([0.0], -1.0)
+            stacked_fcfs_completion_times([0.0, 1.0], [0, 1], 1.0)
 
     def test_empty(self):
-        assert fcfs_completion_times([], 1.0).size == 0
+        assert fcfs([], 1.0).size == 0
 
     def test_idle_server(self):
         # Far-apart arrivals: every request starts immediately.
         u = np.array([0.0, 10.0, 25.0])
-        np.testing.assert_array_equal(
-            fcfs_completion_times(u, 1.0), u + 1.0)
+        np.testing.assert_array_equal(fcfs(u, 1.0), u + 1.0)
 
     def test_saturated_server(self):
         # Simultaneous arrivals: pure head-of-line queueing.
-        c = fcfs_completion_times(np.zeros(5), READ)
+        c = fcfs(np.zeros(5), READ)
         expected = np.add.accumulate(np.full(5, READ))
         np.testing.assert_array_equal(c, expected)
 
@@ -80,14 +83,13 @@ class TestFcfsCompletionTimes:
             if trial % 3 == 0:  # inject exact ties and boundary hits
                 u = np.round(u / READ) * READ
                 u.sort()
-            c_fast = fcfs_completion_times(u, READ)
-            c_ref = _sequential_completions(u, READ)
+            c_fast = fcfs(u, READ)
+            c_ref = _sequential_var(u, np.full(n, READ))
             np.testing.assert_array_equal(c_fast, c_ref)
 
     def test_zero_service_time(self):
         u = np.array([0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(
-            fcfs_completion_times(u, 0.0), u)
+        np.testing.assert_array_equal(fcfs(u, 0.0), u)
 
 
 def random_parts(rng, n_devices):

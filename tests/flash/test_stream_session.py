@@ -11,7 +11,7 @@ import contextlib
 import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
-from repro.faults import FaultSchedule
+from repro.faults import FaultModel, FaultSchedule
 from repro.flash import admitpath
 from repro.flash.driver import OnlineTracePlayer
 
@@ -97,6 +97,55 @@ class TestChunkingInvariance:
         session.feed(arrivals[60:], buckets[60:])
         _, played = session.drain()
         assert played_key(played) == played_key(played_ref)
+
+
+class TestSessionsShareNoReplay:
+    """Every session replays its faults on its own
+    :class:`~repro.flash.faulted.FaultedReplay`, so sessions and plays
+    on one faulted player never see each other's submissions."""
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        model = FaultModel(crash_prob=0.2, down_rate=0.05,
+                           down_mean_ms=2.0, slow_rate=0.05,
+                           slow_mean_ms=2.0, slow_factor=3.0,
+                           error_rate=0.08, error_mean_ms=3.0,
+                           error_prob=0.5)
+        return model.materialize(ALLOC.n_devices, horizon_ms=30.0,
+                                 seed=3)
+
+    @staticmethod
+    def outcome(played):
+        return [(p.index, p.io.device, p.io.issued_at,
+                 p.io.completed_at, p.failed, p.io.retries)
+                for p in played]
+
+    def reference(self, schedule, arrivals, buckets):
+        _, played = make_player(faults=schedule).play(arrivals, buckets)
+        assert any(p.io.faulted for p in played)  # not vacuous
+        return self.outcome(played)
+
+    def test_two_open_sessions(self, schedule):
+        arrivals, buckets = make_trace()
+        ref = self.reference(schedule, arrivals, buckets)
+        player = make_player(faults=schedule)
+        first, second = player.session(), player.session()
+        first.feed(arrivals, buckets)
+        second.feed(arrivals, buckets)
+        assert self.outcome(first.drain()[1]) == ref
+        assert self.outcome(second.drain()[1]) == ref
+
+    def test_play_while_a_session_is_open(self, schedule):
+        arrivals, buckets = make_trace()
+        ref = self.reference(schedule, arrivals, buckets)
+        player = make_player(faults=schedule)
+        half = len(arrivals) // 2
+        session = player.session()
+        session.feed(arrivals[:half], buckets[:half])
+        session.advance(arrivals[half])
+        assert self.outcome(player.play(arrivals, buckets)[1]) == ref
+        session.feed(arrivals[half:], buckets[half:])
+        assert self.outcome(session.drain()[1]) == ref
 
 
 class TestDESSession:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.metrics import ExactSum
+from repro.obs.metrics import ExactSum, sequential_sum
 
 
 class TestExactSum:
@@ -51,6 +51,17 @@ class TestExactSum:
         b.add_many(values[77:])
         a.merge(b)
         assert a.value == bulk.value
+
+    def test_sequential_sum_matches_python_sum_exactly(self):
+        # the order-dependent counterpart: the reference loop's own
+        # left-to-right additions, not the exact sum
+        rng = np.random.default_rng(7)
+        values = list(rng.uniform(0, 1, size=1000))
+        assert sequential_sum(values) == sum(values)
+        assert sequential_sum(np.asarray(values)) == sum(values)
+        assert sequential_sum([]) == 0.0
+        cancel = [1e16, 1.0, -1e16, 1.0] * 50
+        assert sequential_sum(cancel) == sum(cancel)
 
 
 class TestCounterGauge:

@@ -8,12 +8,10 @@ root (schema below):
    the Figure 8 Exchange workload -- the original ``>= 10x`` criterion.
 2. **faulted**: faulted playback (crash/down/slow/read_error schedule)
    through the :class:`repro.flash.faulted.FaultedReplay` fast path vs
-   the current DES vs a *PR-6-equivalent* DES (linear-scan fault masks,
-   the pre-optimization baseline), with a byte-identity cross-check.
+   the DES, with a byte-identity cross-check.
 3. **admission**: the vectorized admission kernel
    (:mod:`repro.flash.admitpath`) vs a *PR-8-equivalent* scalar driver
-   loop on the faulted-sweep cell and a delayed-pileup cell (same
-   monkeypatch protocol as the faulted breakout), plus the raw
+   loop on the faulted-sweep cell and a delayed-pileup cell, plus the raw
    classification throughput of the kernel itself -- rows identical
    both ways.
 4. **sweep**: the fault-injection experiment grid (15 cells) serial vs
@@ -112,48 +110,6 @@ def bench_engine(cfg: dict) -> dict:
 
 # -- faulted playback ------------------------------------------------------
 
-@contextlib.contextmanager
-def _pr6_baseline():
-    """Temporarily restore the PR-6 faulted-playback behavior.
-
-    PR 6 (a) resolved ``masked_at``/``is_dead`` with linear scans over
-    the schedule on every admission tick and (b) sent every non-empty
-    fault schedule to the DES -- the fast path refused faulted
-    configurations.  Patching both back in reproduces that baseline on
-    today's code, so the report shows what each optimization bought.
-    """
-    from repro.faults.models import FaultSchedule
-    from repro.flash import driver
-
-    def masked_at(self, t):
-        return frozenset(m for m in self._by_module
-                         if self.is_down(m, t))
-
-    def is_dead(self, module, t):
-        return any(e.kind == "crash" and t >= e.start
-                   for e in self._by_module.get(module, ()))
-
-    orig_supports = driver.supports_fast_playback
-
-    def supports(module_factory=None, ftl_factory=None,
-                 priority_queues=False, faults=None):
-        if faults is not None and getattr(faults, "events", ()):
-            return False
-        return orig_supports(module_factory=module_factory,
-                             ftl_factory=ftl_factory,
-                             priority_queues=priority_queues,
-                             faults=faults)
-
-    saved = FaultSchedule.masked_at, FaultSchedule.is_dead
-    FaultSchedule.masked_at, FaultSchedule.is_dead = masked_at, is_dead
-    driver.supports_fast_playback = supports
-    try:
-        yield
-    finally:
-        FaultSchedule.masked_at, FaultSchedule.is_dead = saved
-        driver.supports_fast_playback = orig_supports
-
-
 def _faulted_cell(cfg: dict, kind: str):
     """A faulted playback cell.
 
@@ -195,7 +151,7 @@ def _fault_fingerprint(played):
 
 
 def bench_faulted(cfg: dict) -> dict:
-    """Faulted playback: fast path vs DES vs the PR-6 baseline.
+    """Faulted playback: fast path vs DES.
 
     Reports the sweep-representative crash schedule and the dense
     adversarial schedule separately: the replay wins big on the former
@@ -215,10 +171,6 @@ def bench_faulted(cfg: dict) -> dict:
             timings[engine] = min(
                 _timed(_play_faulted, *args, engine)[1]
                 for _ in range(cfg["repeats"]))
-        with _pr6_baseline():
-            timings["pr6"] = min(
-                _timed(_play_faulted, *args, "des")[1]
-                for _ in range(cfg["repeats"]))
         fast = _fault_fingerprint(_play_faulted(*args, "fast"))
         des = _fault_fingerprint(_play_faulted(*args, "des"))
         if fast != des:
@@ -227,13 +179,10 @@ def bench_faulted(cfg: dict) -> dict:
         out[kind] = {
             "workload": f"online design alloc, {what}, "
                         f"n={cfg['fault_requests']}",
-            "pr6_des_seconds": round(timings["pr6"], 6),
             "des_seconds": round(timings["des"], 6),
             "fast_seconds": round(timings["fast"], 6),
             "speedup_vs_des": round(
                 timings["des"] / timings["fast"], 2),
-            "speedup_vs_pr6": round(
-                timings["pr6"] / timings["fast"], 2),
             "rows_identical": True,
         }
     return out
@@ -249,8 +198,7 @@ def _pr8_baseline():
     roll, ``offer``, dispatch) for every configuration, and the
     faulted replay heap-pushed every submission individually.
     Disabling the admission kernel and patching the per-submission
-    push back in reproduces that baseline on today's code -- the same
-    protocol as :func:`_pr6_baseline` for the faulted breakout.
+    push back in reproduces that baseline on today's code.
     """
     import heapq
 
@@ -295,9 +243,8 @@ def _driver_loop(alloc, schedule, arrivals, buckets):
     while session.heap:
         session.process_now(session.heap[0][0])
     t1 = time.perf_counter()
-    if player._replay is not None:
-        player._replay.run()
-        player._replay = None
+    if session.replay is not None:
+        session.replay.run()
     t2 = time.perf_counter()
     session._drained = True
     return session.played, t1 - t0, t2 - t0
@@ -426,11 +373,6 @@ def bench_sweep(cfg: dict, jobs: int) -> dict:
 
     serial_runner = ParallelRunner(jobs=1, cache=None)
     serial_rows, serial_s = _timed(sweep, serial_runner)
-    # PR-6 baseline: linear fault masks, every faulted cell on the
-    # DES, no batched metrics reductions eligible.  Serial on both
-    # sides so the ratio isolates the playback/kernel work.
-    with _pr6_baseline():
-        _, pr6_s = _timed(sweep, ParallelRunner(jobs=1, cache=None))
     pool_runner = ParallelRunner(jobs=jobs, cache=None,
                                  auto_degrade=False)
     pool_rows, pool_s = _timed(sweep, pool_runner)
@@ -442,11 +384,9 @@ def bench_sweep(cfg: dict, jobs: int) -> dict:
                     f"n_requests={cfg['sweep_requests']}) -- batched "
                     f"metrics kernel + faulted fast path",
         "jobs": jobs,
-        "pr6_serial_seconds": round(pr6_s, 3),
         "serial_seconds": round(serial_s, 3),
         "parallel_seconds": round(pool_s, 3),
         "speedup": round(serial_s / pool_s, 2),
-        "speedup_vs_pr6": round(pr6_s / serial_s, 2),
         "rows_identical": True,
     }
 
@@ -580,8 +520,6 @@ def _append_trajectory(report: dict, path: Path) -> None:
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "scale": report["scale"],
         "engine_speedup": report["engine"]["speedup"],
-        "faulted_crash_speedup_vs_pr6":
-            report["faulted"]["crash"]["speedup_vs_pr6"],
         "admission_speedup_vs_pr8":
             report["admission"]["sweep_crash"]["speedup_vs_pr8"],
         "admission_classify_rps":
