@@ -39,7 +39,7 @@ def main() -> None:
           f"(2-copy guarantee), effective replication "
           f"{qos.replication}")
     report = qos.run_online(trace.arrival_ms, trace.block)
-    used = {r.io.device for r in report.requests}
+    used = set(np.unique(report.requests.device).tolist())
     print(f"   traffic keeps flowing: max response "
           f"{report.max_response_ms:.6f} ms, guarantee met: "
           f"{report.guarantee_met}; device 0 used: {0 in used}\n")

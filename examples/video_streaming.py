@@ -11,6 +11,8 @@ directly into zero missed frame deadlines.
 Run: ``python examples/video_streaming.py``
 """
 
+import numpy as np
+
 from repro import QoSFlashArray
 from repro.core.applications import Application, ApplicationAdmission
 from repro.traces.streaming import StreamSpec, deadline_misses, \
@@ -58,9 +60,11 @@ def main() -> None:
     print(f"Simulating {len(trace)} block reads over {duration} ms...")
     report = qos.run_online(trace.arrival_ms, trace.block)
 
-    completions = [0.0] * len(trace)
-    for pr in report.requests:
-        completions[pr.index] = pr.io.completed_at
+    # report.requests is a PlayedTable: per-request columns in play
+    # order; scatter the completions back into trace order
+    played = report.requests
+    completions = np.zeros(len(trace))
+    completions[played.index] = played.completed
     score = deadline_misses(admitted, owners, completions,
                             list(trace.arrival_ms))
 

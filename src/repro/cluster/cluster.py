@@ -57,10 +57,12 @@ from repro.core.qos import QoSFlashArray, QoSReport
 from repro.faults import FaultSchedule
 from repro.flash.driver import OnlineTracePlayer
 from repro.flash.metrics import IntervalSeries
+from repro.flash.played import PlayedTable
 from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher, MatchResult
 from repro.mining.transactions import transactions_from_trace
-from repro.obs.series import ModuleSeries, module_interval_series
+from repro.obs.series import ModuleSeries, module_interval_series, \
+    queue_depth
 from repro.traces.records import Trace
 
 __all__ = ["ClusterConfig", "ShardedCluster", "ClusterReport",
@@ -129,6 +131,27 @@ def _array_faults(faults: Optional[FaultSchedule], array: int,
     return faults.for_array(array, array * n_devices, n_devices)
 
 
+def _check_arrivals(part_idx: int, arrivals) -> None:
+    """Refuse a part whose arrivals are not finite, ``>= 0`` and
+    non-decreasing, naming the part and the first bad index."""
+    times = np.asarray(arrivals, dtype=np.float64)
+    ok = times >= 0.0
+    ok &= times < np.inf
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ValueError(
+            f"part {part_idx}: arrival {bad} is {float(times[bad])!r}; "
+            "arrivals must be finite times >= 0")
+    back = np.flatnonzero(times[1:] < times[:-1])
+    if back.size:
+        bad = int(back[0]) + 1
+        raise ValueError(
+            f"part {part_idx}: arrival {bad} ({float(times[bad])!r}) "
+            f"comes before arrival {bad - 1} "
+            f"({float(times[bad - 1])!r}); parts must "
+            "be sorted by arrival time")
+
+
 def _make_qos(config: ClusterConfig,
               faults: Optional[FaultSchedule]) -> QoSFlashArray:
     return QoSFlashArray(
@@ -175,30 +198,25 @@ class ArrayResult:
     module_series: Optional[ModuleSeries] = None
 
 
-def _array_result(array: int, series: IntervalSeries, played,
-                  guarantee_ms: float,
+def _array_result(array: int, series: IntervalSeries,
+                  played: PlayedTable, guarantee_ms: float,
                   keep_requests: bool) -> ArrayResult:
-    report = QoSReport(series, list(played), guarantee_ms)
+    report = QoSReport(series, played, guarantee_ms)
     h = hashlib.sha256()
-    if played:
-        floats = np.array(
-            [[p.io.arrival, p.io.issued_at, p.io.completed_at,
-              p.io.response_ms, p.io.total_ms] for p in played],
-            dtype=np.float64)
-        ints = np.array(
-            [[p.interval, p.io.device, p.io.retries, int(p.delayed),
-              int(p.rejected), int(p.failed),
-              int(getattr(p.io, "faulted", False))] for p in played],
-            dtype=np.int64)
-        h.update(floats.tobytes())
-        h.update(ints.tobytes())
-    n_delayed = sum(1 for p in played
-                    if p.delayed and not p.rejected)
-    n_rejected = sum(1 for p in played if p.rejected)
+    if len(played):
+        h.update(np.column_stack(
+            (played.arrival, played.issued, played.completed,
+             played.response_ms, played.total_ms)).tobytes())
+        h.update(np.column_stack(
+            (played.interval, played.device, played.retries,
+             played.delayed, played.rejected, played.failed,
+             played.faulted)).astype(np.int64).tobytes())
+    counted = ~played.rejected
     return ArrayResult(
         array=array, series=series, n_requests=len(played),
         n_failed=report.n_failed, n_faulted=report.n_faulted,
-        n_delayed=n_delayed, n_rejected=n_rejected,
+        n_delayed=int(np.count_nonzero(played.delayed & counted)),
+        n_rejected=len(played) - int(np.count_nonzero(counted)),
         n_violations=report.n_violations, fingerprint=h.hexdigest(),
         report=report if keep_requests else None)
 
@@ -219,8 +237,7 @@ def _cell_play_array(config: ClusterConfig, array: int,
                                array, config.n_devices)
     qos = _make_qos(config, faults)
     player = _make_player(config, qos, faults)
-    series, played = player.play(
-        [float(t) for t in arrivals], [int(b) for b in buckets])
+    series, played = player.play(arrivals, buckets)
     return _array_result(array, series, played, qos.guarantee_ms,
                          keep_requests=False)
 
@@ -402,9 +419,17 @@ masked_arrays_at`) without ever touching in-flight playback.
         is byte-identical to the serial path with
         ``router_sync=False``.  ``router_sync`` defaults to True in
         the serial path and is forced False with a runner.
+
+        Every part's arrivals must be finite times ``>= 0`` in
+        non-decreasing order (routing replays router decisions in
+        arrival order, and a part's first arrival is its boundary); a
+        part that is not raises ``ValueError`` naming the part and the
+        first bad index, before anything is routed.
         """
         cfg = self.config
         parts = list(parts)
+        for part_idx, part in enumerate(parts):
+            _check_arrivals(part_idx, part.arrival_ms)
         if router_sync is None:
             router_sync = runner is None
         if runner is not None:
@@ -421,8 +446,9 @@ masked_arrays_at`) without ever touching in-flight playback.
         audit: List[BoundaryRecord] = []
         serial = runner is None
         sessions = players = None
-        marks = [0] * cfg.n_arrays
-        module_series: Optional[List[ModuleSeries]] = None
+        #: per array, the played-row count at each router-sync
+        #: boundary: the module series folds over these slices
+        marks: List[List[int]] = [[] for _ in range(cfg.n_arrays)]
         if serial:
             players = [
                 _make_player(cfg, qos,
@@ -430,10 +456,6 @@ masked_arrays_at`) without ever touching in-flight playback.
                                            cfg.n_devices))
                 for a, qos in enumerate(self.arrays)]
             sessions = [p.session() for p in players]
-            if router_sync:
-                module_series = [
-                    ModuleSeries(cfg.interval_ms, cfg.n_devices)
-                    for _ in range(cfg.n_arrays)]
         #: accumulated per-array feeds for the runner path
         feed_arrivals: List[List[np.ndarray]] = \
             [[] for _ in range(cfg.n_arrays)]
@@ -450,8 +472,7 @@ masked_arrays_at`) without ever touching in-flight playback.
                         s.advance(boundary)
                     if router_sync:
                         self._sync_router(router, sessions, marks,
-                                          module_series, boundary)
-                        marks = [len(s.played) for s in sessions]
+                                          boundary)
                 self._boundary_round(part_idx, boundary,
                                      parts[part_idx - 1], prev_sub,
                                      matchers, match, replicator,
@@ -470,8 +491,7 @@ masked_arrays_at`) without ever touching in-flight playback.
                     continue
                 mapped = self._map_buckets(match[a], sub.block)
                 if serial:
-                    sessions[a].feed(
-                        [float(t) for t in sub.arrival_ms], mapped)
+                    sessions[a].feed(sub.arrival_ms, mapped)
                 else:
                     feed_arrivals[a].append(
                         np.asarray(sub.arrival_ms, dtype=np.float64))
@@ -485,11 +505,9 @@ masked_arrays_at`) without ever touching in-flight playback.
                 result = _array_result(a, series, played,
                                        self.guarantee_ms,
                                        keep_requests=True)
-                if module_series is not None:
-                    module_series[a].merge(module_interval_series(
-                        played[marks[a]:], cfg.n_devices,
-                        cfg.interval_ms))
-                    result.module_series = module_series[a]
+                if router_sync:
+                    result.module_series = self._module_series(
+                        played, marks[a])
                 results.append(result)
                 if obs.ACTIVE:
                     obs.SESSION.record_qos_report(result.report)
@@ -629,27 +647,36 @@ masked_arrays_at`) without ever touching in-flight playback.
             dtype=np.int64, count=uniq.size)
         return [int(b) for b in lut[inverse]]
 
-    def _sync_router(self, router: ReplicaRouter, sessions, marks,
-                     module_series: List[ModuleSeries],
-                     boundary: float) -> None:
+    def _sync_router(self, router: ReplicaRouter, sessions,
+                     marks: List[List[int]], boundary: float) -> None:
         """Re-anchor the router to measured boundary queue depths.
 
-        The per-array :class:`~repro.obs.series.ModuleSeries` is a
-        pure function of played timestamps (importable and exact
-        whether or not observability is recording), so syncing never
-        couples routing to ``repro.obs`` being enabled.
+        Each array's depth is :func:`~repro.obs.series.queue_depth`
+        of its rows played so far at the boundary's interval start --
+        a pure function of played timestamps (exact whether or not
+        observability is recording), so syncing never couples routing
+        to ``repro.obs`` being enabled.  The row counts are kept in
+        ``marks`` for :meth:`_module_series`.
         """
         cfg = self.config
         k = int(boundary / cfg.interval_ms + 1e-9)
         for a, session in enumerate(sessions):
-            fresh = module_interval_series(
-                session.played[marks[a]:], cfg.n_devices,
-                cfg.interval_ms)
-            module_series[a].merge(fresh)
-            depth = sum(
-                module_series[a].depth.get((d, k), 0)
-                for d in range(cfg.n_devices))
-            router.sync(a, depth, boundary)
+            played = session.played
+            marks[a].append(len(played))
+            router.sync(a, queue_depth(played, k * cfg.interval_ms),
+                        boundary)
+
+    def _module_series(self, played: PlayedTable,
+                       marks: List[int]) -> ModuleSeries:
+        """One array's module series: the left fold of the per-slice
+        series between router-sync boundaries (the fold, not one pass
+        over the table, fixes the busy-time float order)."""
+        cfg = self.config
+        series = ModuleSeries(cfg.interval_ms, cfg.n_devices)
+        for lo, hi in zip([0] + marks, marks + [len(played)]):
+            series.merge(module_interval_series(
+                played[lo:hi], cfg.n_devices, cfg.interval_ms))
+        return series
 
     # -- parallel cells ---------------------------------------------------
     def _run_cells(self, runner, feed_arrivals,

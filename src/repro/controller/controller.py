@@ -42,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.controller.planner import (
     ReplicationPlan,
@@ -223,13 +225,12 @@ StaticPlacement` is the do-nothing baseline.
     # -- boundary feedback -------------------------------------------------
     @staticmethod
     def _delayed_pct(played, start: int) -> float:
-        """Observed delayed percentage over ``played[start:]``."""
+        """Observed delayed percentage over ``played[start:]`` (a
+        :class:`~repro.flash.played.PlayedTable`)."""
         window = played[start:]
-        if not window:
-            return 0.0
-        delayed = sum(1 for pr in window
-                      if pr.delayed and not pr.rejected)
-        total = sum(1 for pr in window if not pr.rejected)
+        counted = ~window.rejected
+        total = int(np.count_nonzero(counted))
+        delayed = int(np.count_nonzero(window.delayed & counted))
         return 100.0 * delayed / total if total else 0.0
 
     def _excluded_at(self, t: float) -> frozenset:
@@ -328,8 +329,7 @@ StaticPlacement` is the do-nothing baseline.
             else:
                 match_rates.append(0.0)
             # -- feed the part's traffic under the placement in force -----
-            session.feed([float(t) for t in part.arrival_ms],
-                         match.map_blocks(part.block))
+            session.feed(part.arrival_ms, match.map_blocks(part.block))
             part_of_request.extend([part_idx] * len(part))
             reads = part.reads_only()
             for t, b in zip(reads.arrival_ms, reads.block):

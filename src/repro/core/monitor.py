@@ -82,9 +82,11 @@ class SLAMonitor:
 
     def observe_report(self, report) -> None:
         """Feed every request of a :class:`repro.core.qos.QoSReport`."""
-        for pr in sorted(report.requests,
-                         key=lambda p: p.io.completed_at):
-            self.observe(pr.io.completed_at, pr.io.response_ms)
+        played = report.requests
+        order = np.argsort(played.completed, kind="stable")
+        for completed, response in zip(played.completed[order].tolist(),
+                                       played.response_ms[order].tolist()):
+            self.observe(completed, response)
 
     # -- state -------------------------------------------------------------
     @property

@@ -16,17 +16,19 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.core.guarantees import guarantee_capacity
 from repro.core.sampling import OptimalRetrievalSampler
 from repro.designs.catalog import get_design
-from repro.flash.driver import BatchTracePlayer, OnlineTracePlayer, \
-    PlayedRequest
+from repro.flash.driver import BatchTracePlayer, OnlineTracePlayer
 from repro.flash.metrics import IntervalSeries, ResponseStats
 from repro.flash.params import FlashParams, MSR_SSD_PARAMS
+from repro.flash.played import PlayedTable
 
 __all__ = ["QoSFlashArray", "QoSReport"]
 
@@ -40,13 +42,14 @@ class QoSReport:
     series:
         Per-interval response statistics.
     requests:
-        Per-request detail (response, delay, interval).
+        Per-request detail (response, delay, interval, outcome), one
+        :class:`~repro.flash.played.PlayedTable` row per request.
     guarantee_ms:
         The response-time guarantee in force (``M`` service times).
     """
 
     series: IntervalSeries
-    requests: List[PlayedRequest]
+    requests: PlayedTable
     guarantee_ms: float
 
     @property
@@ -60,41 +63,38 @@ class QoSReport:
         A failed request (fault layer: dead module, retries exhausted,
         no live replica) is an unconditional miss.
         """
-        if any(r.failed for r in self.requests):
+        played = self.requests
+        if played.failed.any():
             return False
-        return all(r.io.response_ms <= self.guarantee_ms + 1e-9
-                   for r in self.requests)
+        return bool(np.all(played.response_ms
+                           <= self.guarantee_ms + 1e-9))
 
     # -- degraded-mode accounting ----------------------------------------
     @property
     def n_failed(self) -> int:
         """Requests the fault layer lost outright."""
-        return sum(1 for r in self.requests if r.failed)
+        return int(np.count_nonzero(self.requests.failed))
 
     @property
     def n_faulted(self) -> int:
         """Requests served, but across the fault path (failover,
         retry, down-window wait, degraded latency)."""
-        return sum(1 for r in self.requests
-                   if not r.failed and not r.rejected
-                   and getattr(r.io, "faulted", False))
+        played = self.requests
+        return int(np.count_nonzero(played.served & played.faulted))
 
     @property
     def n_violations(self) -> int:
         """Guarantee misses: failed requests plus served responses
         over the guarantee (admission-rejected requests excluded)."""
-        n = 0
-        for r in self.requests:
-            if r.rejected:
-                continue
-            if r.failed or r.io.response_ms > self.guarantee_ms + 1e-9:
-                n += 1
-        return n
+        played = self.requests
+        miss = played.failed \
+            | (played.response_ms > self.guarantee_ms + 1e-9)
+        return int(np.count_nonzero(miss & ~played.rejected))
 
     @property
     def violation_rate(self) -> float:
         """``n_violations`` over non-rejected requests."""
-        total = sum(1 for r in self.requests if not r.rejected)
+        total = int(np.count_nonzero(~self.requests.rejected))
         return self.n_violations / total if total else 0.0
 
     @property

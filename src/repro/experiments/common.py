@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.qos import QoSFlashArray, QoSReport
 from repro.flash.metrics import IntervalSeries
@@ -98,12 +100,12 @@ class WorkloadRun:
     def per_part_series(self) -> IntervalSeries:
         """Response stats re-bucketed by *trace part* (15-min interval)
         instead of the QoS scheduling interval."""
-        requests = self.report.requests
+        played = self.report.requests
         series = IntervalSeries()
         series.record_array(
-            [self.part_of_request[pr.index] for pr in requests],
-            [pr.io.response_ms for pr in requests],
-            [pr.io.delay_ms if pr.delayed else 0.0 for pr in requests])
+            np.asarray(self.part_of_request, dtype=np.int64)[played.index],
+            played.response_ms,
+            np.where(played.delayed, played.delay_ms, 0.0))
         return series
 
 

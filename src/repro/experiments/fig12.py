@@ -13,6 +13,8 @@ from __future__ import annotations
 import statistics
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.experiments.common import ExperimentResult, play_workload
 from repro.experiments.fig8 import make_parts
 from repro.runner import Cell, ParallelRunner
@@ -33,14 +35,14 @@ def _per_part_delays(parts: Sequence[Trace], n_devices: int,
     run_ = play_workload(parts, n_devices=n_devices, epsilon=0.0,
                          mode=mode)
     service = run_.report.guarantee_ms
-    sums = [0.0] * len(parts)
-    counts = [0] * len(parts)
-    for pr in run_.report.requests:
-        part = run_.part_of_request[pr.index]
-        extra = (pr.io.completed_at - pr.io.arrival) - service
-        sums[part] += max(0.0, extra)
-        counts[part] += 1
-    return [s / c if c else 0.0 for s, c in zip(sums, counts)]
+    played = run_.report.requests
+    part = np.asarray(run_.part_of_request, dtype=np.int64)[played.index]
+    extra = np.maximum(0.0, played.total_ms - service)
+    # bincount sums each part's extras in row order, from 0.0
+    sums = np.bincount(part, weights=extra, minlength=len(parts))
+    counts = np.bincount(part, minlength=len(parts))
+    return [s / c if c else 0.0
+            for s, c in zip(sums.tolist(), counts.tolist())]
 
 
 def _cell_delays(workload: str, scale: float, n_intervals: int,

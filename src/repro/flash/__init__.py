@@ -14,7 +14,9 @@ implements the equivalent substrate on our DES kernel:
 * :class:`~repro.flash.ftl.PageMappedFTL` -- a minimal page-mapped FTL
   for write/erase traffic in extension experiments,
 * :mod:`~repro.flash.driver` -- trace players: interval-batch
-  (design-theoretic) and online.
+  (design-theoretic) and online,
+* :class:`~repro.flash.played.PlayedTable` -- the per-request results
+  every player returns, as columns.
 """
 
 from repro.flash.array import FlashArray, IORequest
@@ -23,6 +25,7 @@ from repro.flash.ftl import PageMappedFTL
 from repro.flash.metrics import ResponseStats
 from repro.flash.module import FlashModule
 from repro.flash.params import MSR_SSD_PARAMS, FlashParams
+from repro.flash.played import PlayedTable
 
 __all__ = [
     "BatchTracePlayer",
@@ -33,5 +36,6 @@ __all__ = [
     "MSR_SSD_PARAMS",
     "OnlineTracePlayer",
     "PageMappedFTL",
+    "PlayedTable",
     "ResponseStats",
 ]

@@ -504,8 +504,11 @@ class VectorAdmissionWindow:
                     carry_k = k + 1
                     new_carry_times.append(carry_t)
                 if adm_n:
-                    out_i.append(proc_i[adm])
-                    out_t.append(proc_t[adm])
+                    # Copies: a slice would be a view of this interval's
+                    # carry concatenation (O(carry) long), and the plan
+                    # would keep one alive per congested interval.
+                    out_i.append(proc_i[adm].copy())
+                    out_t.append(proc_t[adm].copy())
                     out_k.append(np.full(adm_n, k, dtype=np.int64))
                     out_a.append(np.ones(adm_n, dtype=bool))
                     n_admitted += adm_n

@@ -43,7 +43,7 @@ pairwise reassociation could drift a rounded golden digit).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -204,37 +204,30 @@ def stacked_fcfs_completion_times(issue_ms, offsets,
     return out
 
 
-def played_metrics(played: Sequence, guarantee_ms: float,
+def played_metrics(played, guarantee_ms: float,
                    ) -> Tuple[float, float, float, float]:
     """Degraded-mode cell metrics over one play-through, in bulk.
 
-    Returns ``(avg_ms, pct_delayed, failed, violation_rate)`` exactly
-    as the reference per-request loops compute them (the faults
-    experiment's row shape): served = not rejected and not failed;
-    violations = failures + guarantee misses among served;
-    percentages over served + failed.
+    ``played`` is a :class:`~repro.flash.played.PlayedTable`.  Returns
+    ``(avg_ms, pct_delayed, failed, violation_rate)`` exactly as the
+    reference per-request loops compute them (the faults experiment's
+    row shape): served = not rejected and not failed; violations =
+    failures + guarantee misses among served; percentages over served
+    + failed.
     """
-    n = len(played)
-    if n == 0:
+    if len(played) == 0:
         return 0.0, 0.0, 0.0, 0.0
-    rejected = np.fromiter((p.rejected for p in played), dtype=bool,
-                           count=n)
-    failed = np.fromiter((p.failed for p in played), dtype=bool,
-                         count=n)
-    served = ~rejected & ~failed
-    response = np.fromiter(
-        (p.io.response_ms if s else 0.0
-         for p, s in zip(played, served)), dtype=np.float64, count=n)
-    delayed = np.fromiter((p.delayed for p in played), dtype=bool,
-                          count=n)
+    failed = played.failed
+    served = played.served
+    response = played.response_ms[served]
     n_served = int(np.count_nonzero(served))
     n_failed = int(np.count_nonzero(failed))
     considered = n_served + n_failed
     violations = n_failed + int(np.count_nonzero(
-        served & (response > guarantee_ms + 1e-9)))
-    avg_ms = (sequential_sum(response[served]) / n_served
+        response > guarantee_ms + 1e-9))
+    avg_ms = (sequential_sum(response) / n_served
               if n_served else 0.0)
-    pct_delayed = (100.0 * int(np.count_nonzero(delayed & served))
+    pct_delayed = (100.0 * int(np.count_nonzero(played.delayed & served))
                    / considered if considered else 0.0)
     rate = violations / considered if considered else 0.0
     return avg_ms, pct_delayed, float(n_failed), rate

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,12 +46,15 @@ from repro.flash import admitpath
 from repro.flash.array import FlashArray, IORequest
 from repro.flash.metrics import IntervalSeries
 from repro.flash.params import FlashParams
+from repro.flash.played import (DELAYED, FAILED, FAULTED, REJECTED,
+                                PlayedLog, PlayedRequest, PlayedTable,
+                                io_columns, reason_code)
 from repro.retrieval.design_theoretic import design_theoretic_retrieval
 from repro.retrieval.policy import combined_retrieval
 from repro.sim import Environment
 
 __all__ = ["BatchTracePlayer", "OnlineTracePlayer",
-           "OnlineStreamSession", "PlayedRequest",
+           "OnlineStreamSession", "PlayedRequest", "PlayedTable",
            "select_engine", "engine_tally", "reset_engine_tally"]
 
 
@@ -143,30 +145,30 @@ def select_engine(engine: str, module_factory=None,
     return "des", "ftl_factory"
 
 
-def _collect_series(played: Sequence["PlayedRequest"]) -> IntervalSeries:
+#: the ``reason`` code of a request no live replica could serve
+_UNAVAILABLE = reason_code("unavailable")
+
+
+def _collect_series(played: PlayedTable) -> IntervalSeries:
     # Observability sees every played request here -- the one pass both
     # engines share -- so instrumented metrics/spans are derived from
     # the same bit-identical timestamps regardless of engine.
     if obs.ACTIVE:
-        for pr in played:
-            obs.SESSION.observe_request(pr)
+        obs.SESSION.observe_played(played)
     # Never-served requests carry no meaningful response time; the QoS
     # layer accounts them separately (rejection counts, degraded-mode
     # ledger entries).
-    served = [pr for pr in played if not (pr.rejected or pr.failed)]
-    n = len(served)
+    served = played[played.served]
     series = IntervalSeries()
     series.record_array(
-        np.fromiter((pr.interval for pr in served), np.int64, n),
-        np.fromiter((pr.io.response_ms for pr in served), np.float64, n),
-        np.fromiter((pr.io.delay_ms if pr.delayed else 0.0
-                     for pr in served), np.float64, n))
+        served.interval, served.response_ms,
+        np.where(served.delayed, served.delay_ms, 0.0))
     return series
 
 
-def _finish_play(played: List["PlayedRequest"], n_devices: int,
+def _finish_play(played: PlayedTable, n_devices: int,
                  interval_ms: float,
-                 ) -> Tuple[IntervalSeries, List["PlayedRequest"]]:
+                 ) -> Tuple[IntervalSeries, PlayedTable]:
     """Shared play() epilogue: stats collection plus, when enabled,
     the per-module utilisation/queue-depth series."""
     series = _collect_series(played)
@@ -175,48 +177,25 @@ def _finish_play(played: List["PlayedRequest"], n_devices: int,
     return series, played
 
 
-@dataclass
-class PlayedRequest:
-    """Bookkeeping for one request after a play-through."""
-
-    io: IORequest
-    interval: int
-    delayed: bool
-    #: index of the request in the caller's input arrays
-    index: int = -1
-    #: True when admission rejected the request outright (reject
-    #: policy); the request was never served
-    rejected: bool = False
-
-    @property
-    def failed(self) -> bool:
-        """True when the fault layer lost the request (dead module,
-        read retries exhausted, no live replica).  A property rather
-        than a field because failure is discovered in DES time, after
-        the :class:`PlayedRequest` is appended."""
-        return self.io.failed
-
-    @property
-    def response_ms(self) -> float:
-        return self.io.response_ms
-
-    @property
-    def delay_ms(self) -> float:
-        return self.io.delay_ms
-
-
-def _unavailable_io(arrival: float, bucket: int, t: float,
-                    is_read: bool = True) -> IORequest:
-    """An :class:`IORequest` failed at dispatch: no live replica."""
-    io = IORequest(arrival=arrival, bucket=bucket, is_read=is_read)
-    io.failed = True
-    io.fail_reason = "unavailable"
-    io.faulted = True
-    io.issued_at = t
-    io.completed_at = t
+def _log_unavailable(log: PlayedLog, arrival: float, bucket: int,
+                     is_read: bool, t: float, interval: int,
+                     index: int) -> None:
+    """Log a request failed at dispatch: no live replica."""
+    log.add(arrival, bucket, is_read, t, 0.0, 0.0, t, -1, interval,
+            index, FAILED | FAULTED, 0, _UNAVAILABLE)
     if obs.ACTIVE:
         obs.SESSION.on_fault("unavailable")
-    return io
+
+
+def _fill_from_ios(log: PlayedLog, pending: List[Tuple[int, IORequest]],
+                   ) -> None:
+    """Copy the DES's service outcomes into their placeholder rows."""
+    if pending:
+        rows = np.fromiter((row for row, _ in pending), np.int64,
+                           len(pending))
+        columns = io_columns([io for _, io in pending])
+        flags = columns.pop("flags")
+        log.fill(rows, columns, flags)
 
 
 def _group_by_interval(arrivals: Sequence[float], interval_ms: float,
@@ -306,7 +285,7 @@ class BatchTracePlayer:
 
     def play(self, arrivals: Sequence[float], buckets: Sequence[int],
              reads: Optional[Sequence[bool]] = None,
-             ) -> Tuple[IntervalSeries, List[PlayedRequest]]:
+             ) -> Tuple[IntervalSeries, PlayedTable]:
         """Play a trace; returns per-interval stats and per-request detail.
 
         ``arrivals[i]`` is the arrival time (ms) of a request for
@@ -339,7 +318,9 @@ class BatchTracePlayer:
 
                 replay = FaultedReplay(self.faults, n_devices, params)
         groups = _group_by_interval(arrivals, self.interval_ms)
-        played: List[PlayedRequest] = []
+        log = PlayedLog()
+        #: DES rows awaiting their service outcome: (row, request)
+        pending: List[Tuple[int, IORequest]] = []
         service = params.read_ms
         busy_until = [0.0] * n_devices
 
@@ -370,12 +351,9 @@ class BatchTracePlayer:
                     if masked:
                         live = tuple(d for d in cs if d not in masked)
                         if not live:
-                            io = _unavailable_io(float(arrivals[i]),
-                                                 int(buckets[i]),
-                                                 batch_time)
-                            played.append(PlayedRequest(
-                                io=io, interval=idx, index=i,
-                                delayed=False))
+                            _log_unavailable(log, float(arrivals[i]),
+                                             int(buckets[i]), True,
+                                             batch_time, idx, i)
                             continue
                         cs = live
                     live_member.append(i)
@@ -386,40 +364,44 @@ class BatchTracePlayer:
                          for b in busy_until]
                 schedule = self._schedule(cands, carry)
                 for i, dev in zip(live_member, schedule.assignment):
-                    io = IORequest(arrival=float(arrivals[i]),
-                                   bucket=int(buckets[i]))
+                    arrival = float(arrivals[i])
+                    bucket = int(buckets[i])
                     started = max(busy_until[dev], batch_time)
                     busy_until[dev] = started + service
                     issued = batch_time
                     if array is not None:
+                        io = IORequest(arrival=arrival, bucket=bucket)
                         array.issue(io, dev)
                         # the DES clock starts at 0, so a batch before
                         # time 0 issues at 0
                         issued = io.issued_at
-                    elif replay is not None:
+                        pending.append((len(log), io))
+                    flags = DELAYED if issued > arrival + 1e-9 else 0
+                    if array is None and replay is None:
+                        log.add(arrival, bucket, True, batch_time,
+                                batch_time, started, busy_until[dev],
+                                dev, idx, i, flags)
+                        continue
+                    if replay is not None:
                         # Batch issues have no failover (as in the DES
                         # batch driver): candidates stay None.
-                        replay.submit_read(io, dev, batch_time,
+                        replay.submit_read(len(log), dev, batch_time,
                                            batch_time)
-                    else:
-                        io.device = dev
-                        io.issued_at = batch_time
-                        io.enqueued_at = batch_time
-                        io.started_at = started
-                        io.completed_at = busy_until[dev]
-                    played.append(PlayedRequest(
-                        io=io, interval=idx, index=i,
-                        delayed=issued > io.arrival + 1e-9))
+                    # served later: a placeholder row, filled in by
+                    # the DES or the replay
+                    log.add(arrival, bucket, True, 0.0, 0.0, 0.0, 0.0,
+                            -1, idx, i, flags)
 
         if array is not None:
             array.env.process(run())
             array.env.run()
+            _fill_from_ios(log, pending)
         else:
             for _ in run():
                 pass  # without an event loop the generator never yields
             if replay is not None:
-                replay.run()
-        return _finish_play(played, n_devices, self.interval_ms)
+                replay.run(log)
+        return _finish_play(log.close(), n_devices, self.interval_ms)
 
 
 class OnlineTracePlayer:
@@ -540,7 +522,7 @@ class OnlineTracePlayer:
     def play(self, arrivals: Sequence[float], buckets: Sequence[int],
              reads: Optional[Sequence[bool]] = None,
              apps: Optional[Sequence[str]] = None,
-             ) -> Tuple[IntervalSeries, List[PlayedRequest]]:
+             ) -> Tuple[IntervalSeries, PlayedTable]:
         """Play a trace online; returns per-interval stats and detail.
 
         ``reads[i]`` False marks a write: it is applied to *every* live
@@ -588,8 +570,9 @@ class OnlineStreamSession:
 
     Owns every piece of state the online driver threads through a
     trace -- the admission window, the tenant budgets, the busy-until
-    device mirror, the pending-request heap, the played-request log and
-    (faulted fast engine) the :class:`~repro.flash.faulted.FaultedReplay`
+    device mirror, the pending-request heap, the played-request
+    columns (a :class:`~repro.flash.played.PlayedLog`) and (faulted
+    fast engine) the :class:`~repro.flash.faulted.FaultedReplay`
     -- and the placement that reads and writes it, so that sessions
     and plays sharing one player never interfere, and a caller can
     interleave *feeding* traffic with *acting* on what has been served
@@ -662,7 +645,15 @@ class OnlineStreamSession:
         #: per mask segment: bucket -> live replica tuple
         self._live: List[Dict[int, Tuple[int, ...]]] = \
             [{} for _ in self._masks]
-        self.played: List[PlayedRequest] = []
+        #: the played rows, in play order; fast sessions write them
+        #: at placement, the faulted replay and the DES fill theirs in
+        #: by row at drain
+        self._log = PlayedLog()
+        #: DES rows awaiting their service outcome: (row, request)
+        self._pending_ios: List[Tuple[int, IORequest]] = []
+        #: the latest advance() bound: a later feed may not arrive
+        #: before its cut (``until_ms - 1e-12``)
+        self._until = -np.inf
         #: request columns, growing with every feed()
         self.arrivals: List[float] = []
         self.buckets: List[int] = []
@@ -704,6 +695,16 @@ class OnlineStreamSession:
         return len(self.arrivals)
 
     @property
+    def played(self) -> PlayedTable:
+        """The rows played so far, in play order.
+
+        Readable mid-stream (``len``, ``played[mark:]``): rows the
+        faulted replay or the DES serves hold placeholders (device
+        ``-1``, zero timestamps) until :meth:`drain`.
+        """
+        return self._log.table()
+
+    @property
     def n_pending(self) -> int:
         """Requests fed (or re-queued) but not yet processed."""
         if self._vec is not None:
@@ -717,13 +718,15 @@ class OnlineStreamSession:
         """Append a chunk of traffic to the stream.
 
         Chunks must be fed in arrival order *between* calls (the heap
-        orders within a chunk); an arrival earlier than a timestamp
-        already processed by :meth:`advance` raises.  Every arrival
-        must be a finite time ``>= 0``: a NaN or infinite arrival
-        would never be served, and a negative one would fall into a
-        negative QoS interval on one engine and interval 0 on the
-        other, so the chunk is refused with a ``ValueError`` naming
-        the first bad index.
+        orders within a chunk).  Every arrival must be a finite time
+        ``>= 0``: a NaN or infinite arrival would never be served, and
+        a negative one would fall into a negative QoS interval on one
+        engine and interval 0 on the other.  An arrival may not fall
+        behind the last :meth:`advance` cut either (``until_ms`` less
+        the driver's ``1e-12`` tolerance): the interval it belongs to
+        was already processed, so it would be played late and charged
+        to the current admission window.  Either way the chunk is
+        refused with a ``ValueError`` naming the first bad index.
         """
         if self._drained:
             raise RuntimeError("session already drained")
@@ -743,6 +746,13 @@ class OnlineStreamSession:
             raise ValueError(
                 f"arrival {bad} of the chunk is {times[bad]!r}; "
                 "arrivals must be finite times >= 0")
+        late = times < self._until - 1e-12
+        if late.any():
+            bad = int(np.argmax(late))
+            raise ValueError(
+                f"arrival {bad} of the chunk is {float(times[bad])!r}, "
+                f"behind the last advance({self._until!r}); feed "
+                "arrivals at or after the advance cut")
         base = len(self.arrivals)
         n = len(times)
         if self._vec is not None:
@@ -827,11 +837,14 @@ class OnlineStreamSession:
     # -- placement ---------------------------------------------------------
     def _reject(self, orig: int, idx: int) -> None:
         """Log a request admission rejected outright; never served."""
-        self.played.append(PlayedRequest(
-            io=IORequest(arrival=self.arrivals[orig],
-                         bucket=self.buckets[orig],
-                         is_read=self.is_read[orig]),
-            interval=idx, index=orig, delayed=False, rejected=True))
+        self._log.add(self.arrivals[orig], self.buckets[orig],
+                      self.is_read[orig], 0.0, 0.0, 0.0, 0.0, -1, idx,
+                      orig, REJECTED)
+
+    def _unavailable(self, orig: int, t: float, idx: int) -> None:
+        _log_unavailable(self._log, self.arrivals[orig],
+                         self.buckets[orig], self.is_read[orig], t, idx,
+                         orig)
 
     def _place(self, admitted: List[int], t: float, idx: int,
                seg: int) -> None:
@@ -871,9 +884,7 @@ class OnlineStreamSession:
         for i in admitted:
             cs = self._live_replicas(seg, self.buckets[i])
             if not cs:
-                io = _unavailable_io(self.arrivals[i], self.buckets[i], t)
-                self.played.append(PlayedRequest(
-                    io=io, interval=idx, index=i, delayed=False))
+                self._unavailable(i, t, idx)
                 continue
             live_admitted.append(i)
             cands.append(cs)
@@ -901,7 +912,8 @@ class OnlineStreamSession:
                    candidates: Sequence[int]) -> None:
         busy_until = self.busy_until
         service = self.service
-        io = IORequest(self.arrivals[orig], self.buckets[orig])
+        arrival = self.arrivals[orig]
+        bucket = self.buckets[orig]
         wait = busy_until[dev] - t
         guarantee = self.player.accesses * service
         # A queued request still meets the guarantee while
@@ -926,25 +938,30 @@ class OnlineStreamSession:
             # Serve now; within-guarantee queueing (or an admitted
             # conflict) absorbs the wait into the response (Fig 10b).
             issue_at = t
-            delayed = io.arrival + 1e-9 < t  # delayed by budget earlier
+            delayed = arrival + 1e-9 < t  # delayed by budget earlier
         started = max(busy_until[dev], issue_at)
         busy_until[dev] = started + service
+        flags = DELAYED if delayed else 0
+        log = self._log
+        if self.array is None and self.replay is None:
+            # Fast engine: with constant service times the busy-until
+            # mirror *is* the module, so log the timestamps directly
+            # (same max, same single addition as the service loop).
+            log.add(arrival, bucket, True, issue_at, issue_at, started,
+                    busy_until[dev], dev, idx, orig, flags)
+            return
+        row = len(log)
         if self.array is not None:
+            io = IORequest(arrival, bucket)
             self.env.process(
                 self._issue_process(io, dev, issue_at, candidates))
-        elif self.replay is not None:
-            self.replay.submit_read(io, dev, issue_at, t,
-                                    candidates=candidates)
+            self._pending_ios.append((row, io))
         else:
-            # Fast engine: with constant service times the busy-until
-            # mirror *is* the module, so fill the timestamps directly
-            # (same max, same single addition as the service loop).
-            io.device = dev
-            io.issued_at = issue_at
-            io.enqueued_at = issue_at
-            io.started_at = started
-            io.completed_at = busy_until[dev]
-        self.played.append(PlayedRequest(io, idx, delayed, orig))
+            self.replay.submit_read(row, dev, issue_at, t,
+                                    candidates=candidates)
+        # served later: a placeholder the DES or the replay fills in
+        log.add(arrival, bucket, True, 0.0, 0.0, 0.0, 0.0, -1, idx, orig,
+                flags)
 
     def _issue_process(self, io: IORequest, dev: int, issue_at: float,
                        candidates: Sequence[int]):
@@ -1010,10 +1027,7 @@ class OnlineStreamSession:
         bucket = self.buckets[orig]
         devices = self._live_replicas(seg, bucket)
         if not devices:
-            io = _unavailable_io(self.arrivals[orig], bucket, t,
-                                 is_read=False)
-            self.played.append(PlayedRequest(
-                io=io, interval=idx, index=orig, delayed=False))
+            self._unavailable(orig, t, idx)
             return
         degraded_write = len(devices) < len(
             self.player.allocation.devices_for(bucket))
@@ -1021,9 +1035,7 @@ class OnlineStreamSession:
             obs.SESSION.on_fault("degraded_write")
         busy_until = self.busy_until
         write_service = self.params.write_ms
-        master = IORequest(arrival=self.arrivals[orig], bucket=bucket,
-                           is_read=False)
-        master.faulted = degraded_write
+        arrival = self.arrivals[orig]
         guarantee = self.player.accesses * self.service
         worst_wait = max(busy_until[d] - t for d in devices)
         conflict = worst_wait + write_service > \
@@ -1036,20 +1048,28 @@ class OnlineStreamSession:
             delayed = True
         else:
             issue_at = t
-            delayed = master.arrival + 1e-9 < t
+            delayed = arrival + 1e-9 < t
         for d in devices:
             busy_until[d] = max(busy_until[d], issue_at) + write_service
+        flags = (DELAYED if delayed else 0) \
+            | (FAULTED if degraded_write else 0)
+        # A write master has no single device or service window; its
+        # completion is the slowest replica's (the DES and the replay
+        # fill it in at drain).
+        completed = 0.0
         if self.array is not None:
+            master = IORequest(arrival=arrival, bucket=bucket,
+                               is_read=False)
+            master.faulted = degraded_write
             self.env.process(self._write_process(master, devices,
                                                  issue_at))
+            self._pending_ios.append((len(self._log), master))
+        elif self.replay is not None:
+            self.replay.submit_write(len(self._log), devices, issue_at, t)
         else:
-            master.issued_at = issue_at
-            if self.replay is not None:
-                self.replay.submit_write(master, devices, issue_at, t)
-            else:
-                master.completed_at = max(busy_until[d] for d in devices)
-        self.played.append(PlayedRequest(io=master, interval=idx,
-                                         index=orig, delayed=delayed))
+            completed = max(busy_until[d] for d in devices)
+        self._log.add(arrival, bucket, False, issue_at, 0.0, 0.0,
+                      completed, -1, idx, orig, flags)
 
     def _write_process(self, master: IORequest, devices,
                        issue_at: float):
@@ -1092,6 +1112,7 @@ class OnlineStreamSession:
                 "DES drains in one step")
         if self._drained:
             raise RuntimeError("session already drained")
+        self._until = max(self._until, until_ms)
         if self._vec is not None:
             self._advance_vector(until_ms)
             if self._vec is not None:
@@ -1185,7 +1206,8 @@ class OnlineStreamSession:
         is_read = self.is_read
         busy = self.busy_until
         service = self.service
-        append = self.played.append
+        log = self._log
+        add = log.add
         submit = self.replay.submit_read if self.replay is not None \
             else None
         live = self._live
@@ -1212,20 +1234,18 @@ class OnlineStreamSession:
                     done = t + service
                     busy[dev] = done
                     arrival = arrivals[orig]
-                    io = IORequest(arrival, bucket)
-                    if submit is not None:
-                        submit(io, dev, t, t, cs)
+                    flags = DELAYED if arrival + 1e-9 < t else 0
+                    if submit is None:
+                        add(arrival, bucket, True, t, t, t, done, dev, idx,
+                            orig, flags)
                     else:
-                        io.device = dev
-                        io.issued_at = t
-                        io.enqueued_at = t
-                        io.started_at = t
-                        io.completed_at = done
-                    append(PlayedRequest(io, idx, arrival + 1e-9 < t, orig))
+                        submit(len(log), dev, t, t, cs)
+                        add(arrival, bucket, True, 0.0, 0.0, 0.0, 0.0, -1,
+                            idx, orig, flags)
                     continue
             self._place(order[b:j], t, idx, seg)
 
-    def drain(self) -> Tuple[IntervalSeries, List[PlayedRequest]]:
+    def drain(self) -> Tuple[IntervalSeries, PlayedTable]:
         """Process everything pending and close the session."""
         if self._drained:
             raise RuntimeError("session already drained")
@@ -1237,7 +1257,7 @@ class OnlineStreamSession:
             while self.heap:
                 self.process_now(self.heap[0][0])
             if self.replay is not None:
-                self.replay.run()
+                self.replay.run(self._log)
         else:
             env = self.env
 
@@ -1250,6 +1270,9 @@ class OnlineStreamSession:
 
             env.process(run())
             env.run()
+            _fill_from_ios(self._log, self._pending_ios)
+            self._pending_ios = []
 
-        return _finish_play(self.played, player.allocation.n_devices,
+        return _finish_play(self._log.close(),
+                            player.allocation.n_devices,
                             player.interval_ms)

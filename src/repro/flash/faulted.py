@@ -50,6 +50,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.flash.played import FAILED, FAULTED, reason_code
 
 __all__ = ["FaultedReplay"]
 
@@ -57,14 +58,20 @@ _INF = float("inf")
 
 
 class _Submission:
-    """One entry in a module's replayed FIFO queue."""
+    """One entry in a module's replayed FIFO queue, and the service
+    outcome of its request (the ``IORequest`` fields the DES module
+    and driver would have set)."""
 
-    __slots__ = ("io", "module", "put", "created", "seq", "candidates",
-                 "tried", "attempt", "first_issue", "write")
+    __slots__ = ("row", "is_read", "module", "put", "created", "seq",
+                 "candidates", "tried", "attempt", "first_issue",
+                 "write", "device", "enqueued", "started", "completed",
+                 "failed", "reason", "faulted", "retries")
 
-    def __init__(self, io, module, put, created, seq,
+    def __init__(self, row, is_read, module, put, created, seq,
                  candidates=None, first_issue=0.0, write=None):
-        self.io = io
+        #: the played-table row of a read (``-1`` for a write replica)
+        self.row = row
+        self.is_read = is_read
         self.module = module
         #: queue-put instant (the issue time)
         self.put = put
@@ -81,25 +88,35 @@ class _Submission:
         self.first_issue = first_issue
         #: the write master this replica belongs to (``None`` = read)
         self.write = write
+        self.device = -1
+        self.enqueued = 0.0
+        self.started = 0.0
+        self.completed = 0.0
+        self.failed = False
+        self.reason = ""
+        self.faulted = False
+        #: read-error retries plus driver-level failovers consumed
+        self.retries = 0
 
 
 class _WriteMaster:
     """A logical write fanned out to its replicas."""
 
-    __slots__ = ("master", "replicas")
+    __slots__ = ("row", "replicas")
 
-    def __init__(self, master):
-        self.master = master
-        self.replicas: List = []
+    def __init__(self, row: int):
+        self.row = row
+        self.replicas: List[_Submission] = []
 
 
 class FaultedReplay:
     """Replay one play-through's module queues under a fault schedule.
 
     The driver submits reads and writes as it places them (through the
-    shared admission/placement loop); :meth:`run` then fills in every
-    ``IORequest``'s timestamps, fault flags and retry counts exactly
-    as the DES module service loops would have.
+    shared admission/placement loop), naming the played-table row each
+    one was logged at; :meth:`run` then writes every row's timestamps,
+    fault flags and retry counts exactly as the DES module service
+    loops would have set them.
 
     Parameters
     ----------
@@ -125,37 +142,39 @@ class FaultedReplay:
         self._draws = [0] * n_modules
         self._deferred: List[List[_Submission]] = \
             [[] for _ in range(n_modules)]
+        self._reads: List[_Submission] = []
         self._writes: List[_WriteMaster] = []
         self._heap: list = []
         self._seq = 0
 
     # -- driver-side API --------------------------------------------------
-    def submit_read(self, io, module: int, issue_at: float,
+    def submit_read(self, row: int, module: int, issue_at: float,
                     created: float,
                     candidates: Optional[Sequence[int]] = None) -> None:
-        """Record one read placed on ``module`` at ``issue_at``.
+        """Record the read logged at ``row``, placed on ``module`` at
+        ``issue_at``.
 
         ``created`` is the dispatch instant (when the DES would have
         created the issuing process); ``candidates`` enables driver
         failover across the request's untried live replicas.
         """
-        self._push(_Submission(io, module, issue_at, created,
-                               self._seq, candidates, issue_at))
+        sub = _Submission(row, True, module, issue_at, created,
+                          self._seq, candidates, issue_at)
+        self._reads.append(sub)
+        self._push(sub)
         self._seq += 1
 
-    def submit_write(self, master, devices: Sequence[int],
+    def submit_write(self, row: int, devices: Sequence[int],
                      issue_at: float, created: float) -> None:
-        """Record one write applied to every device in ``devices``."""
-        from repro.flash.array import IORequest
-
-        wm = _WriteMaster(master)
+        """Record the write logged at ``row``, applied to every device
+        in ``devices``."""
+        wm = _WriteMaster(row)
         for d in devices:
-            replica = IORequest(arrival=master.arrival,
-                                bucket=master.bucket, is_read=False)
+            replica = _Submission(-1, False, d, issue_at, created,
+                                  self._seq, first_issue=issue_at,
+                                  write=wm)
             wm.replicas.append(replica)
-            self._push(_Submission(replica, d, issue_at, created,
-                                   self._seq, first_issue=issue_at,
-                                   write=wm))
+            self._push(replica)
             self._seq += 1
         self._writes.append(wm)
 
@@ -167,8 +186,9 @@ class FaultedReplay:
         self._heap.append((sub.put, sub.created, sub.seq, sub))
 
     # -- replay -----------------------------------------------------------
-    def run(self) -> None:
-        """Serve every submission; fills the IORequests in place."""
+    def run(self, log) -> None:
+        """Serve every submission; writes the outcomes into ``log``'s
+        rows (a :class:`repro.flash.played.PlayedLog`)."""
         heap = self._heap
         heapq.heapify(heap)
         quiet = self._quiet
@@ -182,7 +202,8 @@ class FaultedReplay:
                 continue
             self._serve(sub)
         self._flush_quiet()
-        self._finalize_writes()
+        self._write_reads(log)
+        self._finalize_writes(log)
 
     def _serve(self, sub: _Submission) -> None:
         """One dequeued request on a fault-affected module.
@@ -191,63 +212,61 @@ class FaultedReplay:
         :meth:`repro.flash.module.FlashModule._serve_faulty` (same
         floats, same operations, same obs counters).
         """
-        io = sub.io
         m = sub.module
         sched = self.schedule
-        io.device = m
-        io.enqueued_at = sub.put
-        io.issued_at = sub.first_issue
+        sub.device = m
+        sub.enqueued = sub.put
         free = self._free[m]
         t = sub.put if sub.put > free else free  # dequeue instant
         if sched.is_dead(m, t):
-            self._fail(io, "dead", t)
+            self._fail(sub, "dead", t)
             self._free[m] = t
             self._after_failure(sub, t)
             return
         available = sched.available_from(m, t)
         if available == _INF:
             # The down window runs straight into a crash.
-            self._fail(io, "dead", t)
+            self._fail(sub, "dead", t)
             self._free[m] = t
             self._after_failure(sub, t)
             return
         if available > t:
-            io.faulted = True
+            sub.faulted = True
             if obs.ACTIVE:
                 obs.SESSION.on_fault("down_wait")
             t = available
-        io.started_at = t
-        base = self.params.service_ms(io.is_read, io.n_blocks)
+        sub.started = t
+        base = self.params.service_ms(sub.is_read)
         retry = self.retry
         attempt = 0
         while True:
             t0 = t
             service = base * sched.slowdown(m, t0)
             if service != base:
-                io.faulted = True
+                sub.faulted = True
                 if obs.ACTIVE:
                     obs.SESSION.on_fault("slow_service")
             t = t0 + service
-            prob = sched.error_prob(m, t0) if io.is_read else 0.0
+            prob = sched.error_prob(m, t0) if sub.is_read else 0.0
             if prob > 0.0 and self._draw(m) < prob:
-                io.faulted = True
+                sub.faulted = True
                 if obs.ACTIVE:
                     obs.SESSION.on_fault("read_error")
                 if attempt >= retry.max_retries:
-                    self._fail(io, "read_error", t)
+                    self._fail(sub, "read_error", t)
                     self._free[m] = t
                     self._after_failure(sub, t)
                     return
                 backoff = retry.delay(attempt)
                 attempt += 1
-                io.retries += 1
+                sub.retries += 1
                 if obs.ACTIVE:
                     obs.SESSION.on_fault("read_retry")
                 if backoff > 0:
                     t = t + backoff
                 continue
             break
-        io.completed_at = t
+        sub.completed = t
         self._free[m] = t
 
     def _draw(self, m: int) -> float:
@@ -256,11 +275,11 @@ class FaultedReplay:
         return self.schedule.read_error_draw(m, i)
 
     @staticmethod
-    def _fail(io, reason: str, t: float) -> None:
-        io.failed = True
-        io.fail_reason = reason
-        io.faulted = True
-        io.completed_at = t
+    def _fail(sub: _Submission, reason: str, t: float) -> None:
+        sub.failed = True
+        sub.reason = reason
+        sub.faulted = True
+        sub.completed = t
         if obs.ACTIVE:
             obs.SESSION.on_fault(
                 "dead_module" if reason == "dead" else reason)
@@ -274,7 +293,6 @@ class FaultedReplay:
         """
         if sub.write is not None or sub.candidates is None:
             return
-        io = sub.io
         masked = self.schedule.masked_at(t)
         alive = [d for d in sub.candidates
                  if d not in sub.tried and d not in masked]
@@ -287,10 +305,10 @@ class FaultedReplay:
             obs.SESSION.on_fault("failover")
         backoff = self.retry.delay(sub.attempt)
         sub.attempt += 1
-        io.retries += 1
-        io.failed = False
-        io.fail_reason = ""
-        io.faulted = True
+        sub.retries += 1
+        sub.failed = False
+        sub.reason = ""
+        sub.faulted = True
         sub.tried.append(nxt)
         sub.module = nxt
         sub.created = t
@@ -317,12 +335,13 @@ class FaultedReplay:
             return
         from repro.flash.batch import stacked_fcfs_completion_times
 
-        params = self.params
+        read_ms = self.params.service_ms(True)
+        write_ms = self.params.service_ms(False)
         # One stacked Lindley evaluation over every quiet module's
         # queue (per-stream bit-identical to the scalar recurrence).
         flat = [s for _, subs in streams for s in subs]
         puts = np.array([s.put for s in flat], dtype=np.float64)
-        svc = np.array([params.service_ms(s.io.is_read, s.io.n_blocks)
+        svc = np.array([read_ms if s.is_read else write_ms
                         for s in flat], dtype=np.float64)
         offsets = np.zeros(len(streams) + 1, dtype=np.intp)
         np.cumsum([len(subs) for _, subs in streams],
@@ -332,28 +351,66 @@ class FaultedReplay:
         started[1:] = np.maximum(puts[1:], comp[:-1])
         started[offsets[:-1]] = np.maximum(puts[offsets[:-1]], 0.0)
         for (m, subs), a in zip(streams, offsets[:-1]):
-            for i, s in enumerate(subs):
-                io = s.io
-                io.device = m
-                io.enqueued_at = s.put
-                io.issued_at = s.first_issue
-                io.started_at = float(started[a + i])
-                io.completed_at = float(comp[a + i])
+            for s, t_start, t_done in zip(
+                    subs, started[a:a + len(subs)].tolist(),
+                    comp[a:a + len(subs)].tolist()):
+                s.device = m
+                s.enqueued = s.put
+                s.started = t_start
+                s.completed = t_done
 
-    def _finalize_writes(self) -> None:
-        """Fold replica outcomes into each write master, mirroring
-        :meth:`~repro.flash.driver.OnlineStreamSession._write_process`."""
+    def _write_reads(self, log) -> None:
+        """Every read's outcome into its row, in one bulk write."""
+        reads = self._reads
+        if not reads:
+            return
+        n = len(reads)
+        rows = np.fromiter((s.row for s in reads), np.int64, n)
+        log.fill(rows, {
+            "issued": np.fromiter((s.first_issue for s in reads),
+                                  np.float64, n),
+            "enqueued": np.fromiter((s.enqueued for s in reads),
+                                    np.float64, n),
+            "started": np.fromiter((s.started for s in reads),
+                                   np.float64, n),
+            "completed": np.fromiter((s.completed for s in reads),
+                                     np.float64, n),
+            "device": np.fromiter((s.device for s in reads), np.int32, n),
+            "retries": np.fromiter((s.retries for s in reads),
+                                   np.int32, n),
+            "reason": np.fromiter((reason_code(s.reason) for s in reads),
+                                  np.uint8, n),
+        }, np.fromiter(((FAILED if s.failed else 0)
+                        | (FAULTED if s.faulted else 0) for s in reads),
+                       np.uint8, n))
+
+    def _finalize_writes(self, log) -> None:
+        """Fold replica outcomes into each write master's row,
+        mirroring :meth:`~repro.flash.driver.OnlineStreamSession.\
+_write_process`."""
+        if not self._writes:
+            return
+        rows, completed, retries, flags, reasons = [], [], [], [], []
         for wm in self._writes:
-            master = wm.master
             replicas = wm.replicas
-            completed = replicas[0].completed_at
+            done = replicas[0].completed
             for r in replicas[1:]:
-                if r.completed_at > completed:
-                    completed = r.completed_at
-            master.completed_at = completed
+                if r.completed > done:
+                    done = r.completed
+            flag = 0
+            n_retries = 0
+            reason = ""
             if any(r.failed or r.faulted for r in replicas):
-                master.faulted = True
-                master.retries = sum(r.retries for r in replicas)
+                flag = FAULTED
+                n_retries = sum(r.retries for r in replicas)
             if all(r.failed for r in replicas):
-                master.failed = True
-                master.fail_reason = replicas[0].fail_reason
+                flag |= FAILED
+                reason = replicas[0].reason
+            rows.append(wm.row)
+            completed.append(done)
+            retries.append(n_retries)
+            flags.append(flag)
+            reasons.append(reason_code(reason))
+        log.fill(np.array(rows, dtype=np.int64),
+                 {"completed": completed, "retries": retries,
+                  "reason": reasons}, flags)

@@ -23,7 +23,7 @@ sections:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -140,30 +140,52 @@ class ObsSession:
         self.registry.counter(f"admission.{kind}").inc(count)
 
     def observe_request(self, pr) -> None:
-        """Fold one :class:`~repro.flash.driver.PlayedRequest` in.
+        """Fold one :class:`~repro.flash.played.PlayedRequest`-shaped
+        object in (see :meth:`observe_played`)."""
+        from repro.flash.played import PlayedTable
+
+        self.observe_played(PlayedTable.from_requests([pr]))
+
+    def observe_played(self, played) -> None:
+        """Fold a :class:`~repro.flash.played.PlayedTable` in.
 
         Called from the shared series-collection pass, so DES and fast
         playback observe the same requests with the same floats.
+        Counters and histograms fold whole columns (histogram state is
+        order-independent); lifecycle spans are derived row by row, in
+        play order.
         """
+        n = len(played)
+        if not n:
+            return
         reg = self.registry
-        reg.counter("requests.total").inc()
-        io = pr.io
-        if pr.rejected:
-            reg.counter("requests.rejected").inc()
+        reg.counter("requests.total").inc(n)
+        rejected = played.rejected
+        failed = played.failed & ~rejected
+        served = ~(rejected | failed)
+        delayed = served & played.delayed
+        for name, mask in (("requests.rejected", rejected),
+                           ("requests.failed", failed),
+                           ("requests.faulted", served & played.faulted),
+                           ("requests.writes", served & ~played.is_read),
+                           ("requests.delayed", delayed)):
+            count = int(np.count_nonzero(mask))
+            if count:
+                reg.counter(name).inc(count)
+        if not served.any():
             return
-        if getattr(pr, "failed", False):
-            reg.counter("requests.failed").inc()
-            return
-        if getattr(io, "faulted", False):
-            reg.counter("requests.faulted").inc()
-        if not io.is_read:
-            reg.counter("requests.writes").inc()
-        reg.histogram("latency.response_ms").record(io.response_ms)
-        reg.histogram("latency.total_ms").record(io.total_ms)
-        if pr.delayed:
-            reg.counter("requests.delayed").inc()
-            reg.histogram("latency.delay_ms").record(io.delay_ms)
-        self.tracer.emit_request(io, pr.interval, pr.index, pr.delayed)
+        rows = played[served]
+        reg.histogram("latency.response_ms").record_array(rows.response_ms)
+        reg.histogram("latency.total_ms").record_array(rows.total_ms)
+        if delayed.any():
+            reg.histogram("latency.delay_ms").record_array(
+                played[delayed].delay_ms)
+        emit = self.tracer.emit_request
+        for (arrival, bucket, _, issued, _, started, completed, device,
+             interval, index, _, _, _), was_delayed in zip(
+                 rows.data.tolist(), rows.delayed.tolist()):
+            emit(arrival, bucket, device, issued, started, completed,
+                 interval, index, was_delayed)
 
     def observe_responses_array(self, responses: np.ndarray) -> None:
         """Bulk-record response times with no per-request detail.
@@ -176,9 +198,10 @@ class ObsSession:
         self.registry.counter("requests.total").inc(int(arr.size))
         self.registry.histogram("latency.response_ms").record_array(arr)
 
-    def record_module_series(self, played: Sequence, n_devices: int,
+    def record_module_series(self, played, n_devices: int,
                              interval_ms: float) -> None:
-        """Compute and fold in the per-module interval series."""
+        """Compute and fold in the per-module interval series of a
+        :class:`~repro.flash.played.PlayedTable`."""
         self.series.merge(module_interval_series(
             played, n_devices, interval_ms))
 
@@ -186,38 +209,40 @@ class ObsSession:
     def record_qos_report(self, report, tenant: str = "") -> None:
         """Ledger every guarantee violation in a QoS report.
 
-        ``tenant`` defaults to each request's application name (empty
-        for single-tenant runs).  Violations incurred on the degraded
-        path -- requests that survived a fault (failover, retry, down
-        window, slowdown) or failed outright -- are reported
-        *distinctly*: they land on the ``faults.qos.*`` counters and
-        are ledgered with ``degraded=True``, so operators can separate
-        "the scheme broke its promise" from "the hardware did".
+        ``tenant`` names the ledger row (empty for single-tenant
+        runs).  Violations incurred on the degraded path -- requests
+        that survived a fault (failover, retry, down window, slowdown)
+        or failed outright -- are reported *distinctly*: they land on
+        the ``faults.qos.*`` counters and are ledgered with
+        ``degraded=True``, so operators can separate "the scheme broke
+        its promise" from "the hardware did".  Rows are ledgered in
+        play order.
         """
         guarantee = report.guarantee_ms
         reg = self.registry
-        for pr in report.requests:
-            if pr.rejected:
-                continue
-            if getattr(pr, "failed", False):
+        played = report.requests
+        counted = ~played.rejected
+        failed = counted & played.failed
+        excess = played.response_ms - guarantee
+        over = counted & ~failed & (excess > 1e-9)
+        faulted = played.faulted
+        interval = played.interval
+        for i in np.flatnonzero(failed | over).tolist():
+            if failed[i]:
                 # The request never completed: an unconditional
                 # guarantee miss, attributed to the fault layer.
                 reg.counter("faults.qos.failed").inc()
-                self.ledger.record(tenant or pr.io.app, pr.interval,
-                                   guarantee, degraded=True)
-                continue
-            excess = pr.io.response_ms - guarantee
-            if excess > 1e-9:
-                if getattr(pr.io, "faulted", False):
-                    reg.counter("faults.qos.violations").inc()
-                    self.ledger.record(tenant or pr.io.app,
-                                       pr.interval, excess,
-                                       degraded=True)
-                else:
-                    reg.counter("qos.violations").inc()
-                    self.ledger.record(tenant or pr.io.app,
-                                       pr.interval, excess)
-        reg.counter("qos.requests").inc(len(report.requests))
+                self.ledger.record(tenant, int(interval[i]), guarantee,
+                                   degraded=True)
+            elif faulted[i]:
+                reg.counter("faults.qos.violations").inc()
+                self.ledger.record(tenant, int(interval[i]),
+                                   float(excess[i]), degraded=True)
+            else:
+                reg.counter("qos.violations").inc()
+                self.ledger.record(tenant, int(interval[i]),
+                                   float(excess[i]))
+        reg.counter("qos.requests").inc(len(played))
 
     def on_controller(self, event: str, count: int = 1) -> None:
         """One live-controller decision (:mod:`repro.controller`).

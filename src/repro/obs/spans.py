@@ -3,7 +3,7 @@
 A span is one phase of a request's life -- admission wait, module
 queueing, service -- with start/end in simulated milliseconds.  Spans
 are *derived from the request timestamps* after playback (both engines
-fill the same ``IORequest`` fields with bit-identical floats), so the
+produce the same played columns with bit-identical floats), so the
 span stream is engine-independent by construction.  The DES
 additionally feeds live open/close counters from the array's
 issue/complete hooks; the ``repro.check`` obs probe asserts they
@@ -91,12 +91,13 @@ class Tracer:
         """Spans currently open on the DES side (0 after drain)."""
         return self.live_opened - self.live_closed
 
-    def emit_request(self, io, interval: int, index: int,
-                     delayed: bool) -> None:
+    def emit_request(self, arrival: float, bucket: int, device: int,
+                     issued: float, started: float, completed: float,
+                     interval: int, index: int, delayed: bool) -> None:
         """Derive lifecycle spans for one played request.
 
-        Works purely off the ``IORequest`` timestamps, which both
-        playback engines fill with bit-identical floats:
+        Works purely off the played timestamps, which both playback
+        engines produce as bit-identical floats:
 
         * ``admission`` -- arrival to issue, when admission delayed the
           request (budget overflow or a deterministic-QoS conflict);
@@ -107,21 +108,21 @@ class Tracer:
           masters, which have no single device/service window.
         """
         args = (("index", index), ("interval", interval),
-                ("bucket", io.bucket))
-        if delayed and io.issued_at > io.arrival:
-            self.add(Span("admission", "admission", io.arrival,
-                          io.issued_at, tid=io.device, args=args))
-        if io.device >= 0 and io.started_at >= io.issued_at:
-            if io.started_at > io.issued_at:
-                self.add(Span("queue", "queue", io.issued_at,
-                              io.started_at, tid=io.device, args=args))
-            self.add(Span("service", "service", io.started_at,
-                          io.completed_at, tid=io.device, args=args))
+                ("bucket", bucket))
+        if delayed and issued > arrival:
+            self.add(Span("admission", "admission", arrival, issued,
+                          tid=device, args=args))
+        if device >= 0 and started >= issued:
+            if started > issued:
+                self.add(Span("queue", "queue", issued, started,
+                              tid=device, args=args))
+            self.add(Span("service", "service", started, completed,
+                          tid=device, args=args))
         else:
             # replicated write master: completion is the slowest
             # replica; per-device detail lives in the module series
-            self.add(Span("write", "service", io.issued_at,
-                          io.completed_at, tid=io.device, args=args))
+            self.add(Span("write", "service", issued, completed,
+                          tid=device, args=args))
 
     # -- (de)serialisation ----------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ShardedCluster
+from repro.faults import FaultSchedule
 from repro.flash.metrics import IntervalSeries
 from repro.runner import ParallelRunner
 from repro.traces.records import Trace
@@ -152,3 +153,57 @@ class TestConfig:
         assert "n_failed" not in summary  # healthy run keeps shape
         assert report.guarantee_met == \
             bool(summary["guarantee_met"])
+
+
+class TestPartValidation:
+    """Parts are checked once, at ingestion, before anything routes."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), r"part 1: arrival 2 is nan"),
+        (-1.0, r"part 1: arrival 2 is -1\.0"),
+    ])
+    def test_bad_arrival_raises(self, bad, message):
+        parts = _parts(n_parts=2, n=5)
+        arrivals = parts[1].arrival_ms.copy()
+        arrivals[2] = bad
+        parts[1] = Trace.from_arrays(arrivals, parts[1].block)
+        with pytest.raises(ValueError, match=message):
+            ShardedCluster(ClusterConfig(n_arrays=2)).play(parts)
+
+    def test_unsorted_part_raises(self):
+        parts = _parts(n_parts=2, n=5)
+        arrivals = parts[1].arrival_ms.copy()
+        arrivals[[2, 3]] = arrivals[[3, 2]]
+        parts[1] = Trace.from_arrays(arrivals, parts[1].block)
+        with pytest.raises(ValueError,
+                           match=r"part 1: arrival 3 .* before arrival 2"):
+            ShardedCluster(ClusterConfig(n_arrays=2)).play(parts)
+
+    def test_nothing_routes_before_the_check(self, monkeypatch):
+        parts = _parts(n_parts=2, n=5)
+        arrivals = parts[1].arrival_ms.copy()
+        arrivals[0] = float("nan")
+        parts[1] = Trace.from_arrays(arrivals, parts[1].block)
+        cluster = ShardedCluster(ClusterConfig(n_arrays=2))
+
+        def no_routing(*args):
+            raise AssertionError("routed before validation")
+
+        monkeypatch.setattr(cluster, "_route_part", no_routing)
+        with pytest.raises(ValueError, match="part 1"):
+            cluster.play(parts)
+
+
+class TestModuleSeries:
+    def test_faulted_series_counts_every_part(self):
+        """Faulted rows are placeholders until the session drains; the
+        series is measured after the drain, so parts before the last
+        boundary count too."""
+        config = ClusterConfig(n_arrays=2, n_devices=9, interval_ms=1.0)
+        parts = _parts()
+        faults = FaultSchedule.crashes([0, 9], n_modules=18)
+        report = ShardedCluster(config, faults=faults).play(parts)
+        first_boundary = parts[1].arrival_ms[0] / config.interval_ms
+        for result in report.arrays:
+            assert min(k for _, k in result.module_series.busy_ms) \
+                < first_boundary

@@ -85,7 +85,7 @@ class TestRunModes:
         arrivals, buckets = self._trace(n=100)
         rep = qos.run_batch(arrivals, buckets)
         assert rep.guarantee_met
-        rep.requests[0].io.completed_at += 1.0
+        rep.requests.completed[0] += 1.0  # columns are views
         assert not rep.guarantee_met
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.flash.array import IORequest
 from repro.flash.batch import (
     _sequential_var,
     played_metrics,
     stacked_fcfs_completion_times,
     stream_offsets,
 )
+from repro.flash.played import PlayedRequest, PlayedTable
 
 
 def _scalar(u, service_ms):
@@ -90,17 +92,11 @@ class TestStackedKernel:
 
 
 class TestPlayedMetrics:
-    class _IO:
-        def __init__(self, response_ms):
-            self.response_ms = response_ms
-
-    class _PR:
-        def __init__(self, response, rejected=False, failed=False,
-                     delayed=False):
-            self.io = TestPlayedMetrics._IO(response)
-            self.rejected = rejected
-            self.failed = failed
-            self.delayed = delayed
+    @staticmethod
+    def _PR(response, rejected=False, failed=False, delayed=False):
+        io = IORequest(arrival=0.0, bucket=0, completed_at=response,
+                       failed=failed)
+        return PlayedRequest(io, 0, delayed, rejected=rejected)
 
     def test_matches_reference_loops(self):
         rng = np.random.default_rng(3)
@@ -122,9 +118,12 @@ class TestPlayedMetrics:
             float(failed),
             violations / considered,
         )
-        assert played_metrics(played, guarantee) == expect
+        assert played_metrics(PlayedTable.from_requests(played),
+                              guarantee) == expect
 
     def test_empty_and_all_rejected(self):
-        assert played_metrics([], 0.1) == (0.0, 0.0, 0.0, 0.0)
+        assert played_metrics(PlayedTable.empty(), 0.1) == \
+            (0.0, 0.0, 0.0, 0.0)
         played = [self._PR(0.2, rejected=True) for _ in range(5)]
-        assert played_metrics(played, 0.1) == (0.0, 0.0, 0.0, 0.0)
+        assert played_metrics(PlayedTable.from_requests(played), 0.1) \
+            == (0.0, 0.0, 0.0, 0.0)

@@ -241,3 +241,39 @@ class TestArrivalValidation:
         _, played = make_player(engine=engine).play([-0.0, 0.0, 0.2],
                                                     [0, 1, 2])
         assert [p.interval for p in played] == [0, 0, 0]
+
+
+class TestFeedBehindTheClock:
+    """A feed may not arrive behind the last ``advance`` cut: that
+    interval was already processed, so the request would be played
+    late and charged to the current admission window."""
+
+    @pytest.mark.parametrize("kernel", ["vector", "scalar"])
+    def test_arrival_behind_the_cut_raises(self, kernel):
+        with contextlib.ExitStack() as stack:
+            if kernel == "scalar":
+                stack.enter_context(admitpath.disabled())
+            session = make_player().session()
+            session.feed([0.0, 0.1, 0.5], [0, 1, 2])
+            session.advance(0.4)
+            with pytest.raises(ValueError,
+                               match=r"arrival 1 of the chunk .*behind"):
+                session.feed([0.45, 0.2], [3, 4])
+            # the refused chunk left nothing behind
+            assert len(session) == 3
+            _, played = session.drain()
+        assert sorted(played.index.tolist()) == [0, 1, 2]
+
+    @pytest.mark.parametrize("kernel", ["vector", "scalar"])
+    def test_arrival_at_the_cut_tolerance_is_accepted(self, kernel):
+        with contextlib.ExitStack() as stack:
+            if kernel == "scalar":
+                stack.enter_context(admitpath.disabled())
+            session = make_player().session()
+            session.feed([0.0, 0.1], [0, 1])
+            session.advance(0.4)
+            session.feed([0.4 - 1e-12, 0.4], [2, 3])
+            _, chunked = session.drain()
+            _, one_shot = make_player().play(
+                [0.0, 0.1, 0.4 - 1e-12, 0.4], [0, 1, 2, 3])
+        assert played_key(chunked) == played_key(one_shot)

@@ -244,7 +244,7 @@ def _driver_loop(alloc, schedule, arrivals, buckets):
         session.process_now(session.heap[0][0])
     t1 = time.perf_counter()
     if session.replay is not None:
-        session.replay.run()
+        session.replay.run(session._log)
     t2 = time.perf_counter()
     session._drained = True
     return session.played, t1 - t0, t2 - t0
