@@ -15,8 +15,10 @@ turns those obligations into tooling:
 ``repro.check.flow``
     A whole-program static analysis: taint from determinism sinks,
     seed provenance, parallel-cell pickle-safety and fault-contract
-    forwarding, gated by the committed ``FLOW_BASELINE.json`` and run
-    via ``python -m repro.check --all``.
+    forwarding, run via ``python -m repro.check --all``.  It reads the
+    same per-file facts as the linter
+    (:mod:`repro.check.flow.summary`), and the same pragmas waive its
+    findings.
 
 ``repro.check.sanitizers``
     Runtime invariant assertions -- flow conservation, event-ordering
@@ -29,26 +31,7 @@ turns those obligations into tooling:
     bit-identical serialized results.
 
 ``python -m repro.check`` runs the lot and emits a JSON report; see
-``docs/checking.md``.
+``docs/checking.md``.  The package itself imports nothing, so the hot
+paths' ``from repro.check import sanitizers`` does not load the
+analysis tooling.
 """
-
-from __future__ import annotations
-
-from repro.check.determinism import DeterminismProbe, determinism_probe
-from repro.check.lint import LintReport, Violation, lint_paths, lint_source
-from repro.check.report import CheckReport, run_checks
-from repro.check.rules import ALL_RULES, Rule, rule_catalog
-
-__all__ = [
-    "ALL_RULES",
-    "CheckReport",
-    "DeterminismProbe",
-    "LintReport",
-    "Rule",
-    "Violation",
-    "determinism_probe",
-    "lint_paths",
-    "lint_source",
-    "rule_catalog",
-    "run_checks",
-]

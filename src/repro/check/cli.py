@@ -5,8 +5,8 @@ whole-program flow analysis (``--all``) and the seeded
 double-execution determinism probe, and prints a summary in the
 requested ``--format``.  ``--sarif`` additionally writes the flow
 findings as a SARIF artefact for code-scanning upload.  Exit status 0
-iff everything passed; with ``--baseline check`` the flow section
-fails only on findings *not* recorded in the committed baseline.
+iff everything passed: any lint violation or flow finding that no
+``# repro: allow[...]`` pragma waives fails the run.
 """
 
 from __future__ import annotations
@@ -57,15 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="stdout format (sarif covers the flow findings only)")
     parser.add_argument(
-        "--baseline", choices=("write", "check"), default="check",
-        help="'check' (default) fails only on flow findings missing "
-             "from the baseline file; 'write' records the current "
-             "findings and exits 0")
-    parser.add_argument(
-        "--baseline-file", type=Path, default=None, metavar="PATH",
-        help="flow baseline location (default: FLOW_BASELINE.json "
-             "next to the source tree)")
-    parser.add_argument(
         "--sarif", type=Path, default=None, metavar="PATH",
         help="also write the flow findings as SARIF here")
     parser.add_argument(
@@ -97,22 +88,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         sanitizers.enable()
 
-    from repro.check.flow import default_baseline_path
-
-    baseline_file = args.baseline_file if args.baseline_file is not None \
-        else default_baseline_path(src)
     report = run_checks(src_root=src, probe_workloads=probes,
                         seed=args.seed, runs=args.runs,
-                        flow=args.run_all,
-                        flow_baseline=baseline_file)
-
-    if args.run_all and args.baseline == "write":
-        from repro.check.flow import Baseline
-
-        Baseline.from_findings(report.flow.findings).save(baseline_file)
-        if not args.quiet:
-            print(f"wrote {len(report.flow.findings)} finding(s) to "
-                  f"{baseline_file}")
+                        flow=args.run_all)
 
     if args.json is not None:
         payload = report.to_json()
@@ -123,11 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.sarif is not None or args.format == "sarif":
         from repro.check.flow import sarif_json
 
-        findings = report.flow.findings if report.flow else []
-        baselined = frozenset(f.fingerprint()
-                              for f in report.flow.baselined) \
-            if report.flow else frozenset()
-        sarif = sarif_json(findings, baselined)
+        sarif = sarif_json(report.flow.findings if report.flow else [])
         if args.sarif is not None:
             args.sarif.parent.mkdir(parents=True, exist_ok=True)
             args.sarif.write_text(sarif + "\n", encoding="utf-8")
@@ -138,8 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.format == "text" and not args.quiet:
         print(report.render())
 
-    if args.run_all and args.baseline == "write":
-        return 0
     return 0 if report.passed else 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["DeterminismProbe", "determinism_probe", "PROBE_WORKLOADS"]
 
@@ -325,7 +325,7 @@ def _admission_small(seed: int) -> str:
     from repro.experiments import faults as faults_exp
     from repro.faults import FaultModel, FaultSchedule
     from repro.flash import admitpath
-    from repro.flash.driver import OnlineTracePlayer, engine_tally
+    from repro.flash.driver import OnlineTracePlayer
     from repro.flash.params import FlashParams
 
     alloc = faults_exp.make_allocation("design", 9)
@@ -357,35 +357,35 @@ def _admission_small(seed: int) -> str:
                 for p in report.requests]
         return json.dumps([rows, report.n_failed, report.n_faulted])
 
-    def run_cells() -> Dict[str, str]:
+    def run_cells() -> Tuple[Dict[str, str], int]:
+        """Cell fingerprints, and how many cells stayed on the kernel."""
         out = {}
+        engaged = 0
         for name, arr, overflow, faults, reads in cells:
             player = OnlineTracePlayer(alloc, interval_ms=0.4,
                                        overflow=overflow,
                                        faults=faults)
             buckets = [i % alloc.n_buckets for i in range(len(arr))]
-            series, played = player.play(arr, buckets, reads=reads)
+            # session + feed + drain is exactly play(), and leaves the
+            # session to say which admission path it ended on
+            session = player.session()
+            session.feed(arr, buckets, reads=reads)
+            series, played = session.drain()
+            engaged += session.admission_kernel == "vector"
             params = player.params or FlashParams()
             guarantee = player.accesses * params.read_ms
             out[name] = fingerprint(
                 QoSReport(series, played, guarantee))
-        return out
+        return out, engaged
 
-    def on_kernel() -> int:
-        tally = engine_tally()
-        return tally.get("admission.vector", 0) - \
-            tally.get("admission.demoted", 0)
-
-    before = on_kernel()
-    vectorized = run_cells()
-    engaged = on_kernel() - before
+    vectorized, engaged = run_cells()
     if engaged < len(cells):
         raise ValueError(
             f"the vectorized admission kernel stayed engaged on only "
             f"{engaged}/{len(cells)} probe cells -- the on-vs-off "
             "comparison would be vacuous")
     with admitpath.disabled():
-        scalar = run_cells()
+        scalar, _ = run_cells()
     for name in vectorized:
         if vectorized[name] != scalar[name]:
             raise ValueError(

@@ -26,11 +26,13 @@ package closes the gap with an interprocedural static analysis over
      contracts must be forwarded to every callee that accepts them
      (:mod:`~repro.check.flow.contracts`);
 
-3. **reporting**: JSON, SARIF for code-scanning annotations
-   (:mod:`~repro.check.flow.sarif`), a committed baseline file and
-   ``# repro: allow[...]`` pragma integration, and an incremental
-   per-file-hash summary cache so the CI gate runs in seconds
-   (:mod:`~repro.check.flow.engine`).
+3. **reporting**: JSON and SARIF for code-scanning annotations
+   (:mod:`~repro.check.flow.sarif`); ``# repro: allow[...]`` line
+   pragmas are the one suppression mechanism, and any finding left
+   fails the gate (:mod:`~repro.check.flow.engine`).
+
+The per-file extraction is shared with the lint rules: one parse and
+one hazard table serve both.
 
 Run it via ``python -m repro.check --all``; see ``docs/checking.md``.
 """
@@ -40,10 +42,8 @@ from __future__ import annotations
 from repro.check.flow.config import PASS_CATALOG, PASS_IDS, FlowConfig
 from repro.check.flow.contracts import ContractFlowPass
 from repro.check.flow.engine import (ALL_PASSES, FlowReport, analyze,
-                                     build_model,
-                                     default_baseline_path,
-                                     default_cache_path)
-from repro.check.flow.findings import Baseline, Finding, TraceStep
+                                     build_model, run_passes)
+from repro.check.flow.findings import Finding, TraceStep
 from repro.check.flow.picklesafety import PickleSafetyPass
 from repro.check.flow.project import CallEdge, ProjectModel
 from repro.check.flow.sarif import sarif_json, to_sarif
@@ -53,7 +53,6 @@ from repro.check.flow.taint import TaintPass
 
 __all__ = [
     "ALL_PASSES",
-    "Baseline",
     "CallEdge",
     "ContractFlowPass",
     "Finding",
@@ -69,8 +68,7 @@ __all__ = [
     "TraceStep",
     "analyze",
     "build_model",
-    "default_baseline_path",
-    "default_cache_path",
+    "run_passes",
     "sarif_json",
     "summarize_source",
     "to_sarif",

@@ -1,26 +1,16 @@
-"""The analysis engine: incremental extraction, passes, reporting.
+"""The analysis engine: summaries in, passes run, one report out.
 
 ``analyze`` is the library entry point behind ``python -m repro.check
---all``: it walks the source tree, (re)extracts per-file summaries,
-builds the :class:`~repro.check.flow.project.ProjectModel` and runs
-the four registered passes.
-
-Incrementality: summaries are cached on disk keyed by each file's
-sha256 (plus the analyzer schema version and Python minor version).
-Extraction -- the only AST work -- is skipped for unchanged files, so
-a warm run is bounded by JSON deserialization and the interprocedural
-propagation itself, both of which are fast enough for a pre-commit
-hook; the acceptance test pins <10 s cold and <2 s warm on this tree.
-The cache is *content*-addressed per file: editing one module
-re-extracts one summary, and the propagation (which is global by
-nature) always re-runs over the full summary set, so results never go
-stale the way a per-file *result* cache would.
+--all``: it summarizes every file under the source tree
+(:func:`~repro.check.flow.summary.summarize_paths`), builds the
+:class:`~repro.check.flow.project.ProjectModel` and runs the four
+registered passes.  ``run_checks`` shares those summaries with the
+lint rules instead, so each file is parsed once per invocation, and
+calls :func:`run_passes` on the model directly.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,31 +18,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.flow.config import PASS_CATALOG, FlowConfig
 from repro.check.flow.contracts import ContractFlowPass
-from repro.check.flow.findings import Baseline, Finding
+from repro.check.flow.findings import Finding
 from repro.check.flow.picklesafety import PickleSafetyPass
 from repro.check.flow.project import ProjectModel
 from repro.check.flow.seedflow import SeedFlowPass
-from repro.check.flow.summary import ModuleSummary, summarize_source
+from repro.check.flow.summary import summarize_paths
 from repro.check.flow.taint import TaintPass
 
-__all__ = ["FlowReport", "analyze", "build_model", "ALL_PASSES",
-           "default_cache_path", "default_baseline_path"]
-
-#: bump when the summary schema or pass semantics change: stale cache
-#: entries must re-extract, not deserialize into garbage
-ANALYZER_VERSION = 2
+__all__ = ["FlowReport", "analyze", "build_model", "run_passes",
+           "ALL_PASSES"]
 
 ALL_PASSES = (TaintPass(), SeedFlowPass(), PickleSafetyPass(),
               ContractFlowPass())
-
-
-def default_cache_path() -> Path:
-    return Path(".benchmarks") / "flowcache.json"
-
-
-def default_baseline_path(src_root: Path) -> Path:
-    """``FLOW_BASELINE.json`` next to the source tree (repo root)."""
-    return Path(src_root).resolve().parent / "FLOW_BASELINE.json"
 
 
 @dataclass
@@ -60,19 +37,16 @@ class FlowReport:
     """Outcome of one whole-program analysis."""
 
     findings: List[Finding]
-    new_findings: List[Finding]
-    baselined: List[Finding]
     files_analyzed: int
-    files_reused: int
+    #: wall time of the passes (model resolution included)
     seconds: float
-    baseline_entries: int = 0
     passes: Tuple[str, ...] = field(
         default_factory=lambda: tuple(p.pass_id for p in ALL_PASSES))
 
     @property
     def clean(self) -> bool:
-        """True iff no *non-baselined* findings remain."""
-        return not self.new_findings
+        """True iff no finding survived its pragmas."""
+        return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -82,127 +56,42 @@ class FlowReport:
                  "rationale": PASS_CATALOG[pass_id][1]}
                 for pass_id in self.passes],
             "files_analyzed": self.files_analyzed,
-            "files_reused": self.files_reused,
             "seconds": round(self.seconds, 3),
-            "baseline_entries": self.baseline_entries,
-            "baselined": [f.to_dict() for f in self.baselined],
-            "findings": [f.to_dict() for f in self.new_findings],
+            "findings": [f.to_dict() for f in self.findings],
             "clean": self.clean,
         }
 
     def render(self) -> str:
-        lines = [f"  flow: {len(self.new_findings)} finding(s) "
-                 f"({len(self.baselined)} baselined) across "
-                 f"{self.files_analyzed} file(s), "
-                 f"{self.files_reused} summaries reused, "
-                 f"{self.seconds:.2f}s"]
-        for f in self.new_findings:
+        lines = [f"  flow: {len(self.findings)} finding(s) across "
+                 f"{self.files_analyzed} file(s), {self.seconds:.2f}s"]
+        for f in self.findings:
             for line in f.render().splitlines():
                 lines.append("    " + line)
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# summary cache
-# ---------------------------------------------------------------------------
-
-def _cache_token() -> str:
-    import sys
-
-    return (f"v{ANALYZER_VERSION}-py{sys.version_info[0]}."
-            f"{sys.version_info[1]}")
-
-
-def _load_cache(path: Path) -> Dict[str, Dict[str, object]]:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if data.get("token") != _cache_token():
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-def _save_cache(path: Path, files: Dict[str, Dict[str, object]]) -> None:
-    payload = {"token": _cache_token(),
-               "files": {k: files[k] for k in sorted(files)}}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")),
-                   encoding="utf-8")
-    tmp.replace(path)
-
-
-def _collect_summaries(src_root: Path, cache_path: Optional[Path],
-                       ) -> Tuple[List[ModuleSummary], int]:
-    """(summaries, reused_count); refreshes the on-disk cache."""
-    import hashlib
-
-    from repro.check.lint import iter_python_files, module_name_for
-
-    cached = _load_cache(cache_path) if cache_path else {}
-    next_cache: Dict[str, Dict[str, object]] = {}
-    summaries: List[ModuleSummary] = []
-    reused = 0
-    for path in iter_python_files(Path(src_root)):
-        raw = path.read_bytes()
-        digest = hashlib.sha256(raw).hexdigest()
-        try:
-            rel = str(path.relative_to(Path(src_root).parent))
-        except ValueError:  # pragma: no cover - root at fs top
-            rel = str(path)
-        entry = cached.get(rel)
-        if entry and entry.get("sha256") == digest:
-            summary = ModuleSummary.from_dict(entry["summary"])
-            reused += 1
-        else:
-            module = module_name_for(path, Path(src_root))
-            summary = summarize_source(
-                raw.decode("utf-8"), module=module, path=rel,
-                is_package=path.name == "__init__.py",
-                sha256=digest)
-        summaries.append(summary)
-        next_cache[rel] = {"sha256": digest,
-                           "summary": summary.to_dict()}
-    if cache_path is not None:
-        _save_cache(cache_path, next_cache)
-    return summaries, reused
-
-
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
-
-def build_model(src_root: Path,
-                cache_path: Optional[Path] = None) -> ProjectModel:
+def build_model(src_root: Path) -> ProjectModel:
     """Project model only (no passes) -- the test-fixture entry point."""
-    summaries, _ = _collect_summaries(Path(src_root), cache_path)
-    return ProjectModel(summaries)
+    return ProjectModel(list(summarize_paths(Path(src_root))))
 
 
-def analyze(src_root: Path,
-            config: Optional[FlowConfig] = None,
-            cache_path: Optional[Path] = None,
-            baseline: Optional[Baseline] = None,
-            passes: Optional[Sequence] = None) -> FlowReport:
-    """Run the whole-program analysis over ``src_root``.
-
-    ``cache_path=None`` disables the summary cache (tests);
-    ``baseline=None`` treats every finding as new.
-    """
+def run_passes(model: ProjectModel,
+               config: Optional[FlowConfig] = None,
+               passes: Optional[Sequence] = None) -> FlowReport:
+    """Run ``passes`` (default: all four) over a built model."""
     t0 = time.perf_counter()
-    summaries, reused = _collect_summaries(Path(src_root), cache_path)
-    model = ProjectModel(summaries)
     cfg = config if config is not None else FlowConfig()
     findings: List[Finding] = []
     for pass_obj in (passes if passes is not None else ALL_PASSES):
         findings.extend(pass_obj.run(model, cfg))
     findings.sort(key=Finding.sort_key)
-    base = baseline if baseline is not None else Baseline.empty()
-    new, old = base.split(findings)
-    return FlowReport(
-        findings=findings, new_findings=new, baselined=old,
-        files_analyzed=len(summaries), files_reused=reused,
-        seconds=time.perf_counter() - t0,
-        baseline_entries=len(base))
+    return FlowReport(findings=findings,
+                      files_analyzed=len(model.modules),
+                      seconds=time.perf_counter() - t0)
+
+
+def analyze(src_root: Path,
+            config: Optional[FlowConfig] = None,
+            passes: Optional[Sequence] = None) -> FlowReport:
+    """Run the whole-program analysis over ``src_root``."""
+    return run_passes(build_model(src_root), config, passes)

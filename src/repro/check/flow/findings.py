@@ -1,19 +1,15 @@
-"""Findings: what the dataflow passes report, and how it is suppressed.
+"""Findings: what the dataflow passes report.
 
 A :class:`Finding` is one violation of a whole-program property, anchored
 at a source location and optionally carrying the call-graph *trace* that
 explains it (for taint findings, the sink-to-source path).  Findings are
-value objects with a stable sort order and a content *fingerprint* used
-by the committed baseline file -- the fingerprint deliberately excludes
-the line number so that unrelated edits shifting code up or down do not
-churn the baseline.
+value objects with a stable sort order and a content *fingerprint* (the
+SARIF ``partialFingerprints`` entry) that deliberately excludes the line
+number, so code-scanning tracks a finding across edits that shift it.
 
-Suppression happens at two levels:
-
-* a ``# repro: allow[<pass-id>]`` pragma on the anchor line (or the line
-  above) silences one finding in place, exactly like the lint rules;
-* the baseline file (:class:`Baseline`) records fingerprints of known,
-  triaged findings so the CI gate fails only on *new* ones.
+The one suppression mechanism is the ``# repro: allow[<pass-id>]``
+pragma on the anchor line (or the line above), exactly like the lint
+rules; every finding that survives its pragmas fails the gate.
 """
 
 from __future__ import annotations
@@ -21,10 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
-__all__ = ["TraceStep", "Finding", "Baseline"]
+__all__ = ["TraceStep", "Finding"]
 
 
 @dataclass(frozen=True)
@@ -83,66 +78,3 @@ class Finding:
         for step in self.trace:
             lines.append(f"    via {step.render()}")
         return "\n".join(lines)
-
-
-class Baseline:
-    """The committed suppression file: fingerprints of triaged findings.
-
-    The workflow mirrors the golden snapshots: ``--baseline write``
-    records the current findings, review happens on the diff, and
-    ``--baseline check`` fails only when a finding's fingerprint is not
-    in the file.  An empty baseline therefore asserts the tree is clean.
-    """
-
-    SCHEMA_VERSION = 1
-
-    def __init__(self, entries: Dict[str, Dict[str, object]]):
-        self.entries = dict(entries)
-
-    @classmethod
-    def empty(cls) -> "Baseline":
-        return cls({})
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("schema_version") != cls.SCHEMA_VERSION:
-            raise ValueError(
-                f"baseline {path} has schema "
-                f"{data.get('schema_version')!r}, expected "
-                f"{cls.SCHEMA_VERSION}; regenerate with --baseline write")
-        return cls(data.get("findings", {}))
-
-    @classmethod
-    def from_findings(cls, findings: Sequence[Finding]) -> "Baseline":
-        entries = {}
-        for f in sorted(findings, key=Finding.sort_key):
-            entries[f.fingerprint()] = {
-                "pass": f.pass_id, "path": f.path,
-                "symbol": f.symbol, "message": f.message,
-            }
-        return cls(entries)
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "schema_version": self.SCHEMA_VERSION,
-            "tool": "repro.check.flow",
-            "findings": {k: self.entries[k]
-                         for k in sorted(self.entries)},
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, finding: Finding) -> bool:
-        return finding.fingerprint() in self.entries
-
-    def split(self, findings: Sequence[Finding],
-              ) -> Tuple[List[Finding], List[Finding]]:
-        """``(new, baselined)`` partition, both in stable order."""
-        new = [f for f in findings if f not in self]
-        old = [f for f in findings if f in self]
-        return new, old

@@ -1,12 +1,12 @@
 """The whole-program model: modules, symbols, and the call graph.
 
 Built purely from :class:`~repro.check.flow.summary.ModuleSummary`
-facts -- no import execution, no ASTs.  Name resolution is the
+facts -- no import execution, no AST walks.  Name resolution is the
 approximate-but-honest kind a determinism audit needs:
 
 * import bindings are followed through re-export chains (``from
-  repro.check import lint_paths`` resolves through ``repro/check/
-  __init__.py`` to the defining module), with a cycle guard;
+  repro.check.flow import analyze`` resolves through ``repro/check/
+  flow/__init__.py`` to the defining module), with a cycle guard;
 * ``self.method()`` / ``cls.method()`` resolve within the enclosing
   class, then through resolvable base classes;
 * ``Class(...)`` resolves to ``Class.__init__`` when one is defined,

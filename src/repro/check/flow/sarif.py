@@ -11,14 +11,12 @@ paths).
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.check.flow.config import PASS_CATALOG, PASS_IDS
 from repro.check.flow.findings import Finding
 
 __all__ = ["to_sarif", "sarif_json"]
-
-_NO_FINGERPRINTS: FrozenSet[str] = frozenset()
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
@@ -38,8 +36,7 @@ def _location(path: str, line: int,
     return loc
 
 
-def _result(finding: Finding,
-            baselined: FrozenSet[str]) -> Dict[str, object]:
+def _result(finding: Finding) -> Dict[str, object]:
     result: Dict[str, object] = {
         "ruleId": finding.pass_id,
         "level": "error",
@@ -49,11 +46,6 @@ def _result(finding: Finding,
             "reproFlow/v1": finding.fingerprint(),
         },
     }
-    if finding.fingerprint() in baselined:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "baselined in FLOW_BASELINE.json",
-        }]
     if finding.trace:
         result["codeFlows"] = [{
             "threadFlows": [{
@@ -68,15 +60,8 @@ def _result(finding: Finding,
     return result
 
 
-def to_sarif(findings: Sequence[Finding],
-             baselined: FrozenSet[str] = _NO_FINGERPRINTS,
-             ) -> Dict[str, object]:
-    """The SARIF log document for one analysis run.
-
-    ``baselined`` holds fingerprints of triaged findings; matching
-    results carry an external ``suppression`` so code-scanning shows
-    them resolved instead of re-announcing them on every push.
-    """
+def to_sarif(findings: Sequence[Finding]) -> Dict[str, object]:
+    """The SARIF log document for one analysis run."""
     rules: List[Dict[str, object]] = []
     for pass_id in PASS_IDS:
         title, rationale = PASS_CATALOG[pass_id]
@@ -98,13 +83,11 @@ def to_sarif(findings: Sequence[Finding],
                     "rules": rules,
                 },
             },
-            "results": [_result(f, baselined) for f in findings],
+            "results": [_result(f) for f in findings],
             "columnKind": "utf16CodeUnits",
         }],
     }
 
 
-def sarif_json(findings: Sequence[Finding],
-               baselined: FrozenSet[str] = _NO_FINGERPRINTS) -> str:
-    return json.dumps(to_sarif(findings, baselined), indent=2,
-                      sort_keys=True)
+def sarif_json(findings: Sequence[Finding]) -> str:
+    return json.dumps(to_sarif(findings), indent=2, sort_keys=True)

@@ -21,7 +21,7 @@ Parameter-derived seeds -- including ``self.seed`` attributes and
 locals computed from parameters (``seed ^ 0x5EED``, spawned
 sequences) -- pass.  ``seed_from == "other"`` (locals of unknown
 provenance) is deliberately not flagged: the goal is zero noisy
-findings, enforced by the empty committed baseline.
+findings, since every finding fails the gate.
 
 Suppress a deliberate fixed stream with ``# repro: allow[seed-flow]``.
 """

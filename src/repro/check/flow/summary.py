@@ -1,16 +1,19 @@
-"""Per-file fact extraction: one AST walk, one plain-data summary.
+"""Per-file fact extraction: one parse, one AST walk, one summary.
 
-The interprocedural passes never touch an AST.  Each source file is
-reduced -- once, and cached by content hash -- to a
-:class:`ModuleSummary`: import bindings, the symbol table of top-level
-functions/classes, and for every function a :class:`FunctionSummary`
-holding its call sites, nondeterminism source facts, RNG constructions
-(with a local seed-provenance classification) and pickle hazards.
+This is the only code in :mod:`repro.check` that decides whether a
+call or loop is a determinism hazard.  Each source file is parsed once
+and reduced to a :class:`ModuleSummary`: import bindings, the symbol
+table of top-level functions/classes, the line pragmas, and for every
+function a :class:`FunctionSummary` holding its call sites,
+nondeterminism source facts, RNG constructions (with a local
+seed-provenance classification) and pickle hazards.
 
-Summaries are deliberately *plain data* (tuples, strings, ints) so
-they round-trip through JSON -- that is what makes the incremental
-result cache (:mod:`repro.check.flow.engine`) possible: a warm run
-deserializes summaries for unchanged files instead of re-parsing them.
+Both consumers read the same facts.  The lint rules
+(:mod:`repro.check.rules`) filter a module's source facts
+(:class:`SourceFact`) by kind and package scope; the interprocedural passes
+(:mod:`repro.check.flow`) follow them through the call graph.  The
+summary keeps the parsed tree, so the lint rules that inspect syntax
+directly run on it without a second parse.
 
 Nesting is flattened: facts inside nested functions, lambdas and
 comprehensions are folded into the enclosing top-level function (or
@@ -21,26 +24,35 @@ analysis wants.
 from __future__ import annotations
 
 import ast
-import hashlib
+import re
+import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from io import StringIO
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["CallSite", "SourceFact", "RngConstruction",
            "FunctionSummary", "ImportBinding", "ClassInfo",
-           "ModuleSummary", "summarize_source", "MODULE_BODY"]
+           "ModuleSummary", "summarize_source", "summarize_paths",
+           "MODULE_BODY"]
 
 #: pseudo-function name for module-level code
 MODULE_BODY = "<module>"
 
-#: dotted names whose *call* reads the host clock
-_WALL_CLOCK = {
-    ("time", "time"), ("time", "time_ns"),
-    ("time", "monotonic"), ("time", "monotonic_ns"),
-    ("time", "perf_counter"), ("time", "perf_counter_ns"),
-    ("time", "process_time"), ("time", "process_time_ns"),
-    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
-    ("date", "today"),
-}
+#: ``# repro: allow[rule-a,rule-b]`` or ``# repro: allow[*]``
+_PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([\w\-*,\s]+)\]")
+
+#: ``time`` functions that read the host clock -> True when the clock
+#: is also wrong for measuring durations (adjustable wall time, coarse
+#: monotonic); ``perf_counter``/``process_time`` are the duration clocks
+_TIME_FNS = {"time": True, "time_ns": True,
+             "monotonic": True, "monotonic_ns": True,
+             "perf_counter": False, "perf_counter_ns": False,
+             "process_time": False, "process_time_ns": False}
+
+#: ``datetime``/``date`` constructors that read the adjustable wall clock
+_DATETIME_FNS = {"now", "utcnow", "today"}
+_DATETIME_OWNERS = {"datetime", "date"}
 
 _NUMPY_ALIASES = {"np", "numpy"}
 
@@ -65,6 +77,13 @@ _RNG_CONSTRUCTORS = {
     ("SeedSequence",): "SeedSequence",
 }
 
+#: builtins whose result carries the order of their first argument
+_ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "next",
+                          "zip"}
+
+_SET_METHODS = {"union", "intersection", "difference",
+                "symmetric_difference"}
+
 
 def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
     """``a.b.c`` as ``("a", "b", "c")``; None for anything richer."""
@@ -76,6 +95,63 @@ def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
         parts.append(node.id)
         return tuple(reversed(parts))
     return None
+
+
+def _is_unordered_set(node: ast.AST) -> bool:
+    """Syntactic witness that ``node`` evaluates to a set."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) \
+                and node.func.id in {"set", "frozenset"}:
+            return True
+        if isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _SET_METHODS \
+                and _is_unordered_set(node.func.value):
+            return True
+    if isinstance(node, ast.BinOp) \
+            and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub,
+                                     ast.BitXor)):
+        return _is_unordered_set(node.left) or _is_unordered_set(node.right)
+    return False
+
+
+def _clock_read(dotted: Tuple[str, ...]) -> Optional[bool]:
+    """None unless the call reads a host clock; else whether that
+    clock is also the wrong one for measuring a duration."""
+    n = len(dotted)
+    if n < 2:
+        return None
+    head, owner, name = dotted[0], dotted[-2], dotted[-1]
+    if owner == "time" and n <= 3 and name in _TIME_FNS:
+        return _TIME_FNS[name] and n == 2
+    if name in _DATETIME_FNS and (head in _DATETIME_OWNERS
+                                  or (owner in _DATETIME_OWNERS
+                                      and n <= 3)):
+        return owner in _DATETIME_OWNERS
+    return None
+
+
+def _collect_pragmas(source: str) -> Dict[int, Tuple[str, ...]]:
+    """Map line numbers to the rule/pass ids their pragmas waive.
+
+    Pragmas are read from real COMMENT tokens so that pragma-shaped
+    text inside string literals does not waive anything.
+    """
+    allowed: Dict[int, Set[str]] = {}
+    try:
+        for tok in tokenize.generate_tokens(StringIO(source).readline):
+            if tok.type != tokenize.COMMENT:
+                continue
+            match = _PRAGMA_RE.search(tok.string)
+            if not match:
+                continue
+            ids = {part.strip() for part in match.group(1).split(",")
+                   if part.strip()}
+            allowed.setdefault(tok.start[0], set()).update(ids)
+    except tokenize.TokenError:  # pragma: no cover - unparsable file
+        pass
+    return {line: tuple(sorted(ids)) for line, ids in allowed.items()}
 
 
 @dataclass(frozen=True)
@@ -98,50 +174,18 @@ class CallSite:
     def keyword_names(self) -> Tuple[str, ...]:
         return tuple(k for k, _ in self.keywords)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "callee": list(self.callee), "line": self.line,
-            "n_pos": self.n_pos,
-            "pos_dotted": [list(d) if d else None
-                           for d in self.pos_dotted],
-            "keywords": [[k, list(v) if v else None]
-                         for k, v in self.keywords],
-            "has_star_kwargs": self.has_star_kwargs,
-            "pos_hazards": [list(h) for h in self.pos_hazards],
-            "kw_hazards": [[k, list(h)] for k, h in self.kw_hazards],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "CallSite":
-        return cls(
-            callee=tuple(d["callee"]), line=int(d["line"]),
-            n_pos=int(d["n_pos"]),
-            pos_dotted=tuple(tuple(x) if x else None
-                             for x in d["pos_dotted"]),
-            keywords=tuple((k, tuple(v) if v else None)
-                           for k, v in d["keywords"]),
-            has_star_kwargs=bool(d["has_star_kwargs"]),
-            pos_hazards=tuple(tuple(h) for h in d["pos_hazards"]),
-            kw_hazards=tuple((k, tuple(h)) for k, h in d["kw_hazards"]),
-        )
-
 
 @dataclass(frozen=True)
 class SourceFact:
     """A syntactic witness of nondeterminism inside a function."""
 
-    kind: str  # wall-clock | unseeded-rng | set-iteration | builtin-hash
+    #: wall-clock | duration-clock | unseeded-rng | global-rng-seed |
+    #: set-iteration | builtin-hash -- the ids of the lint rules that
+    #: report them; a ``duration-clock`` fact always shares its call
+    #: with a ``wall-clock`` fact
+    kind: str
     line: int
     detail: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "line": self.line,
-                "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "SourceFact":
-        return cls(kind=str(d["kind"]), line=int(d["line"]),
-                   detail=str(d["detail"]))
 
 
 @dataclass(frozen=True)
@@ -164,16 +208,6 @@ class RngConstruction:
     line: int
     seed_from: str
     detail: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "line": self.line,
-                "seed_from": self.seed_from, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "RngConstruction":
-        return cls(kind=str(d["kind"]), line=int(d["line"]),
-                   seed_from=str(d["seed_from"]),
-                   detail=str(d["detail"]))
 
 
 @dataclass(frozen=True)
@@ -199,36 +233,6 @@ class FunctionSummary:
     def local_type_map(self) -> Dict[str, Tuple[str, ...]]:
         return dict(self.local_types)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname, "line": self.line,
-            "params": list(self.params),
-            "has_kwargs": self.has_kwargs,
-            "is_method": self.is_method,
-            "calls": [c.to_dict() for c in self.calls],
-            "sources": [s.to_dict() for s in self.sources],
-            "rngs": [r.to_dict() for r in self.rngs],
-            "local_defs": list(self.local_defs),
-            "local_types": [[n, list(t)] for n, t in self.local_types],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(d["qualname"]), line=int(d["line"]),
-            params=tuple(d["params"]),
-            has_kwargs=bool(d["has_kwargs"]),
-            is_method=bool(d["is_method"]),
-            calls=tuple(CallSite.from_dict(c) for c in d["calls"]),
-            sources=tuple(SourceFact.from_dict(s)
-                          for s in d["sources"]),
-            rngs=tuple(RngConstruction.from_dict(r)
-                       for r in d["rngs"]),
-            local_defs=tuple(d["local_defs"]),
-            local_types=tuple((n, tuple(t))
-                              for n, t in d["local_types"]),
-        )
-
 
 @dataclass(frozen=True)
 class ImportBinding:
@@ -238,15 +242,6 @@ class ImportBinding:
     module: str
     symbol: Optional[str]  # None for a plain module import
     line: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"local": self.local, "module": self.module,
-                "symbol": self.symbol, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ImportBinding":
-        return cls(local=str(d["local"]), module=str(d["module"]),
-                   symbol=d["symbol"], line=int(d["line"]))
 
 
 @dataclass(frozen=True)
@@ -266,31 +261,13 @@ class ClassInfo:
     def attr_type_map(self) -> Dict[str, Tuple[str, ...]]:
         return dict(self.attr_types)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "line": self.line,
-                "bases": [list(b) for b in self.bases],
-                "fields": list(self.fields),
-                "methods": list(self.methods),
-                "attr_types": [[n, list(t)]
-                               for n, t in self.attr_types]}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ClassInfo":
-        return cls(name=str(d["name"]), line=int(d["line"]),
-                   bases=tuple(tuple(b) for b in d["bases"]),
-                   fields=tuple(d["fields"]),
-                   methods=tuple(d["methods"]),
-                   attr_types=tuple((n, tuple(t))
-                                    for n, t in d["attr_types"]))
-
 
 @dataclass
 class ModuleSummary:
-    """The complete per-file fact base, JSON-round-trippable."""
+    """The complete per-file fact base."""
 
     module: str
     path: str
-    sha256: str
     imports: Tuple[ImportBinding, ...]
     functions: Tuple[FunctionSummary, ...]
     classes: Tuple[ClassInfo, ...]
@@ -299,46 +276,20 @@ class ModuleSummary:
     #: module-level names bound to constants
     constants: Tuple[str, ...]
     #: pragma line -> waived ids
-    pragmas: Tuple[Tuple[int, Tuple[str, ...]], ...]
+    pragmas: Dict[int, Tuple[str, ...]]
+    #: the parsed module, for the lint rules that read syntax directly
+    tree: ast.Module = field(repr=False, compare=False)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "module": self.module, "path": self.path,
-            "sha256": self.sha256,
-            "imports": [i.to_dict() for i in self.imports],
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-            "aliases": [[n, list(t)] for n, t in self.aliases],
-            "constants": list(self.constants),
-            "pragmas": [[line, list(ids)]
-                        for line, ids in self.pragmas],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ModuleSummary":
-        return cls(
-            module=str(d["module"]), path=str(d["path"]),
-            sha256=str(d["sha256"]),
-            imports=tuple(ImportBinding.from_dict(i)
-                          for i in d["imports"]),
-            functions=tuple(FunctionSummary.from_dict(f)
-                            for f in d["functions"]),
-            classes=tuple(ClassInfo.from_dict(c)
-                          for c in d["classes"]),
-            aliases=tuple((n, tuple(t)) for n, t in d["aliases"]),
-            constants=tuple(d["constants"]),
-            pragmas=tuple((int(line), tuple(ids))
-                          for line, ids in d["pragmas"]),
-        )
-
-    def pragma_map(self) -> Dict[int, Tuple[str, ...]]:
-        return dict(self.pragmas)
+    def facts(self) -> Iterator[SourceFact]:
+        """Every source fact in the module, function by function."""
+        for fn in self.functions:
+            yield from fn.sources
 
     def is_allowed(self, ids: Tuple[str, ...], line: int) -> bool:
-        """True if any of ``ids`` (or ``*``) is waived on ``line``."""
-        pragmas = self.pragma_map()
+        """True if any of ``ids`` (or ``*``) is waived on ``line``
+        or on the line directly above it."""
         for candidate in (line, line - 1):
-            waived = pragmas.get(candidate)
+            waived = self.pragmas.get(candidate)
             if waived and ("*" in waived
                            or any(i in waived for i in ids)):
                 return True
@@ -593,28 +544,38 @@ class _Extractor(ast.NodeVisitor):
                 and any(n in collector.derived
                         for n in _names_in(node.iter)):
             collector.derived.update(_assign_targets(node.target))
-        self._check_set_iteration(node)
+        if _is_unordered_set(node.iter):
+            self._fact("set-iteration", node.lineno,
+                       "for-loop over an unordered set")
         self.generic_visit(node)
+
+    def _visit_comprehension(self, node) -> None:
+        for gen in node.generators:
+            if _is_unordered_set(gen.iter):
+                self._fact("set-iteration", node.lineno,
+                           "comprehension over an unordered set")
+        self.generic_visit(node)
+
+    # building another *set* from a set is order-free: no visit_SetComp
+    visit_ListComp = _visit_comprehension
+    visit_GeneratorExp = _visit_comprehension
+    visit_DictComp = _visit_comprehension
 
     # -- facts ----------------------------------------------------------
     def _sink_collector(self) -> _FunctionCollector:
         return self._collector if self._collector is not None \
             else self._module_collector
 
-    def _check_set_iteration(self, node: ast.For) -> None:
-        from repro.check.rules.ordering import _is_unordered_set
-
-        if _is_unordered_set(node.iter):
-            self._sink_collector().sources.append(SourceFact(
-                kind="set-iteration", line=node.lineno,
-                detail="for-loop over an unordered set"))
+    def _fact(self, kind: str, line: int, detail: str) -> None:
+        self._sink_collector().sources.append(
+            SourceFact(kind=kind, line=line, detail=detail))
 
     def visit_Call(self, node: ast.Call) -> None:
-        collector = self._sink_collector()
         dotted = _dotted(node.func)
         if dotted is not None:
+            collector = self._sink_collector()
             self._record_call(collector, node, dotted)
-            self._record_sources(collector, node, dotted)
+            self._record_sources(node, dotted)
             self._record_rng(collector, node, dotted)
         self.generic_visit(node)
 
@@ -638,39 +599,41 @@ class _Extractor(ast.NodeVisitor):
             has_star_kwargs=has_star, pos_hazards=pos_hazards,
             kw_hazards=kw_hazards))
 
-    def _record_sources(self, collector: _FunctionCollector,
-                        node: ast.Call,
+    def _record_sources(self, node: ast.Call,
                         dotted: Tuple[str, ...]) -> None:
         line = node.lineno
         name = ".".join(dotted)
-        if len(dotted) >= 2 and (dotted[-2], dotted[-1]) in _WALL_CLOCK \
-                and len(dotted) <= 3:
-            collector.sources.append(SourceFact(
-                kind="wall-clock", line=line,
-                detail=f"{name}() reads the host clock"))
+        clock = _clock_read(dotted)
+        if clock is not None:
+            self._fact("wall-clock", line, f"{name}() reads the host clock")
+            if clock:
+                self._fact("duration-clock", line,
+                           f"{name}() is the wrong clock for durations")
+        elif dotted == ("random", "seed") \
+                or (len(dotted) == 3 and dotted[0] in _NUMPY_ALIASES
+                    and dotted[1:] == ("random", "seed")):
+            self._fact("global-rng-seed", line,
+                       f"{name}(...) mutates process-global RNG state")
         elif len(dotted) == 3 and dotted[0] in _NUMPY_ALIASES \
                 and dotted[1] == "random":
             if dotted[2] == "default_rng" and not node.args \
                     and not node.keywords:
-                collector.sources.append(SourceFact(
-                    kind="unseeded-rng", line=line,
-                    detail="default_rng() without a seed"))
-            elif dotted[2] not in _NP_RANDOM_OK and dotted[2] != "seed":
-                collector.sources.append(SourceFact(
-                    kind="unseeded-rng", line=line,
-                    detail=f"{name} uses the hidden global "
-                           f"RandomState"))
+                self._fact("unseeded-rng", line,
+                           "default_rng() without a seed")
+            elif dotted[2] not in _NP_RANDOM_OK:
+                self._fact("unseeded-rng", line,
+                           f"{name} uses the hidden global RandomState")
         elif len(dotted) == 2 and dotted[0] == "random" \
                 and dotted[1] in _STDLIB_RANDOM_FNS:
-            collector.sources.append(SourceFact(
-                kind="unseeded-rng", line=line,
-                detail=f"{name} draws from the process-global "
-                       f"Twister"))
+            self._fact("unseeded-rng", line,
+                       f"{name} draws from the process-global Twister")
         elif dotted in (("id",), ("hash",)):
-            collector.sources.append(SourceFact(
-                kind="builtin-hash", line=line,
-                detail=f"{dotted[0]}() is process-salted / "
-                       f"address-derived"))
+            self._fact("builtin-hash", line,
+                       f"{name}() is process-salted / address-derived")
+        elif len(dotted) == 1 and dotted[0] in _ORDER_SENSITIVE_CALLS \
+                and node.args and _is_unordered_set(node.args[0]):
+            self._fact("set-iteration", line,
+                       f"{name}() materialises set order")
 
     def _record_rng(self, collector: _FunctionCollector,
                     node: ast.Call, dotted: Tuple[str, ...]) -> None:
@@ -720,27 +683,41 @@ class _Extractor(ast.NodeVisitor):
 
 
 def summarize_source(source: str, *, module: str, path: str,
-                     is_package: bool = False,
-                     sha256: Optional[str] = None) -> ModuleSummary:
-    """Extract the :class:`ModuleSummary` of one source string."""
-    from repro.check.lint import _collect_pragmas
-
+                     is_package: bool = False) -> ModuleSummary:
+    """Parse one source string and extract its :class:`ModuleSummary`."""
     tree = ast.parse(source, filename=path)
     extractor = _Extractor(module)
     extractor._is_package = is_package
     extractor.visit(tree)
     functions = list(extractor.functions)
     functions.append(extractor._module_collector.finish())
-    digest = sha256 if sha256 is not None else \
-        hashlib.sha256(source.encode("utf-8")).hexdigest()
-    pragmas = tuple(sorted(
-        (line, tuple(sorted(ids)))
-        for line, ids in _collect_pragmas(source).items()))
     return ModuleSummary(
-        module=module, path=path, sha256=digest,
+        module=module, path=path,
         imports=tuple(extractor.imports),
         functions=tuple(functions),
         classes=tuple(extractor.classes),
         aliases=tuple(extractor.aliases),
         constants=tuple(extractor.constants),
-        pragmas=pragmas)
+        pragmas=_collect_pragmas(source),
+        tree=tree)
+
+
+def summarize_paths(src_root: Path) -> Iterator[ModuleSummary]:
+    """Summaries of every ``.py`` file under ``src_root``, in path order.
+
+    ``src_root`` is the directory *containing* the top-level package
+    (e.g. ``src``), so ``src/repro/sim/core.py`` is module
+    ``repro.sim.core``; paths are reported relative to the parent of
+    ``src_root`` (``src/repro/sim/core.py``).
+    """
+    root = Path(src_root).resolve()
+    paths = sorted(p for p in root.rglob("*.py")
+                   if "__pycache__" not in p.parts)
+    for path in paths:
+        parts = list(path.relative_to(root).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        yield summarize_source(
+            path.read_text(encoding="utf-8"), module=".".join(parts),
+            path=str(path.relative_to(root.parent)),
+            is_package=path.name == "__init__.py")

@@ -1,9 +1,14 @@
-"""The lint engine: parse, run rules, honour allowlist pragmas.
+"""The lint engine: run the rules over one module summary each.
 
 A rule flags *syntactic* witnesses of the property it protects -- it
-never executes the code under test.  False positives are expected to be
-rare and are silenced in place with an allowlist pragma on the offending
-line (or the line directly above it)::
+never executes the code under test.  The hazard facts come from the
+one extractor, :func:`repro.check.flow.summary.summarize_source`, which
+also keeps the parsed tree for the rules that read syntax directly; so
+linting and the flow analysis share one parse per file.
+
+False positives are expected to be rare and are silenced in place with
+an allowlist pragma on the offending line (or the line directly above
+it)::
 
     t = time.time()  # repro: allow[wall-clock]
 
@@ -17,20 +22,15 @@ package-level opt-out would defeat the point of review-time checking.
 
 from __future__ import annotations
 
-import ast
-import re
-import tokenize
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence
 
-__all__ = ["Violation", "LintContext", "LintReport",
-           "lint_source", "lint_paths", "iter_python_files",
-           "module_name_for"]
+from repro.check.flow.summary import (ModuleSummary, summarize_paths,
+                                      summarize_source)
 
-#: ``# repro: allow[rule-a,rule-b]`` or ``# repro: allow[*]``
-_PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([\w\-*,\s]+)\]")
+__all__ = ["Violation", "LintReport", "lint_source", "lint_summaries",
+           "lint_paths"]
 
 
 @dataclass(frozen=True)
@@ -51,36 +51,6 @@ class Violation:
 
 
 @dataclass
-class LintContext:
-    """Everything a rule needs to inspect one file."""
-
-    path: str
-    module: str
-    source: str
-    tree: ast.AST
-    #: line number -> rule ids waived on that line ("*" waives all)
-    allowed: Dict[int, Set[str]] = field(default_factory=dict)
-
-    def is_allowed(self, rule_id: str, line: int) -> bool:
-        """True if ``rule_id`` is waived on ``line`` (or the line above)."""
-        for candidate in (line, line - 1):
-            ids = self.allowed.get(candidate)
-            if ids and ("*" in ids or rule_id in ids):
-                return True
-        return False
-
-    def in_package(self, prefixes: Optional[Sequence[str]]) -> bool:
-        """True if this module falls under one of ``prefixes``.
-
-        ``None`` means the rule applies everywhere.
-        """
-        if prefixes is None:
-            return True
-        return any(self.module == p or self.module.startswith(p + ".")
-                   for p in prefixes)
-
-
-@dataclass
 class LintReport:
     """Outcome of linting a set of files."""
 
@@ -98,80 +68,40 @@ class LintReport:
         return "\n".join(lines)
 
 
-def _collect_pragmas(source: str) -> Dict[int, Set[str]]:
-    """Map line numbers to the rule ids their pragmas waive.
+def _lint_module(summary: ModuleSummary, rules=None) -> List[Violation]:
+    """Every unwaived rule hit in one summarized module."""
+    from repro.check.rules import ALL_RULES
 
-    Pragmas are read from real COMMENT tokens so that pragma-shaped
-    text inside string literals does not waive anything.
-    """
-    allowed: Dict[int, Set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _PRAGMA_RE.search(tok.string)
-            if not match:
-                continue
-            ids = {part.strip() for part in match.group(1).split(",")
-                   if part.strip()}
-            allowed.setdefault(tok.start[0], set()).update(ids)
-    except tokenize.TokenError:  # pragma: no cover - unparsable file
-        pass
-    return allowed
+    out: List[Violation] = []
+    for rule in (rules if rules is not None else ALL_RULES):
+        if not rule.applies_to(summary.module):
+            continue
+        for violation in rule.check(summary):
+            if not summary.is_allowed((violation.rule_id,),
+                                      violation.line):
+                out.append(violation)
+    out.sort(key=lambda v: (v.line, v.rule_id))
+    return out
 
 
 def lint_source(source: str, *, path: str = "<string>",
                 module: str = "repro", rules=None) -> List[Violation]:
     """Lint one source string; the unit used by the rule tests."""
-    from repro.check.rules import ALL_RULES
-
-    tree = ast.parse(source, filename=path)
-    ctx = LintContext(path=path, module=module, source=source, tree=tree,
-                      allowed=_collect_pragmas(source))
-    out: List[Violation] = []
-    for rule in (rules if rules is not None else ALL_RULES):
-        if not ctx.in_package(rule.scope):
-            continue
-        for violation in rule.check(ctx):
-            if not ctx.is_allowed(violation.rule_id, violation.line):
-                out.append(violation)
-    out.sort(key=lambda v: (v.path, v.line, v.rule_id))
-    return out
+    return _lint_module(
+        summarize_source(source, module=module, path=path), rules)
 
 
-def module_name_for(path: Path, root: Path) -> str:
-    """Dotted module name of ``path`` relative to the source ``root``.
-
-    ``root`` is the directory *containing* the top-level package (e.g.
-    ``src``), so ``src/repro/sim/core.py`` maps to ``repro.sim.core``.
-    """
-    rel = path.resolve().relative_to(root.resolve())
-    parts = list(rel.with_suffix("").parts)
-    if parts and parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
-
-
-def iter_python_files(root: Path) -> Iterable[Path]:
-    """All ``.py`` files under ``root``, sorted for stable reports."""
-    return sorted(p for p in root.rglob("*.py")
-                  if "__pycache__" not in p.parts)
+def lint_summaries(summaries: Sequence[ModuleSummary],
+                   rules=None) -> LintReport:
+    """Lint already-summarized files (one report, stable order)."""
+    violations: List[Violation] = []
+    for summary in summaries:
+        violations.extend(_lint_module(summary, rules))
+    violations.sort(key=lambda v: (v.path, v.line, v.rule_id))
+    return LintReport(violations=violations,
+                      files_checked=len(summaries))
 
 
 def lint_paths(src_root: Path, rules=None) -> LintReport:
     """Lint every Python file under ``src_root`` (e.g. ``src/``)."""
-    violations: List[Violation] = []
-    count = 0
-    for path in iter_python_files(src_root):
-        count += 1
-        module = module_name_for(path, src_root)
-        source = path.read_text(encoding="utf-8")
-        try:
-            rel = str(path.relative_to(src_root.parent))
-        except ValueError:  # pragma: no cover - root at filesystem top
-            rel = str(path)
-        violations.extend(
-            lint_source(source, path=rel, module=module, rules=rules))
-    violations.sort(key=lambda v: (v.path, v.line, v.rule_id))
-    return LintReport(violations=violations, files_checked=count)
+    return lint_summaries(list(summarize_paths(src_root)), rules)

@@ -12,14 +12,16 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.check.determinism import DeterminismProbe, determinism_probe
-from repro.check.flow.engine import FlowReport
-from repro.check.lint import LintReport, lint_paths
+from repro.check.flow.engine import FlowReport, run_passes
+from repro.check.flow.project import ProjectModel
+from repro.check.flow.summary import summarize_paths
+from repro.check.lint import LintReport, lint_summaries
 from repro.check.rules import rule_catalog
 
 __all__ = ["CheckReport", "run_checks", "default_src_root"]
 
 #: report format version, bumped on breaking JSON changes
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -85,10 +87,12 @@ def default_src_root() -> Path:
 def run_checks(src_root: Optional[Path] = None,
                probe_workloads: Optional[List[str]] = None,
                seed: int = 0, runs: int = 2,
-               flow: bool = False,
-               flow_baseline: Optional[Path] = None,
-               flow_cache: Optional[Path] = None) -> CheckReport:
+               flow: bool = False) -> CheckReport:
     """Lint the tree, optionally flow-analyze it, and run the probes.
+
+    The tree is walked once and each file parsed once: the same
+    summaries feed the lint rules and, with ``flow``, the
+    whole-program passes.
 
     Parameters
     ----------
@@ -101,29 +105,11 @@ def run_checks(src_root: Optional[Path] = None,
         disables probing, ``None`` runs the default (``fig8``).
     flow:
         Run the whole-program analysis (:mod:`repro.check.flow`).
-    flow_baseline:
-        Baseline file for the flow findings; defaults to
-        ``FLOW_BASELINE.json`` next to ``src_root``.  A missing file
-        is an empty baseline (the tree must be clean).
-    flow_cache:
-        Summary-cache path (``None`` uses the default under
-        ``.benchmarks/``; pass a tempdir path in tests).
     """
     root = Path(src_root) if src_root is not None else default_src_root()
-    lint = lint_paths(root)
-    flow_report: Optional[FlowReport] = None
-    if flow:
-        from repro.check.flow import (Baseline, analyze,
-                                      default_baseline_path,
-                                      default_cache_path)
-
-        bpath = flow_baseline if flow_baseline is not None \
-            else default_baseline_path(root)
-        base = Baseline.load(bpath) if Path(bpath).is_file() \
-            else Baseline.empty()
-        cpath = flow_cache if flow_cache is not None \
-            else default_cache_path()
-        flow_report = analyze(root, cache_path=cpath, baseline=base)
+    summaries = list(summarize_paths(root))
+    lint = lint_summaries(summaries)
+    flow_report = run_passes(ProjectModel(summaries)) if flow else None
     names = ["fig8"] if probe_workloads is None else probe_workloads
     probes = [determinism_probe(name, seed=seed, runs=runs)
               for name in names]

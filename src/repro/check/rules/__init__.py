@@ -1,6 +1,6 @@
 """The lint rule catalog.
 
-Rules are small AST visitors grouped by the invariant they protect:
+Rules are grouped by the invariant they protect:
 
 * :mod:`repro.check.rules.determinism` -- seeded randomness and no
   wall-clock reads inside simulation-critical packages;
@@ -13,17 +13,21 @@ Rules are small AST visitors grouped by the invariant they protect:
 
 Every rule has a stable kebab-case ``rule_id`` (the pragma key), a
 one-line ``title``, a ``rationale`` and a ``scope`` -- the package
-prefixes it applies to (``None`` = all of ``repro``).
+prefixes it applies to (``None`` = all of ``repro``).  A
+:class:`FactRule` decides nothing itself: it reports the extractor's
+source facts of its own kind (:mod:`repro.check.flow.summary`).  The
+other rules read the module's parsed tree.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.check.lint import LintContext, Violation
+from repro.check.flow.summary import ModuleSummary
+from repro.check.lint import Violation
 
-__all__ = ["Rule", "ALL_RULES", "RULES_BY_ID", "rule_catalog",
-           "SIM_CRITICAL"]
+__all__ = ["Rule", "FactRule", "ALL_RULES", "RULES_BY_ID",
+           "rule_catalog", "SIM_CRITICAL"]
 
 #: Packages whose behaviour feeds simulated time and event ordering.
 SIM_CRITICAL = ("repro.sim", "repro.flash", "repro.retrieval",
@@ -39,18 +43,38 @@ class Rule:
     #: package prefixes the rule applies to; ``None`` = everywhere
     scope: Optional[Sequence[str]] = None
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def applies_to(self, module: str) -> bool:
+        """True if ``module`` falls under one of the rule's prefixes."""
+        if self.scope is None:
+            return True
+        return any(module == p or module.startswith(p + ".")
+                   for p in self.scope)
+
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
         raise NotImplementedError
 
-    def violation(self, ctx: LintContext, line: int,
+    def violation(self, summary: ModuleSummary, line: int,
                   message: str) -> Violation:
-        return Violation(rule_id=self.rule_id, path=ctx.path,
+        return Violation(rule_id=self.rule_id, path=summary.path,
                          line=line, message=message)
 
     def describe(self) -> Dict[str, object]:
         return {"id": self.rule_id, "title": self.title,
                 "rationale": self.rationale,
                 "scope": list(self.scope) if self.scope else "repro"}
+
+
+class FactRule(Rule):
+    """Reports every source fact whose kind is this rule's id."""
+
+    #: what to do instead, appended to the fact's detail
+    advice: str = ""
+
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
+        for fact in summary.facts():
+            if fact.kind == self.rule_id:
+                yield self.violation(summary, fact.line,
+                                     f"{fact.detail}; {self.advice}")
 
 
 def _build_registry() -> List[Rule]:

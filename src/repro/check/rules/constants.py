@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.lint import LintContext, Violation
+from repro.check.flow.summary import ModuleSummary
+from repro.check.lint import Violation
 from repro.check.rules import Rule
 
 __all__ = ["MagicLatency", "RULES", "LATENCY_CONSTANTS"]
@@ -38,16 +39,16 @@ class MagicLatency(Rule):
     #: the parameter definition site and this rule's own lookup table
     exempt_modules = ("repro.flash.params", "repro.check.rules.constants")
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if ctx.module in self.exempt_modules:
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
+        if summary.module in self.exempt_modules:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(summary.tree):
             if isinstance(node, ast.Constant) \
                     and isinstance(node.value, float) \
                     and node.value in LATENCY_CONSTANTS:
                 meaning = LATENCY_CONSTANTS[node.value]
                 yield self.violation(
-                    ctx, node.lineno,
+                    summary, node.lineno,
                     f"inline latency constant {node.value} duplicates "
                     f"{meaning}; use repro.flash.params")
 

@@ -9,45 +9,17 @@ the wall clock.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator
 
-from repro.check.lint import LintContext, Violation
-from repro.check.rules import Rule, SIM_CRITICAL
+from repro.check.flow.summary import ModuleSummary
+from repro.check.lint import Violation
+from repro.check.rules import FactRule, Rule, SIM_CRITICAL
 
 __all__ = ["UnseededRng", "WallClock", "DurationClock", "GlobalRngSeed",
            "SeedDefaultNone", "RULES"]
 
-#: attribute access spelled out, e.g. ``np.random.default_rng`` ->
-#: ("np", "random", "default_rng")
-def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
 
-
-_NUMPY_ALIASES = {"np", "numpy"}
-
-#: order-independent members of ``numpy.random`` that do not touch the
-#: legacy global state
-_NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "PCG64",
-                 "Philox", "BitGenerator", "RandomState"}
-
-#: stdlib ``random`` module functions backed by the hidden global Twister
-_STDLIB_RANDOM_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "expovariate",
-    "betavariate", "gammavariate", "lognormvariate", "paretovariate",
-    "weibullvariate", "triangular", "vonmisesvariate", "getrandbits",
-    "randbytes",
-}
-
-
-class UnseededRng(Rule):
+class UnseededRng(FactRule):
     """No unseeded or global-state RNG in simulation-critical code."""
 
     rule_id = "unseeded-rng"
@@ -56,49 +28,11 @@ class UnseededRng(Rule):
                  "numpy.random/* and random.* make trace generation and "
                  "scheduling irreproducible between runs.")
     scope = SIM_CRITICAL
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            # np.random.default_rng() with no seed argument
-            if (len(dotted) == 3 and dotted[0] in _NUMPY_ALIASES
-                    and dotted[1] == "random"
-                    and dotted[2] == "default_rng"
-                    and not node.args and not node.keywords):
-                yield self.violation(
-                    ctx, node.lineno,
-                    "default_rng() without a seed is entropy-seeded; "
-                    "pass an explicit seed or SeedSequence")
-            # legacy numpy global state: np.random.rand / choice / ...
-            elif (len(dotted) == 3 and dotted[0] in _NUMPY_ALIASES
-                    and dotted[1] == "random"
-                    and dotted[2] not in _NP_RANDOM_OK
-                    and dotted[2] != "seed"):
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"numpy.random.{dotted[2]} uses the hidden global "
-                    f"RandomState; use a seeded default_rng(...) instead")
-            # stdlib module-level random.* (random.Random(...) is fine)
-            elif (len(dotted) == 2 and dotted[0] == "random"
-                    and dotted[1] in _STDLIB_RANDOM_FNS):
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"random.{dotted[1]} draws from the process-global "
-                    f"Twister; use random.Random(seed) or a numpy "
-                    f"Generator")
+    advice = ("construct a seeded default_rng(seed) or "
+              "random.Random(seed) instead")
 
 
-_TIME_FNS = {"time", "time_ns", "monotonic", "monotonic_ns",
-             "perf_counter", "perf_counter_ns", "process_time",
-             "process_time_ns"}
-_DATETIME_FNS = {"now", "utcnow", "today"}
-
-
-class WallClock(Rule):
+class WallClock(FactRule):
     """No wall-clock reads in simulation-critical code."""
 
     rule_id = "wall-clock"
@@ -107,34 +41,10 @@ class WallClock(Rule):
                  "model; simulation code must read the virtual clock so "
                  "runs replay bit-identically.")
     scope = SIM_CRITICAL
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None or len(dotted) < 2:
-                continue
-            if dotted[0] == "time" and dotted[-1] in _TIME_FNS \
-                    and len(dotted) == 2:
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"time.{dotted[-1]}() reads the host clock; derive "
-                    f"timing from the simulation Environment")
-            elif (dotted[-1] in _DATETIME_FNS
-                    and dotted[0] in {"datetime", "date"}):
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"{'.'.join(dotted)}() reads the host clock; "
-                    f"simulation state must not depend on it")
+    advice = "derive timing from the simulation Environment"
 
 
-#: host clocks that are wrong for interval measurement: adjustable
-#: (wall time, datetime) or low-resolution (coarse monotonic)
-_BAD_DURATION_TIME = {"time", "time_ns", "monotonic", "monotonic_ns"}
-
-
-class DurationClock(Rule):
+class DurationClock(FactRule):
     """Durations are measured with ``perf_counter``, nothing else."""
 
     rule_id = "duration-clock"
@@ -148,38 +58,16 @@ class DurationClock(Rule):
                  "high-resolution time.perf_counter(); a genuine "
                  "wall-time *stamp* (log line, report header) carries "
                  "a pragma saying so.")
-    scope = None  # everywhere, sim-critical scopes included
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        # Sim-critical scopes are NOT exempt: WallClock already bans
-        # host-clock reads there under its own rule id, but a
-        # deliberate ``allow[wall-clock]`` stamp must not silently
-        # license the wrong clock for a *duration* as well.
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            if len(dotted) == 2 and dotted[0] == "time" \
-                    and dotted[1] in _BAD_DURATION_TIME:
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"{'.'.join(dotted)}() is the wrong clock for "
-                    f"durations; use time.perf_counter(), or pragma "
-                    f"a deliberate wall-time stamp")
-            elif (2 <= len(dotted) <= 3
-                    and dotted[-1] in _DATETIME_FNS
-                    and dotted[-2] in {"datetime", "date"}):
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"{'.'.join(dotted)}() follows the adjustable "
-                    f"wall clock; use time.perf_counter() for "
-                    f"durations, or pragma a deliberate wall-time "
-                    f"stamp")
+    # Everywhere, sim-critical scopes included: WallClock reports the
+    # same call there under its own id, but a deliberate
+    # ``allow[wall-clock]`` stamp must not silently license the wrong
+    # clock for a *duration* as well.
+    scope = None
+    advice = ("use time.perf_counter(), or pragma a deliberate "
+              "wall-time stamp")
 
 
-class GlobalRngSeed(Rule):
+class GlobalRngSeed(FactRule):
     """Never reseed process-global RNG state."""
 
     rule_id = "global-rng-seed"
@@ -188,21 +76,7 @@ class GlobalRngSeed(Rule):
                  "through hidden shared state; every component owns its "
                  "own Generator instead.")
     scope = None  # everywhere: global state is global
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            if (dotted == ("random", "seed")
-                    or (len(dotted) == 3 and dotted[0] in _NUMPY_ALIASES
-                        and dotted[1:] == ("random", "seed"))):
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"{'.'.join(dotted)}(...) mutates process-global RNG "
-                    f"state; construct a local seeded Generator")
+    advice = "construct a local seeded Generator"
 
 
 class SeedDefaultNone(Rule):
@@ -215,8 +89,8 @@ class SeedDefaultNone(Rule):
                  "default to an integer and let callers vary it.")
     scope = SIM_CRITICAL
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
+        for node in ast.walk(summary.tree):
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
@@ -232,7 +106,7 @@ class SeedDefaultNone(Rule):
                         and isinstance(default, ast.Constant) \
                         and default.value is None:
                     yield self.violation(
-                        ctx, default.lineno,
+                        summary, default.lineno,
                         f"parameter '{arg.arg}' defaults to None "
                         f"(entropy-seeded); default to an integer seed")
 

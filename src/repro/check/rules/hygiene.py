@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.lint import LintContext, Violation
+from repro.check.flow.summary import ModuleSummary
+from repro.check.lint import Violation
 from repro.check.rules import Rule
 
 __all__ = ["MutableDefault", "BareExcept", "RULES"]
@@ -41,8 +42,8 @@ class MutableDefault(Rule):
                  "simulation runs. Default to None and construct inside.")
     scope = None
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
+        for node in ast.walk(summary.tree):
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef, ast.Lambda)):
                 continue
@@ -52,7 +53,7 @@ class MutableDefault(Rule):
             for default in defaults:
                 if _is_mutable_default(default):
                     yield self.violation(
-                        ctx, default.lineno,
+                        summary, default.lineno,
                         "mutable default argument is shared across "
                         "calls; default to None and build per call")
 
@@ -67,11 +68,11 @@ class BareExcept(Rule):
                  "name the exception type.")
     scope = None
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
+        for node in ast.walk(summary.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.violation(
-                    ctx, node.lineno,
+                    summary, node.lineno,
                     "bare except swallows sanitizer and interrupt "
                     "exceptions; catch a specific type")
 

@@ -4,50 +4,17 @@ Python sets iterate in an order derived from element hashes and table
 history; for strings that order changes with ``PYTHONHASHSEED``.  Any
 schedule, trace, or event sequence built by walking a set can therefore
 differ between runs.  Dicts and lists preserve insertion order and are
-fine.
+fine.  Object identities (``id()``) differ between runs as well.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator
-
-from repro.check.lint import LintContext, Violation
-from repro.check.rules import Rule, SIM_CRITICAL
+from repro.check.rules import FactRule, SIM_CRITICAL
 
 __all__ = ["SetIteration", "BuiltinHash", "RULES"]
 
-#: consumers whose result depends on element *order*
-_ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "next",
-                          "zip"}
-#: consumers that reduce a set order-independently -- these are safe
-_ORDER_FREE_CALLS = {"sorted", "len", "sum", "min", "max", "any", "all",
-                     "set", "frozenset"}
 
-_SET_METHODS = {"union", "intersection", "difference",
-                "symmetric_difference"}
-
-
-def _is_unordered_set(node: ast.AST) -> bool:
-    """Syntactic witness that ``node`` evaluates to a set."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) \
-                and node.func.id in {"set", "frozenset"}:
-            return True
-        if isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _SET_METHODS \
-                and _is_unordered_set(node.func.value):
-            return True
-    if isinstance(node, ast.BinOp) \
-            and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub,
-                                     ast.BitXor)):
-        return _is_unordered_set(node.left) or _is_unordered_set(node.right)
-    return False
-
-
-class SetIteration(Rule):
+class SetIteration(FactRule):
     """No iteration order drawn from an unordered set."""
 
     rule_id = "set-iteration"
@@ -56,57 +23,22 @@ class SetIteration(Rule):
                  "insertion history; wrap in sorted(...) before feeding "
                  "order-sensitive consumers like schedulers or traces.")
     scope = None  # ordering bugs travel; check the whole package
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For) \
-                    and _is_unordered_set(node.iter):
-                yield self.violation(
-                    ctx, node.lineno,
-                    "for-loop over a set: iteration order is not "
-                    "deterministic; use sorted(...)")
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                                   ast.DictComp, ast.SetComp)):
-                for gen in node.generators:
-                    # building another *set* from a set is order-free
-                    if isinstance(node, ast.SetComp):
-                        continue
-                    if _is_unordered_set(gen.iter):
-                        yield self.violation(
-                            ctx, node.lineno,
-                            "comprehension over a set: result order is "
-                            "not deterministic; use sorted(...)")
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id in _ORDER_SENSITIVE_CALLS \
-                    and node.args \
-                    and _is_unordered_set(node.args[0]):
-                yield self.violation(
-                    ctx, node.lineno,
-                    f"{node.func.id}() materialises set order; use "
-                    f"sorted(...) for a stable sequence")
+    advice = "use sorted(...) for a stable order"
 
 
-class BuiltinHash(Rule):
-    """No salted ``hash()`` feeding simulation state."""
+class BuiltinHash(FactRule):
+    """No salted ``hash()`` or address-derived ``id()`` feeding
+    simulation state."""
 
     rule_id = "builtin-hash"
-    title = "builtin hash() is salted per process"
-    rationale = ("hash() of str/bytes changes with PYTHONHASHSEED, so "
-                 "anything keyed or ordered by it differs between runs; "
-                 "use hashlib or an explicit integer key.")
+    title = "builtin hash() and id() differ between runs"
+    rationale = ("hash() of str/bytes changes with PYTHONHASHSEED and "
+                 "id() is a memory address, so anything keyed or "
+                 "ordered by them differs between runs; use hashlib or "
+                 "an explicit integer key.")
     scope = SIM_CRITICAL + ("repro.graph", "repro.designs",
                             "repro.allocation")
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id == "hash":
-                yield self.violation(
-                    ctx, node.lineno,
-                    "builtin hash() is salted per process; use hashlib "
-                    "for stable digests")
+    advice = "use hashlib or an explicit integer key"
 
 
 RULES = [SetIteration, BuiltinHash]

@@ -63,7 +63,7 @@ from repro.mining.matching import FIMBlockMatcher, MatchResult
 from repro.mining.transactions import transactions_from_trace
 from repro.obs.series import ModuleSeries, module_interval_series, \
     queue_depth
-from repro.traces.records import Trace
+from repro.traces.records import Trace, check_part_arrivals
 
 __all__ = ["ClusterConfig", "ShardedCluster", "ClusterReport",
            "ArrayResult", "BoundaryRecord"]
@@ -129,27 +129,6 @@ def _array_faults(faults: Optional[FaultSchedule], array: int,
     if faults is None:
         return None
     return faults.for_array(array, array * n_devices, n_devices)
-
-
-def _check_arrivals(part_idx: int, arrivals) -> None:
-    """Refuse a part whose arrivals are not finite, ``>= 0`` and
-    non-decreasing, naming the part and the first bad index."""
-    times = np.asarray(arrivals, dtype=np.float64)
-    ok = times >= 0.0
-    ok &= times < np.inf
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise ValueError(
-            f"part {part_idx}: arrival {bad} is {float(times[bad])!r}; "
-            "arrivals must be finite times >= 0")
-    back = np.flatnonzero(times[1:] < times[:-1])
-    if back.size:
-        bad = int(back[0]) + 1
-        raise ValueError(
-            f"part {part_idx}: arrival {bad} ({float(times[bad])!r}) "
-            f"comes before arrival {bad - 1} "
-            f"({float(times[bad - 1])!r}); parts must "
-            "be sorted by arrival time")
 
 
 def _make_qos(config: ClusterConfig,
@@ -429,7 +408,7 @@ masked_arrays_at`) without ever touching in-flight playback.
         cfg = self.config
         parts = list(parts)
         for part_idx, part in enumerate(parts):
-            _check_arrivals(part_idx, part.arrival_ms)
+            check_part_arrivals(part_idx, part.arrival_ms)
         if router_sync is None:
             router_sync = runner is None
         if runner is not None:

@@ -61,7 +61,7 @@ from repro.experiments.common import WorkloadRun
 from repro.flash.driver import OnlineTracePlayer
 from repro.mining.matching import FIMBlockMatcher, MatchResult
 from repro.mining.streaming import StreamingFPGrowth, StreamingTransactions
-from repro.traces.records import Trace
+from repro.traces.records import Trace, check_part_arrivals
 
 __all__ = ["ControllerConfig", "AuditRecord", "ControllerReport",
            "ReplicationController"]
@@ -245,7 +245,16 @@ StaticPlacement` is the do-nothing baseline.
         The identity contract: with ``migration_budget=None``, no
         faults and the default strategy this equals
         ``play_workload(parts, ...)`` byte for byte.
+
+        Every part's arrivals must be finite times ``>= 0`` in
+        non-decreasing order (the session and the transaction windows
+        assume arrival order, and a part's first arrival is its
+        boundary); a part that is not raises ``ValueError`` naming the
+        part and the first bad index, before anything is fed.
         """
+        parts = list(parts)
+        for part_idx, part in enumerate(parts):
+            check_part_arrivals(part_idx, part.arrival_ms)
         cfg = self.config
         self.strategy.reset()
         session_hook = obs.SESSION if obs.ACTIVE else None

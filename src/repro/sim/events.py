@@ -111,6 +111,8 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
+        # the address only labels a debugging repr, never sim state
+        # repro: allow[builtin-hash]
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 

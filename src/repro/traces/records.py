@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Trace", "TRACE_DTYPE", "BLOCK_BYTES"]
+__all__ = ["Trace", "TRACE_DTYPE", "BLOCK_BYTES", "check_part_arrivals"]
 
 #: The paper aligns requests to 8 KB blocks "as in DiskSim" (§V-D).
 BLOCK_BYTES = 8192
@@ -33,6 +33,33 @@ TRACE_DTYPE = np.dtype([
     ("size_bytes", np.int32),
     ("is_read", np.bool_),
 ])
+
+
+def check_part_arrivals(part_idx: int, arrivals) -> None:
+    """Refuse a part whose arrivals are not finite, ``>= 0`` and
+    non-decreasing, naming the part and the first bad index.
+
+    The online players (the sharded cluster, the replication
+    controller) replay a part in arrival order and take its first
+    arrival as the interval boundary, so they check every part with
+    this before feeding anything.
+    """
+    times = np.asarray(arrivals, dtype=np.float64)
+    ok = times >= 0.0
+    ok &= times < np.inf
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ValueError(
+            f"part {part_idx}: arrival {bad} is {float(times[bad])!r}; "
+            "arrivals must be finite times >= 0")
+    back = np.flatnonzero(times[1:] < times[:-1])
+    if back.size:
+        bad = int(back[0]) + 1
+        raise ValueError(
+            f"part {part_idx}: arrival {bad} ({float(times[bad])!r}) "
+            f"comes before arrival {bad - 1} "
+            f"({float(times[bad - 1])!r}); parts must "
+            "be sorted by arrival time")
 
 
 class Trace:

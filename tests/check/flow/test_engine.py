@@ -1,12 +1,10 @@
-"""Engine: whole-tree analysis, incremental cache, baseline, budgets."""
+"""Engine: whole-tree analysis, the gate, the performance budget."""
 
-import json
 import time
 
 import pytest
 
-from repro.check.flow import (Baseline, FlowConfig, analyze,
-                              default_baseline_path)
+from repro.check.flow import FlowConfig, analyze
 from repro.check.report import default_src_root
 
 SRC_ROOT = default_src_root()
@@ -15,67 +13,21 @@ SRC_ROOT = default_src_root()
 # -- the real tree -------------------------------------------------------
 
 def test_src_tree_is_clean_under_empty_baseline():
-    report = analyze(SRC_ROOT, cache_path=None)
+    report = analyze(SRC_ROOT)
     assert report.findings == [], "\n".join(
         f.render() for f in report.findings)
     assert report.clean
     assert report.files_analyzed > 100
 
 
-def test_committed_baseline_exists_and_is_empty():
-    path = default_baseline_path(SRC_ROOT)
-    assert path.is_file(), f"missing committed baseline {path}"
-    base = Baseline.load(path)
-    assert len(base) == 0, "the committed baseline must stay empty"
-
-
-def test_performance_budget_cold_and_warm(tmp_path):
-    cache = tmp_path / "flowcache.json"
+def test_performance_budget_cold():
     t0 = time.perf_counter()
-    cold = analyze(SRC_ROOT, cache_path=cache)
+    analyze(SRC_ROOT)
     cold_s = time.perf_counter() - t0
-    assert cold.files_reused == 0
     assert cold_s < 10.0, f"cold analysis took {cold_s:.2f}s"
 
-    t0 = time.perf_counter()
-    warm = analyze(SRC_ROOT, cache_path=cache)
-    warm_s = time.perf_counter() - t0
-    assert warm.files_reused == warm.files_analyzed
-    assert warm_s < 2.0, f"warm analysis took {warm_s:.2f}s"
-    assert [f.to_dict() for f in warm.findings] == \
-        [f.to_dict() for f in cold.findings]
 
-
-def test_cache_invalidates_per_file(tmp_path):
-    src = tmp_path / "src"
-    pkg = src / "repro"
-    pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("")
-    (pkg / "a.py").write_text("def a():\n    return 1\n")
-    (pkg / "b.py").write_text("def b():\n    return 2\n")
-    cache = tmp_path / "cache.json"
-
-    first = analyze(src, cache_path=cache)
-    assert first.files_reused == 0
-    (pkg / "b.py").write_text("def b():\n    return 3\n")
-    second = analyze(src, cache_path=cache)
-    assert second.files_analyzed == 3
-    assert second.files_reused == 2  # only b.py re-extracted
-
-
-def test_corrupt_cache_is_ignored(tmp_path):
-    src = tmp_path / "src"
-    pkg = src / "repro"
-    pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("")
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    report = analyze(src, cache_path=cache)
-    assert report.files_reused == 0
-    assert json.loads(cache.read_text())["files"]
-
-
-# -- baseline workflow ---------------------------------------------------
+# -- the gate ------------------------------------------------------------
 
 @pytest.fixture
 def dirty_tree(tmp_path):
@@ -90,55 +42,8 @@ def dirty_tree(tmp_path):
     return src
 
 
-def test_baseline_round_trip_suppresses_known_findings(
-        dirty_tree, tmp_path):
-    report = analyze(dirty_tree, cache_path=None)
-    assert len(report.new_findings) == 1
-
-    path = tmp_path / "FLOW_BASELINE.json"
-    Baseline.from_findings(report.findings).save(path)
-    rebase = Baseline.load(path)
-    again = analyze(dirty_tree, cache_path=None, baseline=rebase)
-    assert again.new_findings == []
-    assert len(again.baselined) == 1
-    assert again.clean
-
-
-def test_baseline_fingerprint_survives_line_shifts(dirty_tree):
-    report = analyze(dirty_tree, cache_path=None)
-    base = Baseline.from_findings(report.findings)
-
-    bad = dirty_tree / "repro" / "bad.py"
-    bad.write_text("# a comment pushing everything down\n"
-                   + bad.read_text())
-    shifted = analyze(dirty_tree, cache_path=None, baseline=base)
-    assert shifted.new_findings == []
-    assert len(shifted.baselined) == 1
-
-
-def test_new_finding_is_not_masked_by_baseline(dirty_tree):
-    report = analyze(dirty_tree, cache_path=None)
-    base = Baseline.from_findings(report.findings)
-
-    (dirty_tree / "repro" / "worse.py").write_text(
-        "import numpy as np\n\n"
-        "def also():\n"
-        "    return np.random.default_rng()\n")
-    after = analyze(dirty_tree, cache_path=None, baseline=base)
-    assert len(after.baselined) == 1
-    assert len(after.new_findings) == 1
-    assert not after.clean
-
-
-def test_baseline_schema_mismatch_raises(tmp_path):
-    path = tmp_path / "FLOW_BASELINE.json"
-    path.write_text(json.dumps({"schema_version": 99, "findings": {}}))
-    with pytest.raises(ValueError, match="schema"):
-        Baseline.load(path)
-
-
 def test_report_dict_shape(dirty_tree):
-    report = analyze(dirty_tree, cache_path=None)
+    report = analyze(dirty_tree)
     data = report.to_dict()
     assert {p["id"] for p in data["passes"]} == {
         "flow-taint", "seed-flow", "pickle-safety", "contract-flow"}
@@ -151,7 +56,7 @@ def test_report_dict_shape(dirty_tree):
 def test_pass_subset_and_custom_config(dirty_tree):
     from repro.check.flow import TaintPass
 
-    report = analyze(dirty_tree, cache_path=None,
+    report = analyze(dirty_tree,
                      config=FlowConfig(sink_roots=()),
                      passes=[TaintPass()])
     assert report.findings == []

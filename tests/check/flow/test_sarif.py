@@ -1,4 +1,4 @@
-"""SARIF export: structure, code flows, suppressions, determinism."""
+"""SARIF export: structure, code flows, determinism."""
 
 import json
 import textwrap
@@ -45,17 +45,6 @@ def test_sarif_code_flow_carries_the_trace():
     steps = result["codeFlows"][0]["threadFlows"][0]["locations"]
     symbols = [s["location"]["message"]["text"] for s in steps]
     assert symbols == ["report (sink root)", "leaf"]
-
-
-def test_sarif_baselined_findings_are_suppressed():
-    found = findings()
-    fp = found[0].fingerprint()
-    (result,) = to_sarif(found,
-                         baselined=frozenset([fp]))["runs"][0]["results"]
-    (supp,) = result["suppressions"]
-    assert supp["kind"] == "external"
-    (unsup,) = to_sarif(found)["runs"][0]["results"]
-    assert "suppressions" not in unsup
 
 
 def test_sarif_json_is_deterministic_and_parseable():

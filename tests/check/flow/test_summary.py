@@ -2,7 +2,6 @@
 
 import textwrap
 
-from repro.check.flow.summary import ModuleSummary
 from tests.check.flow._fixtures import summarize
 
 
@@ -137,24 +136,3 @@ def test_pragma_lines_collected_and_checked():
     assert s.is_allowed(("flow-taint",), 5)       # line-above pragma
     assert s.is_allowed(("wall-clock",), 6)       # same-line pragma
     assert not s.is_allowed(("flow-taint",), 6)
-
-
-def test_summary_json_round_trip():
-    s = summarize("app.m", src("""
-        import time
-        import numpy as np
-        from functools import partial
-
-        class C:
-            x: int
-
-            def m(self, excluded=None):
-                self.rng = np.random.default_rng(7)
-                return time.time()
-
-        def f(**kw):
-            c = C()
-            return partial(c.m, 1)
-    """))
-    restored = ModuleSummary.from_dict(s.to_dict())
-    assert restored == s

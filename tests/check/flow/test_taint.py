@@ -135,3 +135,28 @@ def test_findings_and_paths_are_deterministic():
     # first-defined intermediate, every run
     (f,) = first
     assert [s.symbol for s in f.trace] == ["report", "a", "leaf"]
+
+
+def test_set_order_comprehension_and_list_reach_the_qos_report():
+    findings = TaintPass().run(model_of({
+        "repro.core.qos": src("""
+            from repro.core.stats import order_a, order_b
+
+            class QoSReport:
+                def devices(self, a):
+                    return order_a(a) + order_b(a)
+        """),
+        "repro.core.stats": src("""
+            def order_a(a):
+                return [x for x in set(a)]
+
+            def order_b(a):
+                return list(set(a))
+        """),
+    }), FlowConfig())
+    hits = {(f.symbol, f.line) for f in findings}
+    assert hits == {("order_a", 2), ("order_b", 5)}
+    for f in findings:
+        assert "set" in f.message
+        assert "QoSReport.devices" in f.message
+        assert [s.symbol for s in f.trace][0] == "QoSReport.devices"

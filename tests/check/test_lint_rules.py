@@ -234,6 +234,14 @@ def test_hashlib_clean():
     assert "builtin-hash" not in ids_of(out)
 
 
+def test_builtin_id_flagged():
+    out = lint("def key(o):\n    return id(o)\n")
+    assert "builtin-hash" in ids_of(out)
+    (v,) = [v for v in out if v.rule_id == "builtin-hash"]
+    assert v.line == 2
+    assert "id()" in v.message
+
+
 def test_builtin_hash_pragma():
     out = lint("key = hash('x')  # repro: allow[builtin-hash]\n")
     assert "builtin-hash" not in ids_of(out)

@@ -14,7 +14,9 @@ from repro.core.planner import SLO
 from repro.experiments.common import play_workload
 from repro.experiments.fig8 import make_parts
 from repro.faults import FaultSchedule
+from repro.flash.driver import OnlineStreamSession
 from repro.mining.matching import FIMBlockMatcher
+from repro.traces.records import Trace
 
 
 def request_key(pr):
@@ -144,6 +146,38 @@ class TestConfig:
             ControllerConfig(min_support=0)
         with pytest.raises(ValueError, match="fim_window_ms"):
             ControllerConfig(fim_window_ms=0.0)
+
+
+class TestPartValidation:
+    """Parts are checked once, before anything is fed: a part whose
+    arrivals go backwards would be mined and played in the wrong
+    windows, silently breaking the identity contract."""
+
+    def test_unsorted_part_raises_before_feeding(self, parts,
+                                                 monkeypatch):
+        bad = list(parts)
+        arrivals = bad[0].arrival_ms.copy()
+        i = next(k for k in range(1, len(arrivals) - 1)
+                 if arrivals[k] < arrivals[k + 1])
+        arrivals[[i, i + 1]] = arrivals[[i + 1, i]]
+        bad[0] = Trace.from_arrays(arrivals, bad[0].block)
+
+        def no_feed(*args, **kwargs):
+            raise AssertionError("fed before validation")
+
+        monkeypatch.setattr(OnlineStreamSession, "feed", no_feed)
+        with pytest.raises(ValueError,
+                           match=rf"part 0: arrival {i + 1} .* before "
+                                 rf"arrival {i}"):
+            ReplicationController(ControllerConfig(n_devices=9)).run(bad)
+
+    def test_non_finite_arrival_raises(self, parts):
+        bad = list(parts)
+        arrivals = bad[2].arrival_ms.copy()
+        arrivals[5] = float("nan")
+        bad[2] = Trace.from_arrays(arrivals, bad[2].block)
+        with pytest.raises(ValueError, match=r"part 2: arrival 5 is nan"):
+            ReplicationController(ControllerConfig(n_devices=9)).run(bad)
 
 
 class TestStrategies:
