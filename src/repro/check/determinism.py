@@ -140,37 +140,55 @@ def _obs_small(seed: int) -> str:
 
 
 def _kernels_small(seed: int) -> str:
-    """Kernel-equivalence probe: bitset kernels vs legacy solvers.
+    """Kernel-equivalence probe: bitset kernels vs reference solvers.
 
-    Runs the retrieval-heavy workloads (the Figure 4 sampler plus the
-    three batch-solving ablations) twice -- once with the
-    ``repro.graph.kernels`` fast paths enabled, once with them forced
-    off -- and raises unless the serialized outputs are byte-identical.
-    Caches are cleared on both sides so the comparison covers the cold
-    path, not a memoized answer.  The returned blob then guards the
+    Checks two kernel answers directly against their references and
+    raises on any disagreement: the Figure 4 sampler's table against
+    the per-trial Kuhn loop (``reference_probability`` of
+    :class:`~repro.core.sampling.OptimalRetrievalSampler`), and :func:`~repro.graph.kernels.minimum_accesses_many` against
+    per-batch ``maxflow_retrieval(...).accesses`` on batches drawn the
+    way the allocation-zoo ablation draws them.  Caches are cleared
+    first, so the check sees the cold kernel path and the Figure 4 run
+    below reuses the checked table.  The returned blob (the Figure 4
+    sampler plus the three batch-solving ablations) then guards the
     kernels' own run-to-run determinism.
     """
+    import numpy as np
+
+    from repro.allocation.design_theoretic import \
+        DesignTheoreticAllocation
+    from repro.core.sampling import OptimalRetrievalSampler
     from repro.experiments import ablations, fig4
     from repro.graph import kernels
+    from repro.retrieval.maxflow import maxflow_retrieval
 
-    def harvest() -> str:
-        kernels.clear_caches()
-        parts = [fig4.run(max_k=12, trials=300, seed=seed).to_json(),
-                 ablations.allocation_zoo(trials=60,
-                                          seed=seed).to_json(),
-                 ablations.query_types(trials=60, seed=seed).to_json(),
-                 ablations.failure_degradation(trials=40,
-                                               seed=seed).to_json()]
-        return "|".join(parts)
+    max_k, trials = 12, 300
+    kernels.clear_caches()
+    sampler = OptimalRetrievalSampler(
+        DesignTheoreticAllocation.from_parameters(9, 3),
+        trials=trials, seed=seed)
+    for k, p in sampler.table(max_k).items():
+        if p != sampler.reference_probability(k):
+            raise ValueError(
+                f"sampler kernel diverged from the per-trial Kuhn "
+                f"loop at k={k}")
+    rng = np.random.default_rng(seed)
+    for name, alloc in ablations._zoo_schemes(9, seed).items():
+        batches = ablations._zoo_batches(alloc, 9, 60, rng)
+        got = kernels.minimum_accesses_many(
+            kernels.batch_mask_array(batches, 9), 9).tolist()
+        want = [maxflow_retrieval(b, 9).accesses for b in batches]
+        if got != want:
+            raise ValueError(
+                f"minimum_accesses_many diverged from max-flow on the "
+                f"{name} batches")
 
-    fast = harvest()
-    with kernels.disabled():
-        legacy = harvest()
-    if fast != legacy:
-        raise ValueError(
-            "retrieval kernels diverged from the legacy solvers on "
-            "the probe workloads")
-    return fast
+    parts = [fig4.run(max_k=max_k, trials=trials, seed=seed).to_json(),
+             ablations.allocation_zoo(trials=60, seed=seed).to_json(),
+             ablations.query_types(trials=60, seed=seed).to_json(),
+             ablations.failure_degradation(trials=40,
+                                           seed=seed).to_json()]
+    return "|".join(parts)
 
 
 def _faults_small(seed: int) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.allocation.base import AllocationScheme
 from repro.graph import kernels
-from repro.retrieval.maxflow import is_retrievable_in
+from repro.graph.kuhn import capacitated_feasible
 from repro.retrieval.schedule import optimal_accesses
 
 __all__ = ["OptimalRetrievalSampler"]
@@ -71,12 +71,18 @@ class OptimalRetrievalSampler:
         return self.curve(range(1, max_k + 1))
 
     def _estimate(self, k: int) -> float:
-        n_dev = self.allocation.n_devices
-        if kernels.ENABLED and n_dev <= kernels.BITSET_MAX_DEVICES:
+        if self.allocation.n_devices <= kernels.BITSET_MAX_DEVICES:
             return self._estimate_vectorized(k)
-        return self._estimate_legacy(k)
+        return self.reference_probability(k)
 
-    def _estimate_legacy(self, k: int) -> float:
+    def reference_probability(self, k: int) -> float:
+        """``P_k`` from the per-trial loop: one Kuhn check per trial.
+
+        The estimate for arrays too wide for bitsets (``N > 64``) and
+        the named reference the vectorized path must equal: the
+        ``kernels`` probe, the tests and ``tools/bench_retrieval.py``
+        compare against it.  Uncached.
+        """
         rng = np.random.default_rng(self.seed + k)
         n_dev = self.allocation.n_devices
         target = optimal_accesses(k, n_dev)
@@ -85,19 +91,20 @@ class OptimalRetrievalSampler:
         for _ in range(self.trials):
             picks = rng.integers(0, n_blocks, size=k)
             batch = [self._blocks[p] for p in picks]
-            if is_retrievable_in(batch, n_dev, target):
+            if capacitated_feasible(batch, n_dev, target):
                 hits += 1
         return hits / self.trials
 
     def _estimate_vectorized(self, k: int) -> float:
         """Bitset-kernel fast path: one vectorized call per ``k``.
 
-        Draws the same RNG stream as the legacy loop (``trials``
-        consecutive ``size=k`` blocks from ``default_rng(seed + k)``
-        are one ``size=(trials, k)`` draw), so the estimate is
-        byte-identical.  Results are memoized process-wide keyed on the
-        allocation's block tuple: every statistical-QoS experiment
-        rebuilds the same ``P_k`` table first, and repeats are free.
+        Draws the same RNG stream as :meth:`reference_probability`
+        (``trials`` consecutive ``size=k`` blocks from
+        ``default_rng(seed + k)`` are one ``size=(trials, k)`` draw),
+        so the estimate is byte-identical.  Results are memoized
+        process-wide keyed on the allocation's block tuple: every
+        statistical-QoS experiment rebuilds the same ``P_k`` table
+        first, and repeats are free.
         """
         key = (self._blocks_key, self.allocation.n_devices,
                self.trials, self.seed, k)

@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 import numpy as np
 
 from repro.allocation import (
+    AllocationScheme,
     DependentPeriodicAllocation,
     DesignTheoreticAllocation,
     OrthogonalAllocation,
@@ -95,20 +96,45 @@ def device_count(replication: int = 3,
 def _batch_accesses(batches: List[List], n_devices: int) -> List[int]:
     """Optimal access count per batch, in bulk.
 
-    On the kernel path all (equal-length) batches are solved in one
+    Equal-length batches on a bitset-sized array are solved in one
     vectorized :func:`repro.graph.kernels.minimum_accesses_many` call;
-    otherwise one exact max-flow per batch.  Identical values either
-    way: a schedule found at the first feasible level has maximum load
-    exactly that level, so ``maxflow_retrieval(...).accesses`` *is*
-    the minimum feasible access count.
+    anything else takes one exact max-flow per batch.  Identical values
+    either way: a schedule found at the first feasible level has
+    maximum load exactly that level, so
+    ``maxflow_retrieval(...).accesses`` *is* the minimum feasible
+    access count (the ``kernels`` probe checks it).
     """
-    if (kernels.ENABLED and batches
-            and n_devices <= kernels.BITSET_MAX_DEVICES
+    if (batches and n_devices <= kernels.BITSET_MAX_DEVICES
             and len({len(b) for b in batches}) == 1):
         masks = kernels.batch_mask_array(batches, n_devices)
         return [int(a) for a in
                 kernels.minimum_accesses_many(masks, n_devices)]
     return [maxflow_retrieval(b, n_devices).accesses for b in batches]
+
+
+def _zoo_schemes(n: int, seed: int) -> Dict[str, AllocationScheme]:
+    """The allocation schemes :func:`allocation_zoo` compares."""
+    return {
+        "design-theoretic": DesignTheoreticAllocation.from_parameters(n, 3),
+        "raid1-mirrored": Raid1Mirrored(n, 3),
+        "raid1-chained": Raid1Chained(n, 3),
+        "rda": RandomDuplicateAllocation(n, 3, n_buckets=36, seed=seed),
+        "partitioned": PartitionedAllocation(n, 3),
+        "periodic": DependentPeriodicAllocation(n, 3),
+        "orthogonal(c=2)": OrthogonalAllocation(n),
+    }
+
+
+def _zoo_batches(alloc: AllocationScheme, batch_size: int, trials: int,
+                 rng: np.random.Generator) -> List[List]:
+    """``trials`` random batches of distinct buckets, as the zoo draws."""
+    batches = []
+    for _ in range(trials):
+        picks = rng.choice(alloc.n_buckets,
+                           size=min(batch_size, alloc.n_buckets),
+                           replace=False)
+        batches.append([alloc.devices_for(int(b)) for b in picks])
+    return batches
 
 
 def allocation_zoo(batch_size: int = 9, trials: int = 400,
@@ -120,26 +146,12 @@ def allocation_zoo(batch_size: int = 9, trials: int = 400,
     paper picks design-theoretic allocation.
     """
     n = 9
-    schemes: Dict[str, object] = {
-        "design-theoretic": DesignTheoreticAllocation.from_parameters(n, 3),
-        "raid1-mirrored": Raid1Mirrored(n, 3),
-        "raid1-chained": Raid1Chained(n, 3),
-        "rda": RandomDuplicateAllocation(n, 3, n_buckets=36, seed=seed),
-        "partitioned": PartitionedAllocation(n, 3),
-        "periodic": DependentPeriodicAllocation(n, 3),
-        "orthogonal(c=2)": OrthogonalAllocation(n),
-    }
     rng = np.random.default_rng(seed)
     rows: List[List[object]] = []
-    for name, alloc in schemes.items():
+    for name, alloc in _zoo_schemes(n, seed).items():
         # Draw every trial first (RNG stream unchanged), then solve
         # the whole set in one vectorized kernel call.
-        batches = []
-        for _ in range(trials):
-            picks = rng.choice(alloc.n_buckets,
-                               size=min(batch_size, alloc.n_buckets),
-                               replace=False)
-            batches.append([alloc.devices_for(int(b)) for b in picks])
+        batches = _zoo_batches(alloc, batch_size, trials, rng)
         accs = _batch_accesses(batches, n)
         rows.append([name, alloc.replication, max(accs),
                      round(sum(accs) / trials, 3)])

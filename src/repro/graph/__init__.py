@@ -8,11 +8,14 @@ provides the from-scratch substrate:
 * :class:`~repro.graph.flownet.FlowNetwork` -- a compact adjacency-list
   flow network with residual edges,
 * :func:`~repro.graph.dinic.max_flow` -- Dinic's algorithm,
-* :mod:`~repro.graph.matching` -- bipartite assignment helpers built on
-  top of the flow solver,
-* :mod:`~repro.graph.kernels` -- vectorized bitset feasibility,
-  warm-started incremental matching and memoized schedules for the
-  retrieval hot path (exact, cross-checked against the solvers above).
+* :func:`~repro.graph.matching.bounded_degree_assignment` -- the one
+  flow-network builder: bipartite assignment with a uniform or per-bin
+  capacity,
+* :mod:`~repro.graph.kuhn` -- Kuhn's augmenting-path matcher, the
+  reference feasibility answer and the exact fallback for wide arrays,
+* :mod:`~repro.graph.kernels` -- vectorized bitset feasibility and
+  warm-started incremental matching for the retrieval hot path (exact,
+  cross-checked against the solvers above).
 """
 
 from repro.graph import kernels

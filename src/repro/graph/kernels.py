@@ -1,11 +1,11 @@
-"""High-performance retrieval kernels: bitsets, Hall checks, memoization.
+"""High-performance retrieval kernels: bitsets and Hall checks.
 
 The framework stands on one primitive asked millions of times: *can
 this batch of replicated requests be served in ``M`` accesses?*  The
 generic answer is a bipartite matching per query
 (:mod:`repro.graph.kuhn`); this module exploits the problem's
-structure -- tiny device counts, heavy Zipf repetition, sliding
-batches -- to answer it in bulk and from caches instead:
+structure -- tiny device counts and many batches at once -- to answer
+it in bulk instead:
 
 * **bitset encoding** -- for ``N <= 64`` devices a request's candidate
   set is one machine int (:func:`mask_of`), so batches become small
@@ -17,57 +17,41 @@ batches -- to answer it in bulk and from caches instead:
   at once* with a subset-sum (zeta) transform over the ``2^N`` device
   subsets (``N <= 16``), and :func:`batch_feasible` screens with a
   vectorized least-loaded greedy first so the transform only sees the
-  few undecided batches.  Exact -- cross-checked against Kuhn and
-  Dinic by the property tests;
+  few undecided batches.  Wider arrays fall through to Kuhn.  Exact --
+  cross-checked against Kuhn and Dinic by the property tests;
 * **warm-started matching** -- :class:`WarmStartMatcher` keeps a
   maximum matching alive across request arrivals/departures and
   repairs it with augmenting paths instead of re-solving, the right
   shape for admission control and sliding-window retrieval;
-* **memoization** -- Zipf popularity makes repeated batches the common
-  case, so feasibility answers and schedules are LRU-cached
-  (:data:`FEASIBLE_CACHE` on the *canonical multiset* of candidate
-  masks -- booleans are order-invariant -- and :data:`SCHEDULE_CACHE`
-  on the *exact ordered* candidate tuple, because the legacy matcher's
-  assignment depends on request order and byte-identity demands the
-  verbatim schedule);
-* **CSR Dinic fallback** -- :func:`csr_capacitated_assignment` solves
-  arrays too wide for bitsets (``N > 64``) on flat CSR arrays.
+* **sampler memo** -- :data:`SAMPLER_CACHE` keeps sampled ``P_k``
+  values, because the statistical-QoS experiments rebuild the same
+  table many times per run.
 
-Everything here is **exact** and the wired call paths are
-byte-identical to the legacy ones -- enforced by the ``kernels``
-determinism probe (``python -m repro.check --probe kernels``).  The
-module-level :data:`ENABLED` switch (and the :func:`disabled` context
-manager) selects between the kernel and legacy paths at the call
-sites; cache hit/miss statistics are always counted
-(:func:`cache_stats`) and additionally exported as ``repro.obs``
-counters while observability is active.
+Everything here is **exact**.  The ``kernels`` determinism probe
+(``python -m repro.check --probe kernels``) checks the sampler table
+against the per-trial Kuhn loop and :func:`minimum_accesses_many`
+against per-batch max-flow.  Cache hit/miss statistics are always
+counted (:func:`cache_stats`) and additionally exported as
+``repro.obs`` counters while observability is active.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.graph.kuhn import capacitated_feasible
 
 __all__ = [
-    "ENABLED", "disabled",
     "mask_of", "masks_of", "block_mask_array", "batch_mask_array",
     "exclusion_mask", "apply_exclusion",
     "hall_feasible_many", "batch_feasible", "feasible",
-    "feasible_cached", "minimum_accesses_many",
-    "WarmStartMatcher", "csr_capacitated_assignment",
-    "LruCache", "FEASIBLE_CACHE", "SCHEDULE_CACHE", "SAMPLER_CACHE",
-    "MISS", "cache_stats", "clear_caches",
+    "minimum_accesses_many", "WarmStartMatcher",
+    "LruCache", "SAMPLER_CACHE", "MISS", "cache_stats", "clear_caches",
 ]
-
-#: Master switch for the kernel call paths.  The legacy solvers remain
-#: the reference implementation; the ``kernels`` determinism probe
-#: runs every wired experiment both ways and demands byte-identity.
-ENABLED: bool = True
 
 #: Device-count ceiling for the bitset encoding (one uint64 per set).
 BITSET_MAX_DEVICES = 64
@@ -76,16 +60,9 @@ BITSET_MAX_DEVICES = 64
 HALL_MAX_DEVICES = 16
 
 
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the legacy call paths (kernels off)."""
-    global ENABLED
-    previous = ENABLED
-    ENABLED = False
-    try:
-        yield
-    finally:
-        ENABLED = previous
+def _check_capacity(capacity: int) -> None:
+    if capacity < 0:
+        raise ValueError(f"capacity must be >= 0, got {capacity}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +72,15 @@ def disabled() -> Iterator[None]:
 def mask_of(candidates: Sequence[int], n_devices: int) -> int:
     """Candidate device set as one machine int (bit ``d`` = device d)."""
     mask = 0
-    for d in candidates:
-        mask |= 1 << d
-    if mask >> n_devices:
-        raise ValueError(
-            f"candidate device out of range for n_devices={n_devices}")
+    try:
+        for d in candidates:
+            mask |= 1 << d
+    except ValueError:  # negative shift count: a device below 0
+        mask = -1
+    if mask < 0 or mask >> n_devices:
+        bad = next(d for d in candidates if not 0 <= d < n_devices)
+        raise ValueError(f"candidate device {bad} out of range "
+                         f"[0, {n_devices})")
     return mask
 
 
@@ -185,8 +166,10 @@ def hall_feasible_many(masks: np.ndarray, n_devices: int,
 
     Requires ``n_devices <= HALL_MAX_DEVICES``; empty candidate sets
     (mask 0) and ``capacity == 0`` fall out of the inequality
-    naturally (``S`` = empty set / full set).
+    naturally (``S`` = empty set / full set).  A negative capacity
+    raises :class:`ValueError`.
     """
+    _check_capacity(capacity)
     if n_devices > HALL_MAX_DEVICES:
         raise ValueError(
             f"dense Hall transform needs n_devices <= "
@@ -246,7 +229,9 @@ def batch_feasible(masks: np.ndarray, n_devices: int,
     not place (greedy failure proves nothing).  For
     ``n_devices > HALL_MAX_DEVICES`` the undecided leftovers fall back
     to the reference matcher row by row -- still exact, and rare.
+    A negative capacity raises :class:`ValueError`.
     """
+    _check_capacity(capacity)
     masks = np.asarray(masks, dtype=np.uint64)
     if masks.ndim != 2:
         raise ValueError("masks must be 2-D (trials x batch)")
@@ -256,7 +241,7 @@ def batch_feasible(masks: np.ndarray, n_devices: int,
             f"bitset kernels need n_devices <= {BITSET_MAX_DEVICES}")
     if k == 0:
         return np.ones(n_trials, dtype=bool)
-    if capacity <= 0:
+    if capacity == 0:
         return np.zeros(n_trials, dtype=bool)
     bits = ((masks[:, :, None]
              >> np.arange(n_devices, dtype=np.uint64)[None, None, :])
@@ -277,8 +262,6 @@ def batch_feasible(masks: np.ndarray, n_devices: int,
             feasible[idx] = hall_feasible_many(masks[idx], n_devices,
                                                capacity)
         else:
-            from repro.graph.kuhn import capacitated_feasible
-
             for t in idx:
                 cands = [_bits_list(int(m)) for m in masks[t]]
                 feasible[t] = capacitated_feasible(cands, n_devices,
@@ -317,15 +300,17 @@ def _greedy_certificate(masks: Sequence[int], n_devices: int,
 
 def feasible(candidates: Sequence[Sequence[int]], n_devices: int,
              capacity: int) -> bool:
-    """Exact single-batch feasibility on the kernel path.
+    """Exact single-batch feasibility.
 
-    Greedy bitset certificate first; failures escalate to the dense
-    Hall test (``N <= 16``), the reference matcher (``N <= 64``) or
-    the CSR Dinic solver (wider arrays).  Always exact.
+    For ``N <= 64`` a greedy bitset certificate comes first and its
+    failures escalate to the dense Hall test (``N <= 16``); every other
+    case is one run of the reference matcher (:mod:`repro.graph.kuhn`).
+    A negative capacity raises :class:`ValueError`.
     """
+    _check_capacity(capacity)
     if not candidates:
         return True
-    if capacity <= 0:
+    if capacity == 0:
         return False
     if n_devices <= BITSET_MAX_DEVICES:
         masks = masks_of(candidates, n_devices)
@@ -336,11 +321,7 @@ def feasible(candidates: Sequence[Sequence[int]], n_devices: int,
         if n_devices <= HALL_MAX_DEVICES:
             arr = np.array(masks, dtype=np.uint64)[None, :]
             return bool(hall_feasible_many(arr, n_devices, capacity)[0])
-        from repro.graph.kuhn import capacitated_feasible
-
-        return capacitated_feasible(candidates, n_devices, capacity)
-    return csr_capacitated_assignment(candidates, n_devices,
-                                      capacity) is not None
+    return capacitated_feasible(candidates, n_devices, capacity)
 
 
 def minimum_accesses_many(masks: np.ndarray,
@@ -386,8 +367,6 @@ MISS = object()
 class LruCache:
     """A small LRU with hit/miss counters and an ``repro.obs`` feed.
 
-    Retrieval keys repeat heavily under Zipf popularity, so even a
-    modest cache converts most schedule computations into dict hits.
     Statistics are always counted (the bench tooling reads them); when
     observability is active every lookup also lands on a counter pair
     ``kernels.<name>.{hit,miss}`` in the session's kernel section.
@@ -438,23 +417,12 @@ class LruCache:
                 "hits": self.hits, "misses": self.misses}
 
 
-#: Feasibility booleans, keyed on the canonical (sorted) mask multiset
-#: -- feasibility is order-invariant, so canonicalization maximises
-#: hits.
-FEASIBLE_CACHE = LruCache("feasible", maxsize=1 << 16)
-
-#: Verbatim legacy schedules, keyed on the *exact ordered* candidate
-#: tuple.  The greedy matcher's device choice depends on request
-#: order, so a canonical key here would silently swap byte-identical
-#: outputs for merely equivalent ones.
-SCHEDULE_CACHE = LruCache("schedule", maxsize=1 << 15)
-
 #: Sampled P_k probabilities, keyed on (blocks, trials, seed, k); the
 #: adaptive-epsilon controller and the epsilon sweeps rebuild the same
 #: table many times per run.
 SAMPLER_CACHE = LruCache("sampler", maxsize=1 << 12)
 
-_ALL_CACHES = (FEASIBLE_CACHE, SCHEDULE_CACHE, SAMPLER_CACHE)
+_ALL_CACHES = (SAMPLER_CACHE,)
 
 
 def clear_caches() -> None:
@@ -472,31 +440,6 @@ def clear_caches() -> None:
 def cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss snapshot of every kernel cache (bench tooling)."""
     return {cache.name: cache.stats() for cache in _ALL_CACHES}
-
-
-def feasible_key(candidates: Sequence[Sequence[int]], n_devices: int,
-                 capacity: int) -> Tuple:
-    """Canonical multiset key for feasibility memoization."""
-    return (n_devices, capacity,
-            tuple(sorted(mask_of(c, n_devices) for c in candidates)))
-
-
-def schedule_key(candidates: Sequence[Sequence[int]],
-                 n_devices: int, tag: str) -> Tuple:
-    """Exact ordered key for schedule memoization."""
-    return (tag, n_devices, tuple(tuple(c) for c in candidates))
-
-
-def feasible_cached(candidates: Sequence[Sequence[int]],
-                    n_devices: int, capacity: int) -> bool:
-    """Memoized :func:`feasible` (canonical-multiset key)."""
-    key = feasible_key(candidates, n_devices, capacity)
-    value = FEASIBLE_CACHE.get(key)
-    if value is not MISS:
-        return bool(value)
-    answer = feasible(candidates, n_devices, capacity)
-    FEASIBLE_CACHE.put(key, answer)
-    return answer
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +553,8 @@ class WarmStartMatcher:
 
     def remove(self, request_id: int) -> None:
         """Retire one request and repair the matching if that helps."""
-        mask = self._mask.pop(request_id)
+        del self._mask[request_id]
         device = self._device.pop(request_id)
-        del mask
         if device < 0:
             del self._pending[request_id]
             return
@@ -627,10 +569,7 @@ class WarmStartMatcher:
     # -- internals --------------------------------------------------------
     def _augment(self, rid: int) -> bool:
         """One Kuhn-style augmenting search rooted at ``rid``."""
-        visited: set = set()
-        if self._try_place(rid, visited, moving=False):
-            return True
-        return False
+        return self._try_place(rid, set(), moving=False)
 
     def _try_place(self, rid: int, visited: set, moving: bool) -> bool:
         mask = self._mask[rid]
@@ -701,132 +640,3 @@ class WarmStartMatcher:
             level += 1
             if level > count:  # pragma: no cover - masks are non-empty
                 raise RuntimeError("level search failed to terminate")
-
-
-# ---------------------------------------------------------------------------
-# CSR Dinic fallback (N > 64)
-# ---------------------------------------------------------------------------
-
-def csr_capacitated_assignment(candidates: Sequence[Sequence[int]],
-                               n_bins: int, capacity: int,
-                               ) -> Optional[List[int]]:
-    """Exact assignment on flat CSR arrays; the wide-array fallback.
-
-    Same contract as :func:`repro.graph.kuhn.capacitated_assignment`,
-    solved as a max-flow with Dinic's algorithm on a compressed-sparse
-    edge layout (``to``/``cap`` arrays, paired reverse edges at
-    ``i ^ 1``, per-node edge slices) instead of per-node Python lists
-    -- no object graph to build or chase for arrays too wide for the
-    bitset kernels.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    n_items = len(candidates)
-    if n_items == 0:
-        return []
-    if capacity == 0:
-        return None
-    item_bins = [list(dict.fromkeys(c)) for c in candidates]
-    for bins in item_bins:
-        for d in bins:
-            if not 0 <= d < n_bins:
-                raise ValueError(f"bin {d} out of range")
-    n_mid = sum(len(b) for b in item_bins)
-    n_nodes = n_items + n_bins + 2
-    source = n_items + n_bins
-    sink = source + 1
-    n_edges = 2 * (n_items + n_mid + n_bins)
-
-    to = np.empty(n_edges, dtype=np.int32)
-    cap = np.empty(n_edges, dtype=np.int64)
-    degree = np.zeros(n_nodes, dtype=np.int64)
-    pairs: List[Tuple[int, int, int]] = []  # (u, v, capacity)
-    for i in range(n_items):
-        pairs.append((source, i, 1))
-    first_mid_edge = 2 * n_items
-    for i, bins in enumerate(item_bins):
-        for d in bins:
-            pairs.append((i, n_items + d, 1))
-    for d in range(n_bins):
-        pairs.append((n_items + d, sink, capacity))
-    for e, (u, v, c) in enumerate(pairs):
-        to[2 * e] = v
-        cap[2 * e] = c
-        to[2 * e + 1] = u
-        cap[2 * e + 1] = 0
-        degree[u] += 1
-        degree[v] += 1
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    fill = indptr[:-1].copy()
-    adj = np.empty(n_edges, dtype=np.int64)
-    for e, (u, v, _) in enumerate(pairs):
-        adj[fill[u]] = 2 * e
-        fill[u] += 1
-        adj[fill[v]] = 2 * e + 1
-        fill[v] += 1
-
-    levels = np.empty(n_nodes, dtype=np.int64)
-    iters = np.empty(n_nodes, dtype=np.int64)
-    total = 0
-    while total < n_items:
-        # BFS level graph.
-        levels.fill(-1)
-        levels[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt: List[int] = []
-            for u in frontier:
-                for p in range(indptr[u], indptr[u + 1]):
-                    e = adj[p]
-                    v = to[e]
-                    if cap[e] > 0 and levels[v] < 0:
-                        levels[v] = levels[u] + 1
-                        nxt.append(int(v))
-            frontier = nxt
-        if levels[sink] < 0:
-            break
-        # Blocking flow: explicit-stack DFS over the CSR arrays.
-        np.copyto(iters, indptr[:-1])
-        while True:
-            path: List[int] = []
-            u = source
-            sent = 0
-            while True:
-                if u == sink:
-                    sent = int(min(cap[e] for e in path))
-                    for e in path:
-                        cap[e] -= sent
-                        cap[e ^ 1] += sent
-                    break
-                advanced = False
-                while iters[u] < indptr[u + 1]:
-                    e = adj[iters[u]]
-                    v = to[e]
-                    if cap[e] > 0 and levels[v] == levels[u] + 1:
-                        path.append(int(e))
-                        u = int(v)
-                        advanced = True
-                        break
-                    iters[u] += 1
-                if advanced:
-                    continue
-                if u == source:
-                    break
-                # Dead end: retreat and retire the edge we came by.
-                e = path.pop()
-                u = int(to[e ^ 1])
-                iters[u] += 1
-            if sent == 0:
-                break
-            total += sent
-    if total < n_items:
-        return None
-    assignment = [-1] * n_items
-    edge = first_mid_edge
-    for i, bins in enumerate(item_bins):
-        for d in bins:
-            if cap[edge] == 0 and assignment[i] < 0:
-                assignment[i] = d
-            edge += 2
-    return assignment

@@ -25,15 +25,15 @@ def capacitated_assignment(candidates: Sequence[Sequence[int]],
     """Assign items to candidate bins with at most ``capacity`` per bin.
 
     Returns the assignment list or ``None`` when infeasible.  Exact:
-    augmenting paths make the greedy seed lossless.
+    augmenting paths make the greedy seed lossless.  Raises
+    :class:`ValueError` for a negative capacity or a candidate bin
+    outside ``[0, n_bins)`` (naming the request).
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     n_items = len(candidates)
     if n_items == 0:
         return []
-    if capacity == 0:
-        return None
 
     loads = [0] * n_bins
     assignment: List[int] = [-1] * n_items
@@ -41,10 +41,14 @@ def capacitated_assignment(candidates: Sequence[Sequence[int]],
     pending: List[int] = []
 
     # Greedy seed: least-loaded candidate bin (fast path resolves the
-    # overwhelming majority of items).
+    # overwhelming majority of items).  It visits every candidate once,
+    # so it is also where the bin range is checked.
     for i, cands in enumerate(candidates):
         best, best_load = -1, capacity
         for b in cands:
+            if not 0 <= b < n_bins:
+                raise ValueError(f"request {i}: candidate device {b} "
+                                 f"out of range [0, {n_bins})")
             if loads[b] < best_load:
                 best, best_load = b, loads[b]
         if best >= 0:

@@ -3,12 +3,14 @@
 This is the abstract problem underlying optimal retrieval of replicated
 blocks (paper §III-C): each *item* (block request) may be served by any
 of its *bins* (the devices holding a replica) and each bin can serve at
-most ``capacity`` items per access round.
+most its capacity of items per access round.  It is the one place the
+retrieval layer builds a :class:`~repro.graph.flownet.FlowNetwork`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from numbers import Integral
+from typing import List, Optional, Sequence, Set, Union
 
 from repro.graph.dinic import max_flow
 from repro.graph.flownet import FlowNetwork
@@ -19,9 +21,9 @@ __all__ = ["bounded_degree_assignment"]
 def bounded_degree_assignment(
     candidates: Sequence[Sequence[int]],
     n_bins: int,
-    capacity: int,
+    capacity: Union[int, Sequence[int]],
 ) -> Optional[List[int]]:
-    """Assign each item to one of its candidate bins, bins holding <= capacity.
+    """Assign each item to one of its candidate bins within bin capacity.
 
     Parameters
     ----------
@@ -31,7 +33,9 @@ def bounded_degree_assignment(
     n_bins:
         Total number of bins (bins are ``0 .. n_bins-1``).
     capacity:
-        Maximum number of items per bin.
+        Maximum number of items per bin: one int for every bin, or a
+        per-bin sequence of length ``n_bins``.  Bins with capacity 0
+        leave the candidate lists.
 
     Returns
     -------
@@ -39,13 +43,19 @@ def bounded_degree_assignment(
         ``assignment[i]`` = chosen bin for item ``i``, or ``None`` if no
         feasible assignment exists.
     """
+    if isinstance(capacity, Integral):
+        caps = [int(capacity)] * n_bins
+    else:
+        caps = [int(c) for c in capacity]
+        if len(caps) != n_bins:
+            raise ValueError(f"capacity has {len(caps)} entries for "
+                             f"{n_bins} bins")
+    for c in caps:
+        if c < 0:
+            raise ValueError(f"capacity must be >= 0, got {c}")
     n_items = len(candidates)
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
     if n_items == 0:
         return []
-    if capacity == 0:
-        return None
 
     # Node layout: 0 = source, 1..n_items = items,
     # n_items+1 .. n_items+n_bins = bins, last = sink.
@@ -60,7 +70,7 @@ def bounded_degree_assignment(
         for b in cands:
             if not 0 <= b < n_bins:
                 raise IndexError(f"bin {b} out of range [0, {n_bins})")
-            if b not in seen:
+            if b not in seen and caps[b] > 0:
                 seen.add(b)
                 bins.append(b)
         if not bins:
@@ -70,7 +80,8 @@ def bounded_degree_assignment(
         item_edges.append(edges)
         item_bins.append(bins)
     for b in range(n_bins):
-        net.add_edge(1 + n_items + b, sink, capacity)
+        if caps[b] > 0:
+            net.add_edge(1 + n_items + b, sink, caps[b])
 
     if max_flow(net, source, sink) < n_items:
         return None
@@ -84,31 +95,3 @@ def bounded_degree_assignment(
         if assignment[i] < 0:  # pragma: no cover - flow guarantees this
             raise RuntimeError(f"item {i} unassigned despite full flow")
     return assignment
-
-
-def min_capacity_assignment(
-    candidates: Sequence[Sequence[int]],
-    n_bins: int,
-) -> tuple[int, List[int]]:
-    """Find the smallest per-bin capacity admitting a full assignment.
-
-    Returns ``(capacity, assignment)``.  The search is linear upward
-    from the trivial lower bound ``ceil(n_items / n_bins)``; the design
-    guarantees of this project keep the answer within a step or two of
-    the bound, so linear beats binary search in practice.
-    """
-    n_items = len(candidates)
-    if n_items == 0:
-        return 0, []
-    low = -(-n_items // n_bins)  # ceil division
-    cap = low
-    while True:
-        assignment = bounded_degree_assignment(candidates, n_bins, cap)
-        if assignment is not None:
-            return cap, assignment
-        cap += 1
-        if cap > n_items:  # pragma: no cover - always feasible by then
-            raise RuntimeError("no feasible assignment found")
-
-
-__all__.append("min_capacity_assignment")

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.graph.dinic import max_flow
-from repro.graph.flownet import FlowNetwork
+from repro.graph.matching import bounded_degree_assignment
 from repro.retrieval.schedule import RetrievalSchedule
 
 __all__ = ["generalized_retrieval", "GeneralizedSchedule"]
@@ -47,34 +46,6 @@ def _capacities(theta: float, busy: Sequence[float],
     for b, s in zip(busy, service):
         caps.append(max(0, int((theta - b) / s + 1e-9)))
     return caps
-
-
-def _feasible(candidates: Sequence[Sequence[int]], n_devices: int,
-              caps: Sequence[int]) -> Optional[List[int]]:
-    n_items = len(candidates)
-    source, sink = 0, 1 + n_items + n_devices
-    net = FlowNetwork(sink + 1)
-    item_edges, item_bins = [], []
-    for i, cands in enumerate(candidates):
-        bins = [d for d in dict.fromkeys(cands) if caps[d] > 0]
-        if not bins:
-            return None
-        net.add_edge(source, 1 + i, 1)
-        edges = [net.add_edge(1 + i, 1 + n_items + d, 1) for d in bins]
-        item_edges.append(edges)
-        item_bins.append(bins)
-    for d in range(n_devices):
-        if caps[d] > 0:
-            net.add_edge(1 + n_items + d, sink, caps[d])
-    if max_flow(net, source, sink) < n_items:
-        return None
-    assignment = [-1] * n_items
-    for i in range(n_items):
-        for edge, d in zip(item_edges[i], item_bins[i]):
-            if net.flow_on(edge) > 0:
-                assignment[i] = d
-                break
-    return assignment
 
 
 def generalized_retrieval(
@@ -127,7 +98,8 @@ def generalized_retrieval(
         mid = (lo + hi) // 2
         theta = thetas[mid]
         caps = _capacities(theta, busy, service_ms)
-        assignment = _feasible(candidates, n_devices, caps)
+        assignment = bounded_degree_assignment(candidates, n_devices,
+                                               caps)
         if assignment is not None:
             best = (theta, assignment)
             hi = mid - 1

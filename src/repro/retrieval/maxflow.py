@@ -9,12 +9,14 @@ schedule, read off the saturated request->device edges.
 
 from __future__ import annotations
 
+import math
 from typing import Collection, Optional, Sequence
 
 from repro.allocation.degraded import DataUnavailableError
 from repro.check import sanitizers
 from repro.graph import kernels
 from repro.graph.kuhn import capacitated_assignment
+from repro.graph.matching import bounded_degree_assignment
 from repro.retrieval.schedule import RetrievalSchedule, optimal_accesses
 
 __all__ = ["maxflow_retrieval", "is_retrievable_in",
@@ -52,13 +54,9 @@ def is_retrievable_in(candidates: Sequence[Sequence[int]], n_devices: int,
                       excluded: Optional[Collection[int]] = None) -> bool:
     """Feasibility: can the batch complete within ``accesses`` rounds?
 
-    On the kernel path (:mod:`repro.graph.kernels`, the default) the
-    answer comes from a memoized bitset feasibility check -- it is a
-    boolean, so the cache key is the *canonical* mask multiset and
-    Zipf-repeated batches hit regardless of request order.  The legacy
-    answer is one run of the specialised capacitated matcher
-    (:mod:`repro.graph.kuhn`); both are exact, so the call sites cannot
-    tell them apart.
+    One exact feasibility check (:func:`repro.graph.kernels.feasible`:
+    bitset greedy and Hall test for small arrays, Kuhn's matcher
+    otherwise).  A negative ``accesses`` raises :class:`ValueError`.
 
     ``excluded`` masks failed devices out of every candidate set
     first; a request with no live replica makes the batch infeasible
@@ -69,10 +67,7 @@ def is_retrievable_in(candidates: Sequence[Sequence[int]], n_devices: int,
             candidates = mask_candidates(candidates, excluded)
         except DataUnavailableError:
             return False
-    if kernels.ENABLED:
-        return kernels.feasible_cached(candidates, n_devices, accesses)
-    return capacitated_assignment(
-        candidates, n_devices, accesses) is not None
+    return kernels.feasible(candidates, n_devices, accesses)
 
 
 def maxflow_retrieval(candidates: Sequence[Sequence[int]],
@@ -84,44 +79,28 @@ def maxflow_retrieval(candidates: Sequence[Sequence[int]],
     Runs in ``O(b^{1.5} c)`` per feasibility probe on these unit
     networks -- inside the paper's ``O(b^3)`` bound -- with the number
     of probes bounded by how far the optimum sits above ``ceil(b/N)``
-    (at most a couple of steps for design-based allocations).
-
-    On the kernel path the verbatim legacy schedule is memoized on the
-    *exact ordered* candidate tuple (the matcher's device choices are
-    order-sensitive, so a canonical key would return merely equivalent
-    schedules and break byte-identity).
+    (at most a couple of steps for design-based allocations).  Each
+    probe is one run of Kuhn's capacitated matcher
+    (:mod:`repro.graph.kuhn`), which raises :class:`ValueError` for a
+    candidate device outside ``[0, n_devices)``.
 
     ``excluded`` masks failed devices out of every candidate set first
     (failure-aware retrieval); raises
     :class:`~repro.allocation.degraded.DataUnavailableError` when a
-    request has no live replica.  The memo key is computed *after*
-    masking, so degraded and healthy schedules never collide.
+    request has no live replica.
     """
     if excluded:
         candidates = mask_candidates(candidates, excluded)
     b = len(candidates)
     if b == 0:
         return RetrievalSchedule((), n_devices)
-    use_cache = kernels.ENABLED
-    if use_cache:
-        key = kernels.schedule_key(candidates, n_devices, "maxflow")
-        cached = kernels.SCHEDULE_CACHE.get(key)
-        if cached is not kernels.MISS:
-            if sanitizers.ACTIVE:
-                sanitizers.check_schedule(
-                    candidates, list(cached.assignment),
-                    cached.accesses)
-            return cached
     m = optimal_accesses(b, n_devices)
     while True:
         assignment = capacitated_assignment(candidates, n_devices, m)
         if assignment is not None:
             if sanitizers.ACTIVE:
                 sanitizers.check_schedule(candidates, assignment, m)
-            schedule = RetrievalSchedule(tuple(assignment), n_devices)
-            if use_cache:
-                kernels.SCHEDULE_CACHE.put(key, schedule)
-            return schedule
+            return RetrievalSchedule(tuple(assignment), n_devices)
         m += 1
         if m > b:  # pragma: no cover - any non-empty candidates terminate
             raise RuntimeError("retrieval search failed to terminate")
@@ -137,66 +116,37 @@ def maxflow_retrieval_with_carry(candidates: Sequence[Sequence[int]],
     one service time (fractional allowed).  The search finds the
     smallest round count ``M`` such that every request fits one of its
     replica devices with ``assigned_d + ceil(carry_d) <= M``.
+    ``carry`` must hold ``n_devices`` finite values ``>= 0``;
+    otherwise :class:`ValueError` is raised.
 
     Used by the interval-batch driver so that an interval's schedule
     does not pile new work onto devices still draining the previous
     interval -- the queue-aware behaviour a real I/O driver shows.
     """
-    import math
-
+    if len(carry) != n_devices:
+        raise ValueError(f"carry has {len(carry)} entries for "
+                         f"{n_devices} devices")
+    for c in carry:
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"carry must be finite and >= 0, got {c}")
     b = len(candidates)
     if b == 0:
         return RetrievalSchedule((), n_devices)
     carry_units = [math.ceil(c - 1e-9) for c in carry]
-    if any(c < 0 for c in carry_units):
-        raise ValueError("carry must be non-negative")
     if all(c == 0 for c in carry_units):
         return maxflow_retrieval(candidates, n_devices)
     m = optimal_accesses(b, n_devices)
     while True:
         # Per-device residual capacity at level m; devices with zero
-        # residual are removed from the candidate lists outright.
+        # residual leave the candidate lists.
         residual = [max(0, m - c) for c in carry_units]
-        pruned = [[d for d in cands if residual[d] > 0]
-                  for cands in candidates]
-        if all(p for p in pruned):
-            assignment = _variable_capacity_assignment(
-                pruned, n_devices, residual)
-            if assignment is not None:
-                if sanitizers.ACTIVE:
-                    sanitizers.check_schedule(candidates, assignment,
-                                              residual)
-                return RetrievalSchedule(tuple(assignment), n_devices)
+        assignment = bounded_degree_assignment(candidates, n_devices,
+                                               residual)
+        if assignment is not None:
+            if sanitizers.ACTIVE:
+                sanitizers.check_schedule(candidates, assignment,
+                                          residual)
+            return RetrievalSchedule(tuple(assignment), n_devices)
         m += 1
         if m > b + max(carry_units):  # pragma: no cover
             raise RuntimeError("carry retrieval failed to terminate")
-
-
-def _variable_capacity_assignment(candidates, n_devices, capacities):
-    """Like bounded_degree_assignment but with per-bin capacities."""
-    from repro.graph.dinic import max_flow
-    from repro.graph.flownet import FlowNetwork
-
-    n_items = len(candidates)
-    source = 0
-    sink = 1 + n_items + n_devices
-    net = FlowNetwork(sink + 1)
-    item_edges = []
-    item_bins = []
-    for i, cands in enumerate(candidates):
-        bins = list(dict.fromkeys(cands))
-        net.add_edge(source, 1 + i, 1)
-        edges = [net.add_edge(1 + i, 1 + n_items + d, 1) for d in bins]
-        item_edges.append(edges)
-        item_bins.append(bins)
-    for d in range(n_devices):
-        net.add_edge(1 + n_items + d, sink, int(capacities[d]))
-    if max_flow(net, source, sink) < n_items:
-        return None
-    assignment = [-1] * n_items
-    for i in range(n_items):
-        for edge, d in zip(item_edges[i], item_bins[i]):
-            if net.flow_on(edge) > 0:
-                assignment[i] = d
-                break
-    return assignment

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.check import sanitizers
-from repro.graph import kernels
 from repro.retrieval.design_theoretic import design_theoretic_retrieval
 from repro.retrieval.maxflow import maxflow_retrieval
 from repro.retrieval.schedule import RetrievalSchedule
@@ -25,27 +24,14 @@ def combined_retrieval(candidates: Sequence[Sequence[int]],
                        n_devices: int) -> RetrievalSchedule:
     """DTR first; exact max-flow fallback when DTR misses the optimum.
 
-    The returned schedule is always access-optimal.  On the kernel
-    path the whole decision (DTR or fallback) is memoized on the exact
-    ordered candidate tuple -- trace playback re-presents the same
-    interval batches constantly, and both branches are deterministic
-    functions of the ordered batch.
+    The returned schedule is always access-optimal.  While sanitizers
+    are active every returned schedule is checked against the
+    candidate sets (the fallback checks its own).
     """
-    if kernels.ENABLED:
-        key = kernels.schedule_key(candidates, n_devices, "combined")
-        cached = kernels.SCHEDULE_CACHE.get(key)
-        if cached is not kernels.MISS:
-            if sanitizers.ACTIVE:
-                sanitizers.check_schedule(
-                    candidates, list(cached.assignment),
-                    cached.accesses)
-            return cached
-        schedule = design_theoretic_retrieval(candidates, n_devices)
-        if not schedule.is_optimal:
-            schedule = maxflow_retrieval(candidates, n_devices)
-        kernels.SCHEDULE_CACHE.put(key, schedule)
-        return schedule
     schedule = design_theoretic_retrieval(candidates, n_devices)
-    if schedule.is_optimal:
-        return schedule
-    return maxflow_retrieval(candidates, n_devices)
+    if not schedule.is_optimal:
+        return maxflow_retrieval(candidates, n_devices)
+    if sanitizers.ACTIVE:
+        sanitizers.check_schedule(candidates, list(schedule.assignment),
+                                  schedule.accesses)
+    return schedule

@@ -5,9 +5,8 @@ parameters and seed, so its result can be cached across processes and
 sessions.  Keys are sha256 digests over the canonical JSON of the
 cell's identity -- experiment name, cell name, fully-qualified
 function, parameters, a fingerprint of the whole ``repro`` source
-tree, and the process-level runtime switches (sanitizers, kernels,
-admission kernel)
--- so any code change invalidates every entry at once (cheap and
+tree, and the process-level runtime switches (sanitizers, admission
+kernel) -- so any code change invalidates every entry at once (cheap and
 safe: correctness never depends on a partial-invalidation heuristic)
 and results computed under one runtime mode never satisfy another.
 
@@ -61,18 +60,17 @@ def runtime_token() -> Dict[str, bool]:
     """Process-level switches that change what a cell computes.
 
     Sanitizers rewire the simulation with checking wrappers and the
-    kernel switch selects between solver implementations; both claim
-    byte-identical *results*, but a cache must not take that on faith
-    -- a bug in either mode would otherwise leak results across modes
-    and mask itself.  Read lazily so runtime toggles
-    (``sanitizers.enable()``, ``kernels.disabled()``) take effect.
+    admission switch selects between the vectorized admission kernel
+    and the scalar loop; both claim byte-identical *results*, but a
+    cache must not take that on faith -- a bug in either mode would
+    otherwise leak results across modes and mask itself.  Read lazily
+    so runtime toggles (``sanitizers.enable()``,
+    ``admitpath.disabled()``) take effect.
     """
     from repro.check import sanitizers
     from repro.flash import admitpath
-    from repro.graph import kernels
 
     return {"sanitizers": bool(sanitizers.ACTIVE),
-            "kernels": bool(kernels.ENABLED),
             "admission_kernel": bool(admitpath.ENABLED)}
 
 

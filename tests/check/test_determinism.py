@@ -61,3 +61,36 @@ def test_probe_to_dict_round_trip():
     assert d["workload"] == "fig8"
     assert d["identical"] is True
     assert len(d["digests"]) == 2
+
+
+def _flip_first_row(fn):
+    def flipped(*args, **kwargs):
+        out = fn(*args, **kwargs).copy()
+        out[0] = not out[0]
+        return out
+    return flipped
+
+
+def _bump_first_answer(fn):
+    def bumped(*args, **kwargs):
+        out = fn(*args, **kwargs).copy()
+        out[0] += 1
+        return out
+    return bumped
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("batch_feasible", _flip_first_row, "sampler kernel diverged"),
+    ("minimum_accesses_many", _bump_first_answer,
+     "minimum_accesses_many diverged"),
+])
+def test_kernels_probe_raises_on_a_wrong_kernel_answer(
+        monkeypatch, name, corrupt, message):
+    from repro.graph import kernels
+
+    monkeypatch.setattr(kernels, name, corrupt(getattr(kernels, name)))
+    try:
+        with pytest.raises(ValueError, match=message):
+            PROBE_WORKLOADS["kernels"](0)
+    finally:
+        kernels.clear_caches()  # drop the corrupted sampler entries

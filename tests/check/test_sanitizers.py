@@ -102,6 +102,19 @@ def test_maxflow_retrieval_clean_under_sanitizers():
     assert schedule.accesses >= 1
 
 
+def test_combined_retrieval_checks_a_first_seen_dtr_schedule(
+        monkeypatch):
+    from repro.retrieval import policy
+    from repro.retrieval.schedule import RetrievalSchedule
+
+    # a forged optimal DTR answer that puts request 0 off its replicas
+    monkeypatch.setattr(policy, "design_theoretic_retrieval",
+                        lambda cands, n: RetrievalSchedule((8,), n))
+    with sanitizers.sanitized():
+        with pytest.raises(SanitizerError, match="not one of its"):
+            policy.combined_retrieval([(0, 1, 2)], 9)
+
+
 # -- event ordering ------------------------------------------------------
 
 def test_event_order_monotonic_passes():

@@ -5,13 +5,13 @@ import pytest
 
 from repro.graph import kernels
 from repro.graph.kernels import (
-    FEASIBLE_CACHE, MISS, LruCache, WarmStartMatcher,
-    batch_feasible, batch_mask_array, block_mask_array,
-    csr_capacitated_assignment, feasible, feasible_cached,
+    MISS, SAMPLER_CACHE, LruCache, WarmStartMatcher,
+    batch_feasible, batch_mask_array, block_mask_array, feasible,
     hall_feasible_many, mask_of, masks_of, minimum_accesses_many,
 )
 from repro.graph.kuhn import capacitated_assignment, \
     capacitated_feasible
+from repro.graph.matching import bounded_degree_assignment
 
 
 @pytest.fixture(autouse=True)
@@ -176,30 +176,13 @@ def test_lru_cache_rejects_bad_maxsize():
         LruCache("t", maxsize=0)
 
 
-def test_feasible_cached_is_order_invariant():
-    first = feasible_cached([[0, 1], [2, 3]], 9, 1)
-    assert FEASIBLE_CACHE.misses == 1
-    second = feasible_cached([[2, 3], [0, 1]], 9, 1)
-    assert first == second
-    assert FEASIBLE_CACHE.hits == 1
-
-
 def test_clear_caches_resets_stats():
-    feasible_cached([[0]], 9, 1)
+    SAMPLER_CACHE.put("k", 0.5)
+    assert SAMPLER_CACHE.get("k") == 0.5
     kernels.clear_caches()
     stats = kernels.cache_stats()
     assert all(s["hits"] == 0 and s["misses"] == 0 and s["size"] == 0
                for s in stats.values())
-
-
-def test_disabled_context_restores_flag():
-    assert kernels.ENABLED
-    with kernels.disabled():
-        assert not kernels.ENABLED
-        with kernels.disabled():
-            assert not kernels.ENABLED
-        assert not kernels.ENABLED
-    assert kernels.ENABLED
 
 
 # -- warm-started matching -----------------------------------------------
@@ -270,40 +253,36 @@ def test_warm_start_min_accesses_rejects_empty_candidates():
         matcher.min_accesses()
 
 
-# -- CSR Dinic fallback --------------------------------------------------
+# -- wide arrays (N > 64): feasible() is Kuhn ----------------------------
 
 def test_csr_assignment_edges():
-    assert csr_capacitated_assignment([], 4, 1) == []
-    assert csr_capacitated_assignment([[0]], 4, 0) is None
+    n_dev = 70
+    assert feasible([], n_dev, 1)
+    assert not feasible([[0]], n_dev, 0)
     with pytest.raises(ValueError):
-        csr_capacitated_assignment([[0]], 4, -1)
+        feasible([[0]], n_dev, -1)
     with pytest.raises(ValueError):
-        csr_capacitated_assignment([[4]], 4, 1)
+        feasible([[n_dev]], n_dev, 1)
 
 
 def test_csr_assignment_matches_kuhn_randomized():
     rng = np.random.default_rng(29)
-    for n_dev in (5, 9):
+    for n_dev in (65, 80):
         for _ in range(30):
             k = int(rng.integers(0, 12))
             cands = [[int(d) for d in rng.choice(
-                n_dev, size=int(rng.integers(1, 4)), replace=False)]
+                5, size=int(rng.integers(1, 4)), replace=False)]
                 for _ in range(k)]
             cap = int(rng.integers(1, 3))
-            got = csr_capacitated_assignment(cands, n_dev, cap)
-            want = capacitated_assignment(cands, n_dev, cap)
-            assert (got is None) == (want is None)
-            if got is not None:
-                for device, allowed in zip(got, cands):
-                    assert device in allowed
-                for d in range(n_dev):
-                    assert got.count(d) <= cap
+            want = bounded_degree_assignment(cands, n_dev, cap)
+            assert feasible(cands, n_dev, cap) == (want is not None)
 
 
 def test_csr_assignment_beyond_bitset_width():
     n_dev = 80  # > BITSET_MAX_DEVICES
     cands = [[d, (d + 1) % n_dev] for d in range(n_dev)]
-    out = csr_capacitated_assignment(cands, n_dev, 1)
+    out = capacitated_assignment(cands, n_dev, 1)
     assert out is not None
     assert sorted(out) == sorted(set(out))  # capacity-1: all distinct
     assert feasible(cands, n_dev, 1)
+    assert not feasible(cands + [[0, 1]], n_dev, 1)

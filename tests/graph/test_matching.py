@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.graph.matching import (
-    bounded_degree_assignment,
-    min_capacity_assignment,
-)
+from repro.graph.matching import bounded_degree_assignment
 
 
 class TestBoundedDegree:
@@ -56,24 +53,17 @@ class TestBoundedDegree:
         assert a == [0, 1, 2]
 
 
-class TestMinCapacity:
-    def test_empty(self):
-        assert min_capacity_assignment([], 3) == (0, [])
+    def test_per_bin_capacity(self):
+        a = bounded_degree_assignment([[0, 1]] * 3, 2, [1, 2])
+        assert sorted(a) == [0, 1, 1]
+        assert bounded_degree_assignment([[0, 1]] * 4, 2, [1, 2]) is None
 
-    def test_trivial_lower_bound_achieved(self):
-        cap, a = min_capacity_assignment([[0, 1], [0, 1]], 2)
-        assert cap == 1
-        assert sorted(a) == [0, 1]
+    def test_zero_capacity_bin_leaves_candidates(self):
+        assert bounded_degree_assignment([[0, 1], [1]], 2, [3, 0]) is None
+        assert bounded_degree_assignment([[0, 1]], 2, [0, 1]) == [1]
 
-    def test_forced_above_lower_bound(self):
-        # 2 items, 2 bins, but both restricted to bin 0.
-        cap, a = min_capacity_assignment([[0], [0]], 2)
-        assert cap == 2
-        assert a == [0, 0]
-
-    def test_all_items_assigned_within_cap(self):
-        cands = [[i % 3, (i + 1) % 3] for i in range(7)]
-        cap, a = min_capacity_assignment(cands, 3)
-        assert len(a) == 7
-        assert max(a.count(b) for b in range(3)) == cap
-        assert cap == 3  # ceil(7/3)
+    def test_per_bin_capacity_validated(self):
+        with pytest.raises(ValueError):
+            bounded_degree_assignment([[0]], 2, [1])
+        with pytest.raises(ValueError):
+            bounded_degree_assignment([[0]], 2, [1, -1])

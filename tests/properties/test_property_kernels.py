@@ -1,9 +1,9 @@
 """Property tests: every retrieval solver answers identically.
 
-The bitset kernels, the warm-started matcher, the CSR Dinic fallback,
-the reference Kuhn matcher and the flow-based scheduler are five
-implementations of the same combinatorial question; any disagreement
-on any instance is a bug in one of them.
+The bitset kernels, the warm-started matcher, the reference Kuhn
+matcher and the flow-based scheduler are four implementations of the
+same combinatorial question; any disagreement on any instance is a bug
+in one of them.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.graph import kernels
 from repro.graph.kernels import WarmStartMatcher, batch_mask_array, \
-    csr_capacitated_assignment, feasible, minimum_accesses_many
+    feasible, minimum_accesses_many
 from repro.graph.kuhn import capacitated_feasible
 from repro.graph.matching import bounded_degree_assignment
 
@@ -36,8 +36,6 @@ def test_all_solvers_agree_on_feasibility(params):
     want = capacitated_feasible(cands, n_devices, cap)
     assert feasible(cands, n_devices, cap) == want
     assert (bounded_degree_assignment(cands, n_devices, cap)
-            is not None) == want
-    assert (csr_capacitated_assignment(cands, n_devices, cap)
             is not None) == want
     matcher = WarmStartMatcher(n_devices, cap)
     for c in cands:
@@ -79,12 +77,12 @@ def test_optimal_access_count_agrees_with_maxflow(n_devices, raw):
        st.lists(st.lists(st.integers(0, 89), min_size=1, max_size=3),
                 min_size=0, max_size=10))
 def test_wide_array_fallback_agrees_with_kuhn(n_devices, cap, raw):
-    # N > 64: no bitset encoding; feasible() must route to CSR Dinic
+    # N > 64: no bitset encoding; feasible() routes to Kuhn, which
+    # must agree with the flow formulation
     cands = [sorted({b % n_devices for b in c}) for c in raw]
-    want = capacitated_feasible(cands, n_devices, cap)
+    want = bounded_degree_assignment(cands, n_devices, cap) is not None
     assert feasible(cands, n_devices, cap) == want
-    assert (csr_capacitated_assignment(cands, n_devices, cap)
-            is not None) == want
+    assert capacitated_feasible(cands, n_devices, cap) == want
 
 
 @settings(max_examples=60)
@@ -113,27 +111,22 @@ def test_warm_start_survives_removals(params, pyrandom):
             list(live.values()), n_devices, cap)
 
 
-def test_sampler_identical_with_kernels_on_and_off():
-    """The wired sampler path: kernels change nothing but speed."""
+def test_sampler_matches_per_trial_reference():
+    """The vectorized sampler equals the per-trial Kuhn loop."""
     from repro.allocation.design_theoretic import \
         DesignTheoreticAllocation
     from repro.core.sampling import OptimalRetrievalSampler
 
     alloc = DesignTheoreticAllocation.from_parameters(9, 3)
-
-    def table():
-        kernels.clear_caches()
-        return OptimalRetrievalSampler(alloc, trials=300,
-                                       seed=5).table(10)
-
-    fast = table()
-    with kernels.disabled():
-        legacy = table()
-    assert fast == legacy
+    kernels.clear_caches()
+    sampler = OptimalRetrievalSampler(alloc, trials=300, seed=5)
+    assert sampler.table(10) == {
+        k: sampler.reference_probability(k) for k in range(1, 11)}
 
 
-def test_retrieval_schedules_identical_with_kernels_on_and_off():
-    """Memoized maxflow/combined schedules equal the legacy output."""
+def test_retrieval_schedules_match_reference_matcher():
+    """maxflow/combined schedules: Kuhn's assignment, always optimal."""
+    from repro.graph.kuhn import capacitated_assignment
     from repro.retrieval.maxflow import maxflow_retrieval
     from repro.retrieval.policy import combined_retrieval
 
@@ -143,14 +136,9 @@ def test_retrieval_schedules_identical_with_kernels_on_and_off():
                                             replace=False)]
                 for _ in range(int(rng.integers(1, 8)))]
                for _ in range(40)]
-    batches += batches[:10]  # repeats: exercise cache hits
-    kernels.clear_caches()
-    fast = [(maxflow_retrieval(b, n_dev).assignment,
-             combined_retrieval(b, n_dev).assignment)
-            for b in batches]
-    with kernels.disabled():
-        legacy = [(maxflow_retrieval(b, n_dev).assignment,
-                   combined_retrieval(b, n_dev).assignment)
-                  for b in batches]
-    assert fast == legacy
-    assert kernels.SCHEDULE_CACHE.hits >= 10
+    for b in batches:
+        flow = maxflow_retrieval(b, n_dev)
+        assert list(flow.assignment) == capacitated_assignment(
+            b, n_dev, flow.accesses)
+        assert not feasible(b, n_dev, flow.accesses - 1)
+        assert combined_retrieval(b, n_dev).accesses == flow.accesses

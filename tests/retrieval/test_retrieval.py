@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
+from repro.graph import kernels
 from repro.retrieval import (
     RetrievalSchedule,
     combined_retrieval,
@@ -298,3 +299,38 @@ class TestValidateSchedule:
         s = RetrievalSchedule((12,), 9)
         with pytest.raises(ValueError, match="out of range"):
             validate_schedule(s, [(12,)])
+
+
+_BAD_INPUTS = {
+    # out-of-range candidate devices name the request
+    "device-below-0": (lambda: maxflow_retrieval([[-1], [2]], 3),
+                       "request 0: candidate device -1"),
+    "device-past-N": (lambda: maxflow_retrieval([[0], [3]], 3),
+                      "request 1: candidate device 3"),
+    "mask-below-0": (lambda: kernels.mask_of([-1], 9),
+                     "candidate device -1 out of range"),
+    # a negative access budget raises on every solver path
+    "retrievable-negative": (lambda: is_retrievable_in([[0]], 9, -1),
+                             "capacity must be >= 0"),
+    "feasible-negative": (lambda: kernels.feasible([[0]], 9, -1),
+                          "capacity must be >= 0"),
+    "batch-negative": (lambda: kernels.batch_feasible(
+        np.array([[1]], dtype=np.uint64), 9, -1),
+        "capacity must be >= 0"),
+    # carry is checked before rounding, at its full length
+    "carry-negative-fraction": (lambda: maxflow_retrieval_with_carry(
+        [[0, 1]], 3, [-0.5, 1.0, 0.0]), "carry must be finite"),
+    "carry-infinite": (lambda: maxflow_retrieval_with_carry(
+        [[0, 1]], 2, [float("inf"), 0.0]), "carry must be finite"),
+    "carry-short": (lambda: maxflow_retrieval_with_carry(
+        [[0, 2]], 3, [1.0, 0.0]), "carry has 2 entries"),
+    "carry-long": (lambda: maxflow_retrieval_with_carry(
+        [[0, 1]], 2, [1.0, 0.0, 5.0]), "carry has 3 entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_invalid_retrieval_input_rejected(case):
+    call, message = _BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

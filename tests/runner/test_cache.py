@@ -162,17 +162,9 @@ class TestRuntimeTokenInKey:
             sanitizers.disable()
         assert self._key(tmp_path) == before
 
-    def test_kernel_toggle_changes_key(self, tmp_path):
-        from repro.graph import kernels
-
-        before = self._key(tmp_path)
-        with kernels.disabled():
-            assert self._key(tmp_path) != before
-        assert self._key(tmp_path) == before
-
     def test_admission_kernel_toggle_changes_key(self, tmp_path):
         """Regression: the vectorized-admission switch must key the
-        cache like the sanitizer/kernel switches do -- a cell cached
+        cache like the sanitizer switch does -- a cell cached
         with the admission kernel off must not serve a run with it
         on (and vice versa)."""
         from repro.flash import admitpath
@@ -185,11 +177,9 @@ class TestRuntimeTokenInKey:
     def test_token_reflects_current_switches(self):
         from repro.check import sanitizers
         from repro.flash import admitpath
-        from repro.graph import kernels
         from repro.runner.cache import runtime_token
 
         assert runtime_token() == {
             "sanitizers": sanitizers.ACTIVE,
-            "kernels": kernels.ENABLED,
             "admission_kernel": admitpath.ENABLED,
         }
