@@ -240,7 +240,7 @@ def _faults_small(seed: int) -> str:
     schedule = model.materialize(9, horizon_ms=40.0, seed=seed + 17)
     player = OnlineTracePlayer(alloc, interval_ms=0.4,
                                faults=schedule)
-    if player.engine_selected != "fast":
+    if player.engine != "fast":
         raise ValueError("a materialized fault schedule must keep "
                          "the fast engine")
     _, played = player.play(arrivals, buckets)
@@ -322,11 +322,12 @@ StreamingFPGrowth` mines the exact itemsets and supports batch
 
 
 def _admission_small(seed: int) -> str:
-    """Vectorized-admission kernel probe: on-vs-off double run.
+    """Vectorized-admission kernel probe: kernel-vs-reference run.
 
-    Plays delayed-pileup, reject-overflow and faulted workloads with
-    the segmented admission kernel (:mod:`repro.flash.admitpath`)
-    enabled and disabled, and demands byte-identical
+    Plays delayed-pileup, reject-overflow and faulted workloads on
+    the segmented admission kernel (:mod:`repro.flash.admitpath`) and
+    on the scalar reference loop -- a session demoted before its
+    first feed -- and demands byte-identical
     :class:`~repro.core.qos.QoSReport` fingerprints -- per-request
     timestamps, devices, delay/reject flags *and* the degraded-mode
     counts ``n_failed``/``n_faulted``.  The ``mixed_rw`` cell adds
@@ -342,7 +343,6 @@ def _admission_small(seed: int) -> str:
     from repro.core.qos import QoSReport
     from repro.experiments import faults as faults_exp
     from repro.faults import FaultModel, FaultSchedule
-    from repro.flash import admitpath
     from repro.flash.driver import OnlineTracePlayer
     from repro.flash.params import FlashParams
 
@@ -375,7 +375,7 @@ def _admission_small(seed: int) -> str:
                 for p in report.requests]
         return json.dumps([rows, report.n_failed, report.n_faulted])
 
-    def run_cells() -> Tuple[Dict[str, str], int]:
+    def run_cells(reference: bool) -> Tuple[Dict[str, str], int]:
         """Cell fingerprints, and how many cells stayed on the kernel."""
         out = {}
         engaged = 0
@@ -387,6 +387,8 @@ def _admission_small(seed: int) -> str:
             # session + feed + drain is exactly play(), and leaves the
             # session to say which admission path it ended on
             session = player.session()
+            if reference:
+                session._demote("reference")
             session.feed(arr, buckets, reads=reads)
             series, played = session.drain()
             engaged += session.admission_kernel == "vector"
@@ -396,14 +398,13 @@ def _admission_small(seed: int) -> str:
                 QoSReport(series, played, guarantee))
         return out, engaged
 
-    vectorized, engaged = run_cells()
+    vectorized, engaged = run_cells(reference=False)
     if engaged < len(cells):
         raise ValueError(
             f"the vectorized admission kernel stayed engaged on only "
-            f"{engaged}/{len(cells)} probe cells -- the on-vs-off "
-            "comparison would be vacuous")
-    with admitpath.disabled():
-        scalar, _ = run_cells()
+            f"{engaged}/{len(cells)} probe cells -- the kernel-vs-"
+            "reference comparison would be vacuous")
+    scalar, _ = run_cells(reference=True)
     for name in vectorized:
         if vectorized[name] != scalar[name]:
             raise ValueError(

@@ -162,8 +162,10 @@ class QoSFlashArray:
         Optional :class:`repro.faults.FaultSchedule` injected into
         every trace run: module crashes, unavailability windows,
         latency degradation and read errors, with failure-aware
-        retrieval and driver failover (see :mod:`repro.faults`).  A
-        non-empty schedule forces the DES engine.
+        retrieval and driver failover (see :mod:`repro.faults`).
+        Faults keep the fast engine: they replay event-free through
+        :class:`repro.flash.faulted.FaultedReplay`, byte-identical to
+        the DES.
     """
 
     def __init__(self, n_devices: int = 9, replication: int = 3,

@@ -13,7 +13,7 @@ from repro.flash.metrics import IntervalSeries
 from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher, MatchResult
 from repro.mining.transactions import transactions_from_trace
-from repro.traces.records import Trace
+from repro.traces.records import Trace, _check_arrival_times
 
 __all__ = ["ExperimentResult", "render_table", "WorkloadRun",
            "play_workload", "play_original"]
@@ -182,9 +182,14 @@ def play_original(parts: Sequence[Trace], n_devices: int,
     the vectorized Lindley recurrence
     (:func:`repro.flash.batch.stacked_fcfs_completion_times`) --
     bit-identical to the DES, which ``engine="des"`` still runs.
+    Every part's arrivals must be finite times ``>= 0``; both engines
+    refuse a bad one up front, naming the part and the index.
     """
     from repro.flash.driver import select_engine
 
+    for part_idx, part in enumerate(parts):
+        _check_arrival_times(part.arrival_ms,
+                             f"part {part_idx}: arrival {{}}")
     if select_engine(engine)[0] == "fast":
         return _play_original_fast(parts, n_devices)
 

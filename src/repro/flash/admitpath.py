@@ -63,48 +63,31 @@ Everything here is decision *classification* only -- placement,
 busy-until arithmetic, faulted replay submission and played-request
 bookkeeping stay in :class:`repro.flash.driver.OnlineStreamSession`,
 which consumes the emitted :class:`AdmissionPlan` batch by batch.
-Byte-identity with the scalar loop is enforced by the ``admission``
-determinism probe (``python -m repro.check --probe admission``), the
-hypothesis properties in ``tests/properties/test_property_admitpath.py``
-and the ``rows_identical`` assertion in ``tools/bench_runner.py``.
+The scalar loop stays the reference.  There is no switch for it: a
+session reaches it by demoting before its first feed
+(``session._demote("reference")``), the same exact hand-over a
+mid-stream demotion makes.  Byte-identity with it is enforced by the
+``admission`` determinism probe (``python -m repro.check --probe
+admission``), the hypothesis properties in
+``tests/properties/test_property_admitpath.py`` and the
+``rows_identical`` assertion in ``tools/bench_runner.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "ENABLED", "disabled",
     "AdmissionPlan", "DemotionRequired", "VectorAdmissionWindow",
     "supports_vector_admission",
 ]
 
-#: Master switch for the vectorized admission path.  The scalar loop
-#: remains the reference implementation; the ``admission`` determinism
-#: probe runs eligible workloads both ways and demands byte-identity.
-#: Cache keys include this switch (:func:`repro.runner.cache.\
-#: runtime_token`) so results computed either way never alias.
-ENABLED: bool = True
-
 #: The driver's wake-up batching tolerance (``process_now`` pops every
 #: heap entry within this of the batch anchor).
 _BATCH_TOL = 1e-12
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the scalar admission loop (kernel off)."""
-    global ENABLED
-    previous = ENABLED
-    ENABLED = False
-    try:
-        yield
-    finally:
-        ENABLED = previous
 
 
 def supports_vector_admission(admission: str, epsilon: float,
@@ -119,8 +102,6 @@ def supports_vector_admission(admission: str, epsilon: float,
     they keep the scalar loop and the returned reason names why
     (mirroring :func:`repro.flash.driver.select_engine`).
     """
-    if not ENABLED:
-        return False, "disabled"
     if tenant_budgets is not None:
         return False, "tenant_budgets"
     if admission == "exact":

@@ -52,58 +52,17 @@ from repro.flash.played import (DELAYED, FAILED, FAULTED, REJECTED,
 from repro.retrieval.design_theoretic import design_theoretic_retrieval
 from repro.retrieval.policy import combined_retrieval
 from repro.sim import Environment
+from repro.traces.records import _check_arrival_times
 
 __all__ = ["BatchTracePlayer", "OnlineTracePlayer",
            "OnlineStreamSession", "PlayedRequest", "PlayedTable",
-           "select_engine", "engine_tally", "reset_engine_tally"]
+           "select_engine"]
 
 
-#: process-wide tally of engine selections and fallback reasons --
-#: purely diagnostic (benches report fast-path coverage from it);
-#: never read by any simulation code
-_ENGINE_TALLY: Dict[str, int] = {}
-
-
-def engine_tally() -> Dict[str, int]:
-    """Snapshot of engine selections since the last reset.
-
-    Keys are ``"fast"``, ``"des"`` and ``"fallback.<reason>"`` for
-    playback-engine picks, plus ``"admission.vector"`` /
-    ``"admission.scalar"`` / ``"admission.demoted"`` and
-    ``"admission.fallback.<reason>"`` for the admission-kernel path
-    each streaming session resolved to; consumed by
-    ``tools/bench_runner.py`` to report fast-path coverage instead of
-    guessing.
-    """
-    return dict(_ENGINE_TALLY)
-
-
-def reset_engine_tally() -> None:
-    _ENGINE_TALLY.clear()
-
-
-def _tally_engine(engine: str, reason: str) -> None:
-    _ENGINE_TALLY[engine] = _ENGINE_TALLY.get(engine, 0) + 1
-    if reason:
-        key = f"fallback.{reason}"
-        _ENGINE_TALLY[key] = _ENGINE_TALLY.get(key, 0) + 1
+def _observe_engine(engine: str, reason: str) -> None:
+    """Count one engine selection into the obs kernel section."""
     if obs.ACTIVE:
         obs.SESSION.on_engine(engine, reason)
-
-
-def _tally_admission(kind: str, reason: str) -> None:
-    """Record one session's admission-kernel resolution.
-
-    ``kind`` is ``"vector"`` (the :mod:`repro.flash.admitpath`
-    segmented kernel), ``"scalar"`` (the reference loop) or
-    ``"demoted"`` (a vector session that fell back mid-stream);
-    ``reason`` names the fallback, mirroring the engine tally.
-    """
-    key = f"admission.{kind}"
-    _ENGINE_TALLY[key] = _ENGINE_TALLY.get(key, 0) + 1
-    if reason:
-        key = f"admission.fallback.{reason}"
-        _ENGINE_TALLY[key] = _ENGINE_TALLY.get(key, 0) + 1
 
 
 def select_engine(engine: str, module_factory=None,
@@ -250,11 +209,6 @@ class BatchTracePlayer:
         self.engine, self.fallback_reason = select_engine(
             engine, module_factory=module_factory)
 
-    @property
-    def engine_selected(self) -> str:
-        """The engine this player's configuration resolved to."""
-        return self.engine
-
     def _schedule(self, candidates, carry):
         """Device assignment for one interval batch.
 
@@ -296,14 +250,18 @@ class BatchTracePlayer:
 
         The batch player is read-only (as are all the paper's batch
         experiments); mixed read/write traces go through
-        :class:`OnlineTracePlayer`.
+        :class:`OnlineTracePlayer`.  Every arrival must be a finite
+        time ``>= 0`` (a ``ValueError`` names the first bad index): a
+        negative one would batch in a negative interval on the fast
+        engine and at time 0 on the DES.
         """
         if len(arrivals) != len(buckets):
             raise ValueError("arrivals and buckets must align")
         if reads is not None and not all(reads):
             raise ValueError("BatchTracePlayer is read-only; use "
                              "OnlineTracePlayer for writes")
-        _tally_engine(self.engine, self.fallback_reason)
+        _check_arrival_times(arrivals)
+        _observe_engine(self.engine, self.fallback_reason)
         n_devices = self.allocation.n_devices
         array = replay = None
         if self.engine == "des":
@@ -496,11 +454,6 @@ class OnlineTracePlayer:
             engine, module_factory=module_factory,
             ftl_factory=ftl_factory)
 
-    @property
-    def engine_selected(self) -> str:
-        """The engine this player's configuration resolved to."""
-        return self.engine
-
     def _make_admission(self):
         if self.admission == "exact":
             excluded = ()
@@ -537,16 +490,7 @@ class OnlineTracePlayer:
         each tenant's declared per-interval request size on top of the
         system limit.
         """
-        if len(arrivals) != len(buckets):
-            raise ValueError("arrivals and buckets must align")
-        if reads is not None and len(reads) != len(buckets):
-            raise ValueError("reads must align with buckets")
-        if self.tenant_budgets is not None:
-            if apps is None or len(apps) != len(buckets):
-                raise ValueError(
-                    "tenant budgets require an aligned apps sequence")
-        _tally_engine(self.engine, self.fallback_reason)
-        session = OnlineStreamSession(self)
+        session = self.session()
         session.feed(arrivals, buckets, reads=reads, apps=apps)
         return session.drain()
 
@@ -561,7 +505,7 @@ advance` the clock to an interval boundary, act on what it saw
         traffic never stops.  Feeding the whole trace at once and
         draining is exactly :meth:`play`.
         """
-        _tally_engine(self.engine, self.fallback_reason)
+        _observe_engine(self.engine, self.fallback_reason)
         return OnlineStreamSession(self)
 
 
@@ -671,7 +615,7 @@ class OnlineStreamSession:
         #: admission, ε = 0, no tenant budgets); ``None`` keeps the
         #: scalar reference loop.  ``admission_kernel`` /
         #: ``admission_fallback_reason`` report the resolution the
-        #: same way ``engine_selected`` / ``fallback_reason`` do.
+        #: same way the player's ``engine`` / ``fallback_reason`` do.
         self._vec = None
         self.admission_kernel = "scalar"
         self.admission_fallback_reason = "des_engine"
@@ -687,8 +631,6 @@ class OnlineStreamSession:
                 self.admission_fallback_reason = ""
             else:
                 self.admission_fallback_reason = reason
-        _tally_admission(self.admission_kernel,
-                         self.admission_fallback_reason)
 
     def __len__(self) -> int:
         """Requests fed so far."""
@@ -738,14 +680,7 @@ class OnlineStreamSession:
             if apps is None or len(apps) != len(buckets):
                 raise ValueError(
                     "tenant budgets require an aligned apps sequence")
-        times = np.asarray(arrivals, dtype=np.float64).reshape(-1)
-        ok = times >= 0.0
-        ok &= times < np.inf
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            raise ValueError(
-                f"arrival {bad} of the chunk is {times[bad]!r}; "
-                "arrivals must be finite times >= 0")
+        times = _check_arrival_times(arrivals, "arrival {} of the chunk")
         late = times < self._until - 1e-12
         if late.any():
             bad = int(np.argmax(late))
@@ -1154,7 +1089,6 @@ class OnlineStreamSession:
         self._vec = None
         self.admission_kernel = "scalar"
         self.admission_fallback_reason = reason
-        _tally_admission("demoted", reason)
         heap = self.heap
         for t, seq in zip(state["times"].tolist(),
                           state["indices"].tolist()):

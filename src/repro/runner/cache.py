@@ -5,9 +5,9 @@ parameters and seed, so its result can be cached across processes and
 sessions.  Keys are sha256 digests over the canonical JSON of the
 cell's identity -- experiment name, cell name, fully-qualified
 function, parameters, a fingerprint of the whole ``repro`` source
-tree, and the process-level runtime switches (sanitizers, admission
-kernel) -- so any code change invalidates every entry at once (cheap and
-safe: correctness never depends on a partial-invalidation heuristic)
+tree, and the process-level runtime switch (sanitizers) -- so any
+code change invalidates every entry at once (cheap and safe:
+correctness never depends on a partial-invalidation heuristic)
 and results computed under one runtime mode never satisfy another.
 
 Entries live under ``.benchmarks/cache/<2-char prefix>/<digest>.pkl``
@@ -59,19 +59,17 @@ def source_fingerprint(package_root: Optional[Path] = None,
 def runtime_token() -> Dict[str, bool]:
     """Process-level switches that change what a cell computes.
 
-    Sanitizers rewire the simulation with checking wrappers and the
-    admission switch selects between the vectorized admission kernel
-    and the scalar loop; both claim byte-identical *results*, but a
-    cache must not take that on faith -- a bug in either mode would
-    otherwise leak results across modes and mask itself.  Read lazily
-    so runtime toggles (``sanitizers.enable()``,
-    ``admitpath.disabled()``) take effect.
+    Sanitizers rewire the simulation with checking wrappers; they
+    claim byte-identical *results*, but a cache must not take that on
+    faith -- a bug in either mode would otherwise leak results across
+    modes and mask itself.  Read lazily so runtime toggles
+    (``sanitizers.enable()``) take effect.  Which admission and
+    retrieval paths a play takes is decided per session from its
+    configuration alone, so it needs no field here.
     """
     from repro.check import sanitizers
-    from repro.flash import admitpath
 
-    return {"sanitizers": bool(sanitizers.ACTIVE),
-            "admission_kernel": bool(admitpath.ENABLED)}
+    return {"sanitizers": bool(sanitizers.ACTIVE)}
 
 
 def _canonical(payload: Any) -> str:

@@ -35,6 +35,27 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
+def _check_arrival_times(arrivals, label: str = "arrival {}",
+                         ) -> np.ndarray:
+    """Refuse non-finite or negative arrivals; returns them as floats.
+
+    A NaN or infinite arrival is never served, and a negative one
+    falls into a negative QoS interval on the fast engines and
+    interval 0 on the DES, so every player checks its arrivals with
+    this before playing any.  ``label`` formats the first bad index
+    into the ``ValueError`` message.
+    """
+    times = np.asarray(arrivals, dtype=np.float64).reshape(-1)
+    ok = times >= 0.0
+    ok &= times < np.inf
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ValueError(
+            f"{label.format(bad)} is {float(times[bad])!r}; "
+            "arrivals must be finite times >= 0")
+    return times
+
+
 def check_part_arrivals(part_idx: int, arrivals) -> None:
     """Refuse a part whose arrivals are not finite, ``>= 0`` and
     non-decreasing, naming the part and the first bad index.
@@ -44,14 +65,8 @@ def check_part_arrivals(part_idx: int, arrivals) -> None:
     arrival as the interval boundary, so they check every part with
     this before feeding anything.
     """
-    times = np.asarray(arrivals, dtype=np.float64)
-    ok = times >= 0.0
-    ok &= times < np.inf
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise ValueError(
-            f"part {part_idx}: arrival {bad} is {float(times[bad])!r}; "
-            "arrivals must be finite times >= 0")
+    times = _check_arrival_times(arrivals,
+                                 f"part {part_idx}: arrival {{}}")
     back = np.flatnonzero(times[1:] < times[:-1])
     if back.size:
         bad = int(back[0]) + 1

@@ -94,3 +94,27 @@ def test_kernels_probe_raises_on_a_wrong_kernel_answer(
             PROBE_WORKLOADS["kernels"](0)
     finally:
         kernels.clear_caches()  # drop the corrupted sampler entries
+
+
+def test_admission_probe_raises_on_one_flipped_admission(monkeypatch):
+    # The probe's reference is a session demoted before its first
+    # feed; a kernel that denies a single request the scalar loop
+    # admits must be caught by the kernel-vs-reference comparison.
+    from repro.flash.admitpath import VectorAdmissionWindow
+
+    take = VectorAdmissionWindow.take
+    flipped = []
+
+    def take_flipping_one(self, until_ms):
+        plan = take(self, until_ms)
+        if plan is not None and plan.n_admitted and not flipped:
+            first = int(plan.admitted.argmax())
+            plan.admitted = plan.admitted.copy()
+            plan.admitted[first] = False
+            flipped.append(first)
+        return plan
+
+    monkeypatch.setattr(VectorAdmissionWindow, "take", take_flipping_one)
+    with pytest.raises(ValueError, match="diverged from the scalar loop"):
+        PROBE_WORKLOADS["admission"](0)
+    assert flipped

@@ -12,15 +12,15 @@ and the engine-resolution reporting.
 import numpy as np
 import pytest
 
-from repro.flash import admitpath
 from repro.flash.admitpath import (
     DemotionRequired,
     VectorAdmissionWindow,
     supports_vector_admission,
 )
-from repro.flash.driver import OnlineTracePlayer, engine_tally
+from repro.flash.driver import OnlineTracePlayer
 
-from tests.support.builders import crash_schedule, design_alloc
+from tests.support.builders import (crash_schedule, design_alloc,
+                                    reference_play, reference_session)
 
 
 def window(limit=3, overflow="delay", interval_ms=0.4):
@@ -47,13 +47,6 @@ class TestSupportMatrix:
         ok, reason = supports_vector_admission(admission, epsilon,
                                                budgets)
         assert not ok and reason == expected
-
-    def test_disabled_switch(self):
-        with admitpath.disabled():
-            ok, reason = supports_vector_admission("counting", 0.0,
-                                                   None)
-            assert not ok and reason == "disabled"
-        assert supports_vector_admission("counting", 0.0, None)[0]
 
 
 class TestPlanShape:
@@ -148,9 +141,10 @@ class TestDemotion:
         buckets = [0, 1, 2, 3, 4, 5]
         reads = [True, False, True, True, True, False]
 
-        def run():
+        def run(reference=False):
             player = OnlineTracePlayer(design_alloc(), interval_ms=0.4)
-            session = player.session()
+            session = reference_session(player) if reference \
+                else player.session()
             session.feed(arrivals[:2], buckets[:2], reads=reads[:2])
             session.advance(0.08)
             session.feed(arrivals[2:], buckets[2:], reads=reads[2:])
@@ -159,8 +153,7 @@ class TestDemotion:
         session, (_, played) = run()
         assert session.admission_kernel == "scalar"
         assert session.admission_fallback_reason == "time_resolution"
-        with admitpath.disabled():
-            _, (_, played_ref) = run()
+        _, (_, played_ref) = run(reference=True)
         key = [(p.index, p.interval, p.delayed, p.io.issued_at,
                 p.io.completed_at) for p in played]
         assert key == [(p.index, p.interval, p.delayed, p.io.issued_at,
@@ -205,9 +198,10 @@ class TestWrites:
         buckets = list(range(11))
         reads = [True] * 8 + [False, True, False]
 
-        def run():
+        def run(reference=False):
             player = OnlineTracePlayer(design_alloc(), interval_ms=0.4)
-            session = player.session()
+            session = reference_session(player) if reference \
+                else player.session()
             session.feed(arrivals[:8], buckets[:8])
             session.advance(0.405)
             session.feed(arrivals[8:], buckets[8:], reads=reads[8:])
@@ -215,8 +209,7 @@ class TestWrites:
 
         session, played = run()
         assert session.admission_kernel == "vector"
-        with admitpath.disabled():
-            _, ref = run()
+        _, ref = run(reference=True)
         key = [(p.index, p.interval, p.delayed, p.io.issued_at)
                for p in played]
         assert key == [(p.index, p.interval, p.delayed, p.io.issued_at)
@@ -230,10 +223,11 @@ class TestWrites:
         buckets = [i % 36 for i in range(40)]
         reads = [i % 4 != 1 for i in range(40)]
 
-        def run(**kw):
+        def run(reference=False, **kw):
             player = OnlineTracePlayer(design_alloc(), interval_ms=0.4,
                                        **kw)
-            session = player.session()
+            session = reference_session(player) if reference \
+                else player.session()
             session.feed(arrivals[:20], buckets[:20], reads=reads[:20])
             session.advance(arrivals[20])
             session.feed(arrivals[20:], buckets[20:], reads=reads[20:])
@@ -244,8 +238,7 @@ class TestWrites:
             session, (_, played) = run(**kw)
             assert session.admission_kernel == "vector"
             assert session.admission_fallback_reason == ""
-            with admitpath.disabled():
-                _, (_, played_ref) = run(**kw)
+            _, (_, played_ref) = run(reference=True, **kw)
             key = [(p.index, p.interval, p.delayed, p.rejected,
                     p.io.is_read, p.io.device, p.io.issued_at,
                     p.io.completed_at) for p in played]
@@ -257,12 +250,18 @@ class TestWrites:
 
 class TestSessionReporting:
     def test_vector_session_reports_and_tallies(self):
-        before = engine_tally().get("admission.vector", 0)
         session = OnlineTracePlayer(design_alloc(),
                                     interval_ms=0.4).session()
         assert session.admission_kernel == "vector"
         assert session.admission_fallback_reason == ""
-        assert engine_tally()["admission.vector"] == before + 1
+
+    def test_demoted_session_reports_its_reason(self):
+        player = OnlineTracePlayer(design_alloc(), interval_ms=0.4)
+        session = reference_session(player)
+        assert session.admission_kernel == "scalar"
+        assert session.admission_fallback_reason == "reference"
+        # demotion is per session: the next one still takes the kernel
+        assert player.session().admission_kernel == "vector"
 
     def test_des_session_stays_scalar(self):
         session = OnlineTracePlayer(design_alloc(), interval_ms=0.4,
@@ -286,10 +285,9 @@ class TestBulkSpan:
         session = player.session()
         session.feed(arrivals, buckets)
         _, played = session.drain()
-        with admitpath.disabled():
-            player = OnlineTracePlayer(design_alloc(),
-                                       interval_ms=0.4, **kw)
-            _, ref = player.play(arrivals, buckets)
+        player = OnlineTracePlayer(design_alloc(), interval_ms=0.4,
+                                   **kw)
+        _, ref = reference_play(player, arrivals, buckets)
         key = [(p.index, p.interval, p.delayed, p.rejected,
                 p.io.device, p.io.issued_at, p.io.started_at,
                 p.io.completed_at, p.io.failed) for p in played]
@@ -327,9 +325,13 @@ class TestBulkSpan:
 
 
 class TestResultCacheCoupling:
-    def test_toggle_reaches_runtime_token(self):
+    def test_demotion_never_reaches_runtime_token(self):
+        # the admission path is a property of the session, decided by
+        # its configuration: nothing process-wide keys the cache on it
         from repro.runner.cache import runtime_token
 
-        assert runtime_token()["admission_kernel"] is True
-        with admitpath.disabled():
-            assert runtime_token()["admission_kernel"] is False
+        before = runtime_token()
+        reference_session(OnlineTracePlayer(design_alloc(),
+                                            interval_ms=0.4))
+        assert runtime_token() == before
+        assert "admission_kernel" not in before

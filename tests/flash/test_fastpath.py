@@ -124,6 +124,41 @@ class TestPlayOriginalFastVsDes:
         assert fast.intervals() == []
 
 
+def _batch_play(arrivals, engine):
+    alloc = DesignTheoreticAllocation.from_parameters(9, 3)
+    BatchTracePlayer(alloc, T, engine=engine).play(
+        arrivals, list(range(len(arrivals))))
+
+
+def _original_play(arrivals, engine):
+    ok = Trace.from_arrays([0.1, 0.2], [0, 1], device=[0, 1])
+    bad = Trace.from_arrays(arrivals, list(range(len(arrivals))),
+                            device=[0] * len(arrivals))
+    play_original([ok, bad], 13, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["fast", "des"])
+@pytest.mark.parametrize("play, arrivals, message", [
+    # negative arrivals batched in intervals -3 and -1: the fast
+    # engine issued the first at -0.399, the DES at 0.0
+    (_batch_play, [-0.5, -0.2, 0.05, 0.3], r"^arrival 0 is -0\.5;"),
+    # NaN used to fail the interval cast without naming the request
+    (_batch_play, [0.05, float("nan"), 0.3], r"^arrival 1 is nan;"),
+    # the original stand: 0.1433 ms mean response fast, 0.2317 DES
+    (_original_play, [-0.5, -0.4, 0.1], r"^part 1: arrival 0 is -0\.5;"),
+    # NaN: avg nan / max -inf fast, finite numbers on the DES
+    (_original_play, [0.1, float("nan"), 0.3],
+     r"^part 1: arrival 1 is nan;"),
+], ids=["batch-negative", "batch-nan", "original-negative",
+        "original-nan"])
+def test_bad_arrivals_raise_on_both_engines(play, arrivals, message,
+                                            engine):
+    # Both players check arrivals before either engine runs, so the
+    # engines cannot disagree on a trace neither can play.
+    with pytest.raises(ValueError, match=message):
+        play(arrivals, engine)
+
+
 def played_key(p):
     io = p.io
     return (p.index, p.interval, p.delayed, p.rejected, io.device,

@@ -6,14 +6,12 @@ into ``feed``/``advance`` steps, the drained result must be
 byte-identical to a single ``play`` call.
 """
 
-import contextlib
-
 import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.faults import FaultModel, FaultSchedule
-from repro.flash import admitpath
 from repro.flash.driver import OnlineTracePlayer
+from tests.support.builders import reference_play, reference_session
 
 ALLOC = DesignTheoreticAllocation.from_parameters(9, 3)
 
@@ -37,6 +35,14 @@ def series_key(series):
 def make_player(**kw):
     kw.setdefault("interval_ms", 0.4)
     return OnlineTracePlayer(ALLOC, **kw)
+
+
+def open_session(kernel):
+    """A session on the ``"vector"`` kernel or the ``"scalar"`` loop."""
+    player = make_player()
+    if kernel == "scalar":
+        return reference_session(player)
+    return player.session()
 
 
 class TestChunkingInvariance:
@@ -89,7 +95,7 @@ class TestChunkingInvariance:
         schedule = FaultSchedule.crashes([0])
         arrivals, buckets = make_trace(n=120)
         player = make_player(faults=schedule)
-        assert player.engine_selected == "fast"
+        assert player.engine == "fast"
         _, played_ref = player.play(arrivals, buckets)
         session = make_player(faults=schedule).session()
         session.feed(arrivals[:60], buckets[:60])
@@ -222,10 +228,10 @@ class TestArrivalValidation:
     @pytest.mark.parametrize("engine", ["vector", "scalar", "des"])
     def test_bad_arrival_raises_naming_its_index(self, bad, engine):
         player = make_player(engine="des" if engine == "des" else "auto")
-        with contextlib.ExitStack() as stack:
+        with pytest.raises(ValueError, match=r"arrival 1 of the chunk"):
             if engine == "scalar":
-                stack.enter_context(admitpath.disabled())
-            with pytest.raises(ValueError, match=r"arrival 1 of the chunk"):
+                reference_play(player, [0.1, bad, 0.3], [0, 1, 2])
+            else:
                 player.play([0.1, bad, 0.3], [0, 1, 2])
 
     def test_index_is_within_the_chunk(self):
@@ -250,30 +256,24 @@ class TestFeedBehindTheClock:
 
     @pytest.mark.parametrize("kernel", ["vector", "scalar"])
     def test_arrival_behind_the_cut_raises(self, kernel):
-        with contextlib.ExitStack() as stack:
-            if kernel == "scalar":
-                stack.enter_context(admitpath.disabled())
-            session = make_player().session()
-            session.feed([0.0, 0.1, 0.5], [0, 1, 2])
-            session.advance(0.4)
-            with pytest.raises(ValueError,
-                               match=r"arrival 1 of the chunk .*behind"):
-                session.feed([0.45, 0.2], [3, 4])
-            # the refused chunk left nothing behind
-            assert len(session) == 3
-            _, played = session.drain()
+        session = open_session(kernel)
+        session.feed([0.0, 0.1, 0.5], [0, 1, 2])
+        session.advance(0.4)
+        with pytest.raises(ValueError,
+                           match=r"arrival 1 of the chunk .*behind"):
+            session.feed([0.45, 0.2], [3, 4])
+        # the refused chunk left nothing behind
+        assert len(session) == 3
+        _, played = session.drain()
         assert sorted(played.index.tolist()) == [0, 1, 2]
 
     @pytest.mark.parametrize("kernel", ["vector", "scalar"])
     def test_arrival_at_the_cut_tolerance_is_accepted(self, kernel):
-        with contextlib.ExitStack() as stack:
-            if kernel == "scalar":
-                stack.enter_context(admitpath.disabled())
-            session = make_player().session()
-            session.feed([0.0, 0.1], [0, 1])
-            session.advance(0.4)
-            session.feed([0.4 - 1e-12, 0.4], [2, 3])
-            _, chunked = session.drain()
-            _, one_shot = make_player().play(
-                [0.0, 0.1, 0.4 - 1e-12, 0.4], [0, 1, 2, 3])
+        session = open_session(kernel)
+        session.feed([0.0, 0.1], [0, 1])
+        session.advance(0.4)
+        session.feed([0.4 - 1e-12, 0.4], [2, 3])
+        _, chunked = session.drain()
+        _, one_shot = make_player().play(
+            [0.0, 0.1, 0.4 - 1e-12, 0.4], [0, 1, 2, 3])
         assert played_key(chunked) == played_key(one_shot)

@@ -179,7 +179,8 @@ class TestCli:
 
 
 class TestAdmissionCounters:
-    def observed_payload(self, **kw):
+    def observed_payload(self, reference=False, **kw):
+        """Play under obs; with ``reference``, on the scalar loop."""
         import numpy as np
 
         from repro import obs
@@ -187,14 +188,18 @@ class TestAdmissionCounters:
             DesignTheoreticAllocation,
         )
         from repro.flash.driver import OnlineTracePlayer
+        from tests.support.builders import reference_play
 
         alloc = DesignTheoreticAllocation.from_parameters(9, 3)
         rng = np.random.default_rng(11)
         arrivals = sorted(rng.uniform(0, 1.0, 60).tolist())
         buckets = [int(b) for b in rng.integers(0, alloc.n_buckets, 60)]
         with obs.observed() as session:
-            OnlineTracePlayer(alloc, 0.133, **kw).play(arrivals,
-                                                       buckets)
+            player = OnlineTracePlayer(alloc, 0.133, **kw)
+            if reference:
+                reference_play(player, arrivals, buckets)
+            else:
+                player.play(arrivals, buckets)
         return session.to_payload()
 
     def test_admission_counters_surface_in_prometheus(self):
@@ -207,12 +212,10 @@ class TestAdmissionCounters:
         assert "admission_delayed" in text
 
     def test_admission_counters_engine_identical(self):
-        from repro.flash import admitpath
         from repro.obs.session import request_sections
 
         vec = self.observed_payload()
-        with admitpath.disabled():
-            ref = self.observed_payload()
+        ref = self.observed_payload(reference=True)
         assert request_sections(vec)["metrics"]["counters"] == \
             request_sections(ref)["metrics"]["counters"]
 

@@ -8,18 +8,18 @@ drops, fault schedules that shift placement mid-trace, mixed
 read/write traffic (a write costs ``c`` budget units, so a denied
 write can be followed by admitted reads), and arbitrary chunked
 feeding.  These properties sweep all of it and compare the full
-per-request record against ``admitpath.disabled()`` runs, plus chunked
-sessions against one-shot plays.
+per-request record against the scalar reference loop -- a session
+demoted before its first feed, or at a random ``advance`` cut --
+plus chunked sessions against one-shot plays.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultModel, FaultSchedule
-from repro.flash import admitpath
 from repro.flash.driver import OnlineTracePlayer
 from repro.flash.params import MSR_SSD_PARAMS
-from tests.support.builders import design_alloc
+from tests.support.builders import design_alloc, reference_session
 
 ALLOC = design_alloc()
 
@@ -79,19 +79,23 @@ def played_key(played):
 
 
 def play(trace, interval_ms, overflow, accesses, faults,
-         chunks=None, reads=None, advance=False):
+         chunks=None, reads=None, advance=False, reference=False):
     """Play ``trace``; with ``chunks``, feed a session chunk by chunk
     (and, with ``advance``, advance to each next chunk's first
-    arrival in between)."""
+    arrival in between); with ``reference``, on the scalar loop."""
     arrivals = [t for t, _ in trace]
     buckets = [b for _, b in trace]
     player = OnlineTracePlayer(ALLOC, interval_ms=interval_ms,
                                overflow=overflow, accesses=accesses,
                                params=MSR_SSD_PARAMS, faults=faults)
-    if chunks is None:
+    if reference:
+        session = reference_session(player)
+    elif chunks is None:
         _, played = player.play(arrivals, buckets, reads=reads)
         return played
-    session = player.session()
+    else:
+        session = player.session()
+    chunks = chunks or [(0, len(arrivals))]
     for lo, hi in chunks:
         session.feed(arrivals[lo:hi], buckets[lo:hi],
                      reads=None if reads is None else reads[lo:hi])
@@ -111,8 +115,8 @@ def chunking(n, n_chunks):
 def test_vector_matches_scalar(trace, interval_ms, overflow, accesses,
                                faults):
     vec = play(trace, interval_ms, overflow, accesses, faults)
-    with admitpath.disabled():
-        ref = play(trace, interval_ms, overflow, accesses, faults)
+    ref = play(trace, interval_ms, overflow, accesses, faults,
+               reference=True)
     assert played_key(vec) == played_key(ref)
 
 
@@ -148,9 +152,8 @@ def test_writes_vector_matches_scalar(trace, interval_ms, overflow,
     chunks = chunking(len(trace), n_chunks)
     vec = play(trace, interval_ms, overflow, accesses, faults,
                chunks=chunks, reads=reads, advance=advance)
-    with admitpath.disabled():
-        ref = play(trace, interval_ms, overflow, accesses, faults,
-                   reads=reads)
+    ref = play(trace, interval_ms, overflow, accesses, faults,
+               reads=reads, reference=True)
     assert played_key(vec) == played_key(ref)
 
 
@@ -169,8 +172,8 @@ def test_writes_at_interval_boundaries(rows, overflow, faults):
     chunks = chunking(len(trace), 3)
     vec = play(trace, 0.4, overflow, 1, faults, chunks=chunks,
                reads=reads, advance=True)
-    with admitpath.disabled():
-        ref = play(trace, 0.4, overflow, 1, faults, reads=reads)
+    ref = play(trace, 0.4, overflow, 1, faults, reads=reads,
+               reference=True)
     assert played_key(vec) == played_key(ref)
 
 
@@ -182,8 +185,7 @@ def test_pileup_chains_match_scalar(per_interval, accesses, overflow):
     trace = sorted((k * 0.4 + j * 0.004, (k * per_interval + j) % 36)
                    for k in range(8) for j in range(per_interval))
     vec = play(trace, 0.4, overflow, accesses, None)
-    with admitpath.disabled():
-        ref = play(trace, 0.4, overflow, accesses, None)
+    ref = play(trace, 0.4, overflow, accesses, None, reference=True)
     assert played_key(vec) == played_key(ref)
 
 
@@ -249,11 +251,12 @@ def test_time_resolution_demotion_with_writes_matches_scalar(
     arrivals = [t for t, _ in trace]
     buckets = [b for _, b in trace]
 
-    def run():
+    def run(reference=False):
         player = OnlineTracePlayer(ALLOC, interval_ms=0.4,
                                    overflow=overflow,
                                    params=MSR_SSD_PARAMS)
-        session = player.session()
+        session = reference_session(player) if reference \
+            else player.session()
         session.feed(arrivals[:cut], buckets[:cut], reads=reads[:cut])
         session.advance(t_near)
         session.feed(arrivals[cut:], buckets[cut:], reads=reads[cut:])
@@ -261,6 +264,38 @@ def test_time_resolution_demotion_with_writes_matches_scalar(
 
     session, vec = run()
     assert session.admission_fallback_reason == "time_resolution"
-    with admitpath.disabled():
-        _, ref = run()
+    _, ref = run(reference=True)
     assert played_key(vec) == played_key(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_traces, intervals, overflows, accesses_st,
+       mixed_schedules(), write_masks, st.data())
+def test_demotion_at_an_advance_cut_matches(trace, interval_ms,
+                                            overflow, accesses, faults,
+                                            mask, data):
+    # the scalar reference needs no switch: a session demoted at any
+    # advance cut hands its pending state over exactly, so it equals
+    # both the kernel play and the session demoted before its first
+    # feed, on reads and writes, faults, delay and reject alike
+    reads = mask[:len(trace)]
+    arrivals = [t for t, _ in trace]
+    buckets = [b for _, b in trace]
+    cut = data.draw(st.integers(0, len(trace)))
+    vec = play(trace, interval_ms, overflow, accesses, faults,
+               reads=reads)
+    ref = play(trace, interval_ms, overflow, accesses, faults,
+               reads=reads, reference=True)
+    player = OnlineTracePlayer(ALLOC, interval_ms=interval_ms,
+                               overflow=overflow, accesses=accesses,
+                               params=MSR_SSD_PARAMS, faults=faults)
+    session = player.session()
+    session.feed(arrivals[:cut], buckets[:cut], reads=reads[:cut])
+    if cut < len(trace):
+        session.advance(arrivals[cut])
+    if session.admission_kernel == "vector":
+        session._demote("reference")
+    session.feed(arrivals[cut:], buckets[cut:], reads=reads[cut:])
+    _, demoted = session.drain()
+    assert session.admission_kernel == "scalar"
+    assert played_key(demoted) == played_key(vec) == played_key(ref)

@@ -76,7 +76,7 @@ def _both_engines(player_cls, schedule, rows, **kwargs):
         player = player_cls(ALLOC, interval_ms=0.4,
                             params=MSR_SSD_PARAMS, engine=engine,
                             faults=schedule, **kwargs)
-        assert player.engine_selected == engine
+        assert player.engine == engine
         outs.append(_fingerprint(player.play(arrivals, buckets)[1]))
     return outs
 

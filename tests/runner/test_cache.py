@@ -141,10 +141,9 @@ class TestPrune:
 class TestRuntimeTokenInKey:
     """Results computed under one runtime mode must not serve another.
 
-    Regression: keys used to ignore the sanitizer and kernel switches,
-    so a cell cached with kernels disabled (or sanitizers on) would be
-    returned verbatim on the opposite configuration -- hiding exactly
-    the divergence those modes exist to detect.
+    Regression: keys used to ignore the sanitizer switch, so a cell
+    cached with sanitizers on would be returned verbatim with them off
+    -- hiding exactly the divergence that mode exists to detect.
     """
 
     def _key(self, tmp_path):
@@ -162,24 +161,8 @@ class TestRuntimeTokenInKey:
             sanitizers.disable()
         assert self._key(tmp_path) == before
 
-    def test_admission_kernel_toggle_changes_key(self, tmp_path):
-        """Regression: the vectorized-admission switch must key the
-        cache like the sanitizer switch does -- a cell cached
-        with the admission kernel off must not serve a run with it
-        on (and vice versa)."""
-        from repro.flash import admitpath
-
-        before = self._key(tmp_path)
-        with admitpath.disabled():
-            assert self._key(tmp_path) != before
-        assert self._key(tmp_path) == before
-
     def test_token_reflects_current_switches(self):
         from repro.check import sanitizers
-        from repro.flash import admitpath
         from repro.runner.cache import runtime_token
 
-        assert runtime_token() == {
-            "sanitizers": sanitizers.ACTIVE,
-            "admission_kernel": admitpath.ENABLED,
-        }
+        assert runtime_token() == {"sanitizers": sanitizers.ACTIVE}

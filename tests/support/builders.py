@@ -14,7 +14,8 @@ from repro.flash.params import MSR_SSD_PARAMS
 
 __all__ = [
     "READ_MS", "design_alloc", "paper_array", "trace_pair",
-    "crash_schedule", "online_player",
+    "crash_schedule", "online_player", "reference_session",
+    "reference_play",
 ]
 
 #: single-read service time of the canonical device model
@@ -56,3 +57,23 @@ def online_player(alloc=None, faults=None, **overrides):
                   params=MSR_SSD_PARAMS, faults=faults)
     config.update(overrides)
     return OnlineTracePlayer(alloc, **config)
+
+
+def reference_session(player):
+    """A session of ``player`` on the scalar reference admission loop.
+
+    A fresh session demoted before its first feed: the same exact
+    hand-over a mid-stream demotion makes, with nothing pending.
+    Sessions that never engage the kernel are scalar already.
+    """
+    session = player.session()
+    if session.admission_kernel == "vector":
+        session._demote("reference")
+    return session
+
+
+def reference_play(player, arrivals, buckets, reads=None, apps=None):
+    """``player.play`` on the scalar reference admission loop."""
+    session = reference_session(player)
+    session.feed(arrivals, buckets, reads=reads, apps=apps)
+    return session.drain()

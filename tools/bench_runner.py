@@ -197,25 +197,33 @@ def _pr8_baseline():
     PR 8 ran the per-request scalar admission loop (heap pop, interval
     roll, ``offer``, dispatch) for every configuration, and the
     faulted replay heap-pushed every submission individually.
-    Disabling the admission kernel and patching the per-submission
-    push back in reproduces that baseline on today's code.
+    Demoting every new session before its first feed (the scalar
+    reference) and patching the per-submission push back in
+    reproduces that baseline on today's code.
     """
     import heapq
 
-    from repro.flash import admitpath
+    from repro.flash.driver import OnlineTracePlayer
     from repro.flash.faulted import FaultedReplay
 
     def push(self, sub):
         heapq.heappush(self._heap,
                        (sub.put, sub.created, sub.seq, sub))
 
+    def demoted_session(self):
+        session = open_session(self)
+        session._demote("reference")
+        return session
+
     saved = FaultedReplay._push
+    open_session = OnlineTracePlayer.session
     FaultedReplay._push = push
+    OnlineTracePlayer.session = demoted_session
     try:
-        with admitpath.disabled():
-            yield
+        yield
     finally:
         FaultedReplay._push = saved
+        OnlineTracePlayer.session = open_session
 
 
 def _driver_loop(alloc, schedule, arrivals, buckets):
@@ -229,7 +237,7 @@ def _driver_loop(alloc, schedule, arrivals, buckets):
     (it has its own breakout and is byte-identical code on both
     sides); the engine-independent series/report epilogue that
     ``drain()`` adds on top is left out entirely.  Returns
-    ``(played, driver_seconds, total_seconds)``.
+    ``(session, driver_seconds, total_seconds)``.
     """
     from repro.flash.driver import OnlineTracePlayer
 
@@ -247,7 +255,7 @@ def _driver_loop(alloc, schedule, arrivals, buckets):
         session.replay.run(session._log)
     t2 = time.perf_counter()
     session._drained = True
-    return session.played, t1 - t0, t2 - t0
+    return session, t1 - t0, t2 - t0
 
 
 def _admission_cells(cfg: dict) -> dict:
@@ -315,17 +323,14 @@ def bench_admission(cfg: dict) -> dict:
     against the same loop run scalar -- with played-request rows
     byte-identical both ways.
     """
-    from repro.flash.driver import engine_tally
-
     out = {}
     for name, (alloc, schedule, arrivals, buckets, what) \
             in _admission_cells(cfg).items():
-        before = engine_tally().get("admission.vector", 0)
-        vec_played, _, _ = _driver_loop(alloc, schedule,
-                                        arrivals, buckets)
-        if engine_tally().get("admission.vector", 0) == before:
+        vec, _, _ = _driver_loop(alloc, schedule, arrivals, buckets)
+        if vec.admission_kernel != "vector":
             raise AssertionError(
-                f"admission kernel did not engage on {name!r}")
+                f"admission kernel did not engage on {name!r} "
+                f"({vec.admission_fallback_reason})")
         # The cells are a few ms each, so extra repeats are cheap and
         # keep the min-of-N gate clear of first-run jitter.
         reps = max(cfg["repeats"], 6)
@@ -335,15 +340,18 @@ def bench_admission(cfg: dict) -> dict:
         vec_s = min(r[0] for r in vec_runs)
         vec_total = min(r[1] for r in vec_runs)
         with _pr8_baseline():
-            pr8_played, _, _ = _driver_loop(alloc, schedule,
-                                            arrivals, buckets)
+            pr8, _, _ = _driver_loop(alloc, schedule, arrivals,
+                                     buckets)
+            if pr8.admission_kernel != "scalar":
+                raise AssertionError(
+                    f"the PR-8 baseline kept the kernel on {name!r}")
             pr8_runs = [_driver_loop(alloc, schedule, arrivals,
                                      buckets)[1:]
                         for _ in range(reps)]
             pr8_s = min(r[0] for r in pr8_runs)
             pr8_total = min(r[1] for r in pr8_runs)
-        if _fault_fingerprint(vec_played) != \
-                _fault_fingerprint(pr8_played):
+        if _fault_fingerprint(vec.played) != \
+                _fault_fingerprint(pr8.played):
             raise AssertionError(
                 f"vectorized admission diverged from the scalar "
                 f"loop ({name})")
@@ -417,18 +425,11 @@ def _stable(rows: dict) -> dict:
 
 
 def bench_harness(jobs: int, fast: bool) -> dict:
-    from repro.flash.driver import engine_tally, reset_engine_tally
+    from repro import obs
     from repro.runner import ParallelRunner, ResultCache
 
-    # Serial pass doubles as the fast-path coverage census: every
-    # playback in this process records its engine selection.
-    reset_engine_tally()
     serial_runner = ParallelRunner(jobs=1, cache=None)
     serial_rows, serial_s = _timed(_harness, serial_runner, fast)
-    tally = engine_tally()
-    n_fast = tally.get("fast", 0)
-    n_des = tally.get("des", 0)
-    coverage = n_fast / (n_fast + n_des) if n_fast + n_des else 0.0
 
     parallel_runner = ParallelRunner(jobs=jobs, cache=None,
                                      auto_degrade=False)
@@ -439,6 +440,19 @@ def bench_harness(jobs: int, fast: bool) -> dict:
 
     import shutil
     import tempfile
+
+    # Fast-path coverage census: an untimed pass under obs, where
+    # every playback (in this process or a pool worker) counts its
+    # engine selection into the merged payload's kernel section.  It
+    # cannot double as the cache fill: the runner bypasses the cache
+    # while observing.
+    with obs.observed() as census:
+        _harness(ParallelRunner(jobs=jobs, cache=None,
+                                auto_degrade=False), fast)
+    counters = census.to_payload()["kernel"]["metrics"]["counters"]
+    n_fast = counters.get("engine.fast", 0)
+    n_des = counters.get("engine.des", 0)
+    coverage = n_fast / (n_fast + n_des) if n_fast + n_des else 0.0
 
     cache_dir = tempfile.mkdtemp(prefix="bench-cache-")
     try:
@@ -469,9 +483,9 @@ def bench_harness(jobs: int, fast: bool) -> dict:
             "fast_playbacks": n_fast,
             "des_playbacks": n_des,
             "fallback_reasons": {
-                k.removeprefix("fallback."): v
-                for k, v in tally.items()
-                if k.startswith("fallback.")},
+                k.removeprefix("engine.fallback."): v
+                for k, v in counters.items()
+                if k.startswith("engine.fallback.")},
             "coverage": round(coverage, 4),
         },
         "serial_seconds_by_experiment": {
