@@ -102,6 +102,15 @@ class FaultEvent:
                              f"choose from {FAULT_SCOPES}")
         if self.module < 0:
             raise ValueError("module must be >= 0")
+        # NaN slips through every ordered comparison below, so
+        # finiteness is checked first, one field at a time.
+        if not math.isfinite(self.start):
+            raise ValueError(f"start must be finite, got {self.start!r}")
+        if not (math.isfinite(self.end) or self.end == _INF):
+            raise ValueError(f"end must be finite or inf, got "
+                             f"{self.end!r}")
+        if not math.isfinite(self.factor):
+            raise ValueError(f"factor must be finite, got {self.factor!r}")
         if self.start < 0:
             raise ValueError("start must be >= 0")
         if self.kind != "crash" and self.end <= self.start:
@@ -156,6 +165,10 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        for name in ("backoff_ms", "growth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.backoff_ms < 0:
             raise ValueError("backoff_ms must be >= 0")
         if self.growth < 1.0:
@@ -317,6 +330,30 @@ class FaultSchedule:
         """Per-read failure probability in force at ``t`` (max rule)."""
         tab = self._tables.get(module) or self._module_table(module)
         return tab[2][bisect_right(tab[0], t)]
+
+    def loud_windows(self, module: int) -> Tuple[List[float], List[float]]:
+        """``(starts, ends)``: the disjoint ``[start, end)`` windows in
+        which ``module``'s change-point table is not quiet.
+
+        Quiet means the module serves at once at normal speed with no
+        read-error draw: ``slowdown == 1``, ``error_prob == 0`` and
+        ``available_from(t) == t``.  Outside these windows a service
+        attempt behaves exactly as on a healthy module; a crash opens
+        a window that never ends.
+        """
+        pts, slow, err, avail = (self._tables.get(module)
+                                 or self._module_table(module))
+        starts: List[float] = []
+        ends: List[float] = []
+        for j in range(1, len(pts) + 1):
+            if slow[j] != 1.0 or err[j] != 0.0 or avail[j] is not None:
+                end = pts[j] if j < len(pts) else _INF
+                if ends and ends[-1] == pts[j - 1]:
+                    ends[-1] = end
+                else:
+                    starts.append(pts[j - 1])
+                    ends.append(end)
+        return starts, ends
 
     def _module_table(self, module: int) -> _ModuleTable:
         tab = self._tables[module] = self._build_module_table(

@@ -124,19 +124,28 @@ def _accumulate(u: np.ndarray, svc: np.ndarray,
 
     Within a busy period the recurrence degenerates to
     ``c_a = u_a + s_a; c_i = c_{i-1} + s_i`` -- reproduced exactly by
-    ``np.add.accumulate``'s strict left-to-right accumulation.
+    ``np.add.accumulate``'s strict left-to-right accumulation.  Busy
+    periods are laid out as the rows of one zero-padded matrix per
+    power-of-two length class, so a stack of thousands of short
+    periods costs a few accumulations along ``axis=1`` rather than one
+    call each.
     """
     n = u.size
-    out = np.empty(n, dtype=np.float64)
     bounds = np.flatnonzero(starts)
-    ends = np.append(bounds[1:], n)
-    single = (ends - bounds) == 1
-    lone = bounds[single]
-    out[lone] = u[lone] + svc[lone]
-    for a, b in zip(bounds[~single], ends[~single]):
-        seg = svc[a:b].copy()
-        seg[0] = u[a] + svc[a]
-        np.add.accumulate(seg, out=out[a:b])
+    lengths = np.diff(np.append(bounds, n))
+    out = svc.copy()
+    out[bounds] = u[bounds] + svc[bounds]
+    multi = lengths > 1
+    bounds, lengths = bounds[multi], lengths[multi]
+    widths = 1 << np.ceil(np.log2(lengths)).astype(np.int64)
+    for width in np.unique(widths).tolist():
+        cls = widths == width
+        cols = np.arange(width)
+        idx = bounds[cls][:, None] + cols
+        live = cols < lengths[cls][:, None]
+        rows = np.where(live, out[np.minimum(idx, n - 1)], 0.0)
+        np.add.accumulate(rows, axis=1, out=rows)
+        out[idx[live]] = rows[live]
     return out
 
 
@@ -194,9 +203,12 @@ def stacked_fcfs_completion_times(issue_ms, offsets,
     out = _accumulate(u, svc, starts)
     # Verify every located boundary against the exact completions;
     # re-run streams where ulp drift (or the locator's shifts) moved
-    # one.  starts[i] must equal (u[i] > out[i-1]) at interior items.
+    # one.  At an interior item a start is exact when u[i] >= out[i-1]
+    # and a continuation when u[i] <= out[i-1]: at a tie both give
+    # the recurrence's one float.
     idx = np.flatnonzero(interior)
-    bad = idx[(u[idx] > out[idx - 1]) != starts[idx]]
+    prev = out[idx - 1]
+    bad = idx[np.where(starts[idx], u[idx] < prev, u[idx] > prev)]
     if bad.size:
         for s in np.unique(np.searchsorted(offs, bad, side="right") - 1):
             a, b = offs[s], offs[s + 1]

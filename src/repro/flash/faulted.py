@@ -1,416 +1,415 @@
 """Faulted fast playback: replay module queues without the event loop.
 
-Fault schedules are fully materialised before playback starts
-(:mod:`repro.faults`), so nothing about a faulty run is *discovered*
-during simulation: which requests a module fails, how long a down
-window stalls service, which read attempts draw an error -- all of it
-is a pure function of the schedule, the per-module attempt counters
-and the submission order.  This module exploits that: it replays the
-per-module FIFO queues directly (the Lindley recurrence, segmented at
-fault boundaries) instead of stepping the DES, reproducing the event
-loop's arithmetic operation-for-operation so the results are
-byte-identical -- enforced by the ``faults`` determinism probe, the
-golden snapshots and the fault-schedule hypothesis properties.
+A fault schedule is materialised before playback (:mod:`repro.faults`),
+so every fault outcome is a pure function of the schedule, the
+per-module draw counters and the submission order.  This module
+replays each module's FIFO queue with the event loop's arithmetic,
+operation for operation: byte-identical to the DES, as the ``faults``
+probe, the golden snapshots and the fault properties enforce.
 
-How the replay stays exact
---------------------------
-* **Submission order.**  The driver phase (admission, placement, the
-  busy-until mirror) is shared verbatim with the healthy fast path and
-  is independent of fault outcomes -- the mirror is never updated from
-  completions, so the set of (module, issue-time) submissions is the
-  same whatever the faults do.  Submissions are then replayed in
-  ``(put_time, creation_time, seq)`` order, which reproduces the DES
-  event queue's ``(time, seq)`` tie-breaking for queue puts: a process
-  created earlier schedules its wake-up earlier and therefore puts
-  first at equal instants.
-* **Service arithmetic.**  Per-request service mirrors
-  :meth:`repro.flash.module.FlashModule._serve_faulty` literally:
-  dead-at-dequeue checks, down-window waits via ``available_from``,
-  per-attempt slowdown multiplication, counter-based read-error draws
-  (consumed in the same per-module order) and retry backoff -- the
-  same floats through the same operations.
-* **Segmentation.**  Modules the schedule never touches cannot fail
-  and feed nothing back into the replay (no failovers originate from
-  them), so their submissions are deferred and evaluated in bulk with
-  the vectorized Lindley recurrence
-  (:func:`repro.flash.batch.stacked_fcfs_completion_times`); only
-  fault-affected modules replay request-by-request.
+* **Submission order.**  Placement never reads a fault outcome, so the
+  driver phase is the healthy fast path's.  Submissions append to
+  columns (row, module, put, created, candidates; ``seq`` is the column
+  index; service and write master come from the write groups), and
+  :meth:`FaultedReplay.run` sorts them once by ``(module, put, created,
+  seq)``: the DES event queue's order of queue puts.
+* **Segmentation.**  Each module's change-point table
+  (:meth:`repro.faults.FaultSchedule.loud_windows`) splits time into
+  quiet stretches and loud windows.  A queue is served
+  speculate-and-verify: a run of rows is evaluated with
+  :func:`repro.flash.batch.stacked_fcfs_completion_times` (one call a
+  round stacks every module's next run) and accepted while each
+  dequeue instant ``max(put, previous completion)`` falls before the
+  next loud window.  The first row dequeued inside one takes the
+  scalar :meth:`~FaultedReplay._serve` (a mirror of
+  :meth:`repro.flash.module.FlashModule._serve_faulty`) until a
+  dequeue is quiet again.  A fault-free module has no loud window.
+* **Failover in waves.**  A failed read is re-submitted on its next
+  live untried replica at the failing attempt's completion plus the
+  backoff, as the online driver retries it.  Each round's scalar rows
+  are served in dequeue order across modules, and only while no other
+  module could fail earlier (its next loud window starts later); each
+  re-submission is merged into its target queue as it is made, so it
+  lands behind every loud row already served there.  A target that
+  ran past it rewinds to the merged position and re-serves that
+  suffix, which holds quiet rows only.
 
-Driver failover (the online driver's retry on the next live replica)
-is emulated by re-submitting the failed request with the schedule's
-backoff; its creation time -- the failing attempt's completion -- puts
-the re-issue exactly where the DES event queue would.
+Three rules keep this exact:
+
+1. Quiet is decided by the table's values at the dequeue instant of
+   each attempt, not by whether the module has events: ``slowdown``
+   and ``error_prob`` are sampled at the start of an attempt, and a
+   quiet segment draws no read-error.
+2. Re-submissions sort after every driver-phase submission, in the
+   order their failing attempts would have been popped: a
+   re-submission's ``seq`` is its failing attempt's full sort key.
+3. When a suffix is re-run, the module's ``free`` time and read-error
+   draw counter are restored to their values at that position;
+   re-submissions from the old suffix are withdrawn, and ``obs`` fault
+   counters are emitted once, from the final outcomes.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.flash.batch import stacked_fcfs_completion_times
 from repro.flash.played import FAILED, FAULTED, reason_code
 
 __all__ = ["FaultedReplay"]
 
 _INF = float("inf")
-
-
-class _Submission:
-    """One entry in a module's replayed FIFO queue, and the service
-    outcome of its request (the ``IORequest`` fields the DES module
-    and driver would have set)."""
-
-    __slots__ = ("row", "is_read", "module", "put", "created", "seq",
-                 "candidates", "tried", "attempt", "first_issue",
-                 "write", "device", "enqueued", "started", "completed",
-                 "failed", "reason", "faulted", "retries")
-
-    def __init__(self, row, is_read, module, put, created, seq,
-                 candidates=None, first_issue=0.0, write=None):
-        #: the played-table row of a read (``-1`` for a write replica)
-        self.row = row
-        self.is_read = is_read
-        self.module = module
-        #: queue-put instant (the issue time)
-        self.put = put
-        #: when the issuing process was created; breaks put-time ties
-        #: the way DES event sequence numbers do
-        self.created = created
-        self.seq = seq
-        #: replica candidates for driver failover (``None``: the batch
-        #: driver, which never fails over)
-        self.candidates = candidates
-        self.tried = [module]
-        #: driver-level failover attempts consumed
-        self.attempt = 0
-        self.first_issue = first_issue
-        #: the write master this replica belongs to (``None`` = read)
-        self.write = write
-        self.device = -1
-        self.enqueued = 0.0
-        self.started = 0.0
-        self.completed = 0.0
-        self.failed = False
-        self.reason = ""
-        self.faulted = False
-        #: read-error retries plus driver-level failovers consumed
-        self.retries = 0
-
-
-class _WriteMaster:
-    """A logical write fanned out to its replicas."""
-
-    __slots__ = ("row", "replicas")
-
-    def __init__(self, row: int):
-        self.row = row
-        self.replicas: List[_Submission] = []
+#: flag bit (beyond the played-table bits): served by ``_serve``
+_SCALAR = 128
+_DEAD = reason_code("dead")
+_READ_ERROR = reason_code("read_error")
+#: one submission's service outcome; ``drawn`` is the module's
+#: read-error draw counter after it, ``started`` NaN until service
+#: starts
+_OUTCOME = np.dtype([("started", np.float64), ("completed", np.float64),
+                     ("drawn", np.int64), ("retries", np.int32),
+                     ("flags", np.uint8), ("reason", np.uint8)])
 
 
 class FaultedReplay:
     """Replay one play-through's module queues under a fault schedule.
 
-    The driver submits reads and writes as it places them (through the
-    shared admission/placement loop), naming the played-table row each
-    one was logged at; :meth:`run` then writes every row's timestamps,
-    fault flags and retry counts exactly as the DES module service
-    loops would have set them.
-
-    Parameters
-    ----------
-    schedule:
-        The materialised :class:`repro.faults.FaultSchedule`.
-    n_modules:
-        Array width.
-    params:
-        :class:`repro.flash.params.FlashParams` timing constants.
+    The driver submits reads and writes as it places them, naming the
+    played-table row each was logged at; :meth:`run` writes every row's
+    service outcome as the DES module loops would.  ``schedule`` is a
+    :class:`repro.faults.FaultSchedule`, ``params`` the
+    :class:`~repro.flash.params.FlashParams`.
     """
 
     def __init__(self, schedule, n_modules: int, params):
         self.schedule = schedule
-        self.params = params
         self.retry = schedule.retry
-        #: modules with no fault events: they can never fail a request,
-        #: so nothing they serve feeds back into the replay
-        self._quiet = [not schedule.events_for(m)
-                       for m in range(n_modules)]
-        self._free = [0.0] * n_modules
-        #: per-module monotone read-attempt counters (error-draw index),
-        #: mirroring :class:`repro.faults.view.ModuleFaultView`
-        self._draws = [0] * n_modules
-        self._deferred: List[List[_Submission]] = \
-            [[] for _ in range(n_modules)]
-        self._reads: List[_Submission] = []
-        self._writes: List[_WriteMaster] = []
-        self._heap: list = []
-        self._seq = 0
+        self.n_modules = n_modules
+        self._read_ms = params.service_ms(True)
+        self._write_ms = params.service_ms(False)
+        #: submission columns; the column index is the driver ``seq``
+        self._row, self._module = array("q"), array("q")
+        self._put, self._created = array("d"), array("d")
+        self._candidates: List[Optional[Sequence[int]]] = []
+        #: write masters: first replica seq and replica count
+        self._write_first, self._write_count = array("q"), array("q")
 
     # -- driver-side API --------------------------------------------------
     def submit_read(self, row: int, module: int, issue_at: float,
                     created: float,
                     candidates: Optional[Sequence[int]] = None) -> None:
-        """Record the read logged at ``row``, placed on ``module`` at
-        ``issue_at``.
-
-        ``created`` is the dispatch instant (when the DES would have
-        created the issuing process); ``candidates`` enables driver
-        failover across the request's untried live replicas.
-        """
-        sub = _Submission(row, True, module, issue_at, created,
-                          self._seq, candidates, issue_at)
-        self._reads.append(sub)
-        self._push(sub)
-        self._seq += 1
+        """The one submission hook: the read logged at ``row``, placed
+        on ``module`` at ``issue_at`` by a process created at
+        ``created``; ``candidates`` enables driver failover (write
+        replicas enter here too, without)."""
+        self._row.append(row)
+        self._module.append(module)
+        self._put.append(issue_at)
+        self._created.append(created)
+        self._candidates.append(candidates)
 
     def submit_write(self, row: int, devices: Sequence[int],
                      issue_at: float, created: float) -> None:
         """Record the write logged at ``row``, applied to every device
         in ``devices``."""
-        wm = _WriteMaster(row)
+        self._write_first.append(len(self._row))
+        self._write_count.append(len(devices))
         for d in devices:
-            replica = _Submission(-1, False, d, issue_at, created,
-                                  self._seq, first_issue=issue_at,
-                                  write=wm)
-            wm.replicas.append(replica)
-            self._push(replica)
-            self._seq += 1
-        self._writes.append(wm)
-
-    def _push(self, sub: _Submission) -> None:
-        # Driver-phase submissions accumulate unordered; run() heapifies
-        # the whole batch in one O(n) pass.  (put, created, seq) is a
-        # total order -- seq is unique -- so the pop sequence is the
-        # same as under per-submission heappush.
-        self._heap.append((sub.put, sub.created, sub.seq, sub))
+            self.submit_read(row, d, issue_at, created)
 
     # -- replay -----------------------------------------------------------
     def run(self, log) -> None:
         """Serve every submission; writes the outcomes into ``log``'s
         rows (a :class:`repro.flash.played.PlayedLog`)."""
-        heap = self._heap
-        heapq.heapify(heap)
-        quiet = self._quiet
-        deferred = self._deferred
-        while heap:
-            sub = heapq.heappop(heap)[3]
-            if quiet[sub.module]:
-                # Heap order per module is FIFO order, so deferring in
-                # pop order preserves the queue.
-                deferred[sub.module].append(sub)
-                continue
-            self._serve(sub)
-        self._flush_quiet()
-        self._write_reads(log)
-        self._finalize_writes(log)
-
-    def _serve(self, sub: _Submission) -> None:
-        """One dequeued request on a fault-affected module.
-
-        A line-by-line mirror of
-        :meth:`repro.flash.module.FlashModule._serve_faulty` (same
-        floats, same operations, same obs counters).
-        """
-        m = sub.module
-        sched = self.schedule
-        sub.device = m
-        sub.enqueued = sub.put
-        free = self._free[m]
-        t = sub.put if sub.put > free else free  # dequeue instant
-        if sched.is_dead(m, t):
-            self._fail(sub, "dead", t)
-            self._free[m] = t
-            self._after_failure(sub, t)
+        n = self._n = len(self._row)
+        if not n:
             return
-        available = sched.available_from(m, t)
-        if available == _INF:
-            # The down window runs straight into a crash.
-            self._fail(sub, "dead", t)
-            self._free[m] = t
-            self._after_failure(sub, t)
-            return
-        if available > t:
-            sub.faulted = True
-            if obs.ACTIVE:
-                obs.SESSION.on_fault("down_wait")
-            t = available
-        sub.started = t
-        base = self.params.service_ms(sub.is_read)
-        retry = self.retry
-        attempt = 0
+        log.table()  # commit the log's row lists before the columns grow
+        self._modules = np.frombuffer(self._module, np.int64)
+        self._puts = np.frombuffer(self._put)
+        self._creates = np.frombuffer(self._created)
+        marks = np.zeros(n + 1, np.int64)
+        if self._write_first:
+            first = np.frombuffer(self._write_first, np.int64)
+            marks[first] += 1
+            marks[first + np.frombuffer(self._write_count, np.int64)] -= 1
+        self._is_write = np.cumsum(marks[:n]) > 0
+        self._svc = np.where(self._is_write, self._write_ms, self._read_ms)
+        order = np.lexsort((self._creates, self._puts, self._modules))
+        cuts = np.searchsorted(self._modules[order],
+                               np.arange(self.n_modules + 1))
+        self._queue = [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        self._qput = [self._puts[q] for q in self._queue]
+        self._out = np.zeros(n + 16, _OUTCOME)
+        #: re-submissions, id ``n + i``: (module, put, created, key,
+        #: attempt, tried, candidates), and failed id -> its re-submission
+        self._resub: List[tuple] = []
+        self._child: Dict[int, int] = {}
+        self._events: Dict[int, List[str]] = {}  # scalar rows' faults
+        modules = range(self.n_modules)
+        self._loud = [self.schedule.loud_windows(m) for m in modules]
+        #: per module: next row, ``free``, draw counter; queue edits
+        #: (voiding a run in flight); the hazard (:meth:`_next`)
+        self._job = [[0, 0.0, 0] for _ in modules]
+        self._edits = [0] * self.n_modules
+        self._hazard = [self._next(m) for m in modules]
+        while any(state < 2 for _, state in self._hazard):
+            self._serve_quiet([m for m in modules
+                               if self._hazard[m][1] == 1])
+            self._serve_loud()
+        self._fill(log)
+        if obs.ACTIVE:
+            for kind, count in Counter(
+                    k for ev in self._events.values() for k in ev).items():
+                obs.SESSION.on_fault(kind, count)
+
+    def _key(self, s) -> tuple:
+        """The full queue sort key ``(put, created, seq)`` of ``s``."""
+        s = int(s)
+        if s >= self._n:
+            return self._resub[s - self._n][3]
+        return (float(self._puts[s]), float(self._creates[s]), (0, s))
+
+    def _state(self, s) -> tuple:
+        """The module's ``(free, draws)`` right after serving ``s``."""
+        row = self._out[s]
+        return float(row["completed"]), int(row["drawn"])
+
+    def _next(self, m: int) -> tuple:
+        """Module ``m``'s hazard ``(t, state)``: state 0, its next row
+        takes the scalar path at dequeue instant ``t``; 1, it dequeues
+        quiet and no row dequeues loud before the loud window starting
+        at ``t``; 2, its queue is done (``t`` is inf)."""
+        k, free, _ = self._job[m]
+        if k == len(self._queue[m]):
+            return _INF, 2
+        put = float(self._qput[m][k])
+        t = put if put > free else free
+        lo, hi = self._loud[m]
+        i = bisect_right(lo, t)
+        if self._queue[m][k] >= self._n or (i and t < hi[i - 1]):
+            return t, 0
+        return (lo[i] if i < len(lo) else _INF), 1
+
+    def _serve_loud(self) -> None:
+        """Serve scalar rows in dequeue order across modules while the
+        earliest is no later than every quiet module's hazard, so a
+        failover lands behind the loud rows already served."""
+        hazard = self._hazard
         while True:
-            t0 = t
-            service = base * sched.slowdown(m, t0)
-            if service != base:
-                sub.faulted = True
-                if obs.ACTIVE:
-                    obs.SESSION.on_fault("slow_service")
-            t = t0 + service
-            prob = sched.error_prob(m, t0) if sub.is_read else 0.0
-            if prob > 0.0 and self._draw(m) < prob:
-                sub.faulted = True
-                if obs.ACTIVE:
-                    obs.SESSION.on_fault("read_error")
-                if attempt >= retry.max_retries:
-                    self._fail(sub, "read_error", t)
-                    self._free[m] = t
-                    self._after_failure(sub, t)
-                    return
-                backoff = retry.delay(attempt)
-                attempt += 1
-                sub.retries += 1
-                if obs.ACTIVE:
-                    obs.SESSION.on_fault("read_retry")
-                if backoff > 0:
-                    t = t + backoff
-                continue
-            break
-        sub.completed = t
-        self._free[m] = t
+            ready = [(t, m) for m, (t, state) in enumerate(hazard)
+                     if state == 0]
+            if not ready:
+                return
+            t, m = min(ready)
+            if any(h[0] < t for h in hazard if h[1] == 1):
+                return  # another module may still fail before t
+            job = self._job[m]
+            s = int(self._queue[m][job[0]])
+            free, draws = self._serve(s, m, float(self._qput[m][job[0]]),
+                                      job[1], job[2])
+            job[:] = [job[0] + 1, free, draws]
+            hazard[m] = self._next(m)
 
-    def _draw(self, m: int) -> float:
-        i = self._draws[m]
-        self._draws[m] = i + 1
-        return self.schedule.read_error_draw(m, i)
-
-    @staticmethod
-    def _fail(sub: _Submission, reason: str, t: float) -> None:
-        sub.failed = True
-        sub.reason = reason
-        sub.faulted = True
-        sub.completed = t
-        if obs.ACTIVE:
-            obs.SESSION.on_fault(
-                "dead_module" if reason == "dead" else reason)
-
-    def _after_failure(self, sub: _Submission, t: float) -> None:
-        """Driver failover: re-submit on the next live untried replica.
-
-        Mirrors :meth:`repro.flash.driver.OnlineStreamSession._issue_process`;
-        write replicas and batch submissions (``candidates is None``)
-        stay failed -- the DES drivers never fail those over either.
-        """
-        if sub.write is not None or sub.candidates is None:
+    def _serve_quiet(self, modules: List[int]) -> None:
+        """Speculate-and-verify: every listed module's next quiet run in
+        one stacked kernel call, each accepted while its dequeue
+        instants fall before the module's next loud window."""
+        runs = []
+        for m in modules:
+            k, free, _ = self._job[m]
+            ids, puts = self._queue[m], self._qput[m]
+            end = self._hazard[m][0]
+            j = k + int(np.searchsorted(puts[k:], end))
+            resub = np.flatnonzero(ids[k:j] >= self._n)
+            j = k + int(resub[0]) if resub.size else j
+            runs.append((m, k, end, ids[k:j], np.maximum(puts[k:j], free),
+                         self._edits[m]))
+        if not runs:
             return
+        u = np.concatenate([run[4] for run in runs])
+        ids = np.concatenate([run[3] for run in runs])
+        offs = np.cumsum([0] + [len(run[3]) for run in runs])
+        comp = stacked_fcfs_completion_times(u, offs, self._svc[ids])
+        first = u[offs[:-1]]
+        u[1:] = np.maximum(u[1:], comp[:-1])  # dequeue instants
+        u[offs[:-1]] = first
+        for (m, k, end, w, _, edits), a in zip(runs, offs[:-1].tolist()):
+            if edits != self._edits[m]:
+                continue  # a withdrawal edited this queue: run it again
+            acc = int(np.searchsorted(u[a:a + len(w)], end))
+            w = w[:acc]
+            for s in w[(self._out["flags"][w] & _SCALAR) != 0].tolist():
+                self._events.pop(s, None)
+                self._set_child(s, None)
+            out = self._out
+            out[w] = (0.0, 0.0, self._job[m][2], 0, 0, 0)
+            out["started"][w] = u[a:a + acc]
+            out["completed"][w] = comp[a:a + acc]
+            self._job[m][:2] = [k + acc, float(comp[a + acc - 1])]
+            self._hazard[m] = self._next(m)
+
+    def _moved(self, m: int, p: int) -> None:
+        """Module ``m``'s queue changed from position ``p`` on: rewind
+        there if it served past, restoring ``free`` and draw counter."""
+        job = self._job[m]
+        if p < job[0]:
+            job[:] = [p, *(self._state(self._queue[m][p - 1]) if p
+                           else (0.0, 0))]
+        self._edits[m] += 1
+        self._hazard[m] = self._next(m)
+
+    def _serve(self, s: int, m: int, put: float, free: float,
+               draws: int) -> tuple:
+        """One dequeue on the scalar path, a line-by-line mirror of
+        :meth:`repro.flash.module.FlashModule._serve_faulty`; returns
+        the module's ``(free, draws)`` after it."""
+        sched = self.schedule
+        events: List[str] = []  # any fault event marks it faulted
+        t = put if put > free else free  # dequeue instant
+        started, retries, reason = np.nan, 0, 0
+        available = _INF if sched.is_dead(m, t) \
+            else sched.available_from(m, t)
+        if available == _INF:
+            reason = _DEAD  # dead, or the down window runs into a crash
+        else:
+            if available > t:
+                events.append("down_wait")
+                t = available
+            started = t
+            is_read = s >= self._n or not self._is_write[s]
+            base = self._read_ms if is_read else self._write_ms
+            while True:
+                t0 = t
+                service = base * sched.slowdown(m, t0)
+                if service != base:
+                    events.append("slow_service")
+                t = t0 + service
+                prob = sched.error_prob(m, t0) if is_read else 0.0
+                if prob > 0.0:
+                    draws += 1
+                    if sched.read_error_draw(m, draws - 1) < prob:
+                        events.append("read_error")
+                        if retries >= self.retry.max_retries:
+                            reason = _READ_ERROR
+                            break
+                        backoff = self.retry.delay(retries)
+                        retries += 1
+                        events.append("read_retry")
+                        if backoff > 0:
+                            t = t + backoff
+                        continue
+                break
+        if reason:
+            events.append("dead_module" if reason == _DEAD else "read_error")
+        child = self._failover(s, m, t, events) if reason else None
+        flags = (FAULTED if events else 0) | (FAILED if reason else 0)
+        self._out[s] = (started, t, draws, retries, flags | _SCALAR, reason)
+        self._events[s] = events
+        self._set_child(s, child)
+        return t, draws
+
+    def _failover(self, s: int, m: int, t: float,
+                  events: List[str]) -> Optional[tuple]:
+        """The re-submission of failed ``s`` on its next live untried
+        replica, or ``None``, as ``OnlineStreamSession._issue_process``
+        fails over; write replicas and batch submissions (no
+        candidates) stay failed, as in the DES drivers."""
+        attempt, tried, cands = (0, (m,), self._candidates[s]) \
+            if s < self._n else self._resub[s - self._n][4:]
+        if cands is None:
+            return None
         masked = self.schedule.masked_at(t)
-        alive = [d for d in sub.candidates
-                 if d not in sub.tried and d not in masked]
-        if not alive or sub.attempt >= self.retry.max_retries:
-            if obs.ACTIVE:
-                obs.SESSION.on_fault("unavailable")
+        alive = [d for d in cands if d not in tried and d not in masked]
+        if not alive or attempt >= self.retry.max_retries:
+            events.append("unavailable")
+            return None
+        events.append("failover")
+        backoff = self.retry.delay(attempt)
+        put = t + backoff if backoff > 0 else t
+        return (alive[0], put, t, (put, t, (1, self._key(s))),
+                attempt + 1, tried + (alive[0],), cands)
+
+    def _set_child(self, s: int, rec: Optional[tuple]) -> None:
+        """Make ``rec`` the re-submission of ``s``: an unchanged one is
+        kept, a changed one replaces (withdraws) the old."""
+        old = self._child.pop(s, None)
+        if old is not None:
+            if rec is not None and self._resub[old - self._n][:3] == rec[:3]:
+                self._child[s] = old
+                return
+            self._withdraw(old)
+        if rec is None:
             return
-        nxt = alive[0]
-        if obs.ACTIVE:
-            obs.SESSION.on_fault("failover")
-        backoff = self.retry.delay(sub.attempt)
-        sub.attempt += 1
-        sub.retries += 1
-        sub.failed = False
-        sub.reason = ""
-        sub.faulted = True
-        sub.tried.append(nxt)
-        sub.module = nxt
-        sub.created = t
-        sub.put = t + backoff if backoff > 0 else t
-        sub.seq = self._seq
-        self._seq += 1
-        # Mid-run resubmission: the heap is live, push for real.
-        heapq.heappush(self._heap,
-                       (sub.put, sub.created, sub.seq, sub))
+        c = self._child[s] = self._n + len(self._resub)
+        self._resub.append(rec)
+        if c >= len(self._out):  # rows past the old end are unread
+            self._out = np.resize(self._out, c + c // 4)
+        m, put, key = rec[0], rec[1], rec[3]
+        ids, puts = self._queue[m], self._qput[m]
+        p = bisect_left(ids, key, int(np.searchsorted(puts, put)),
+                        int(np.searchsorted(puts, put, "right")),
+                        key=self._key)
+        self._queue[m] = np.insert(ids, p, c)
+        self._qput[m] = np.insert(puts, p, put)
+        self._moved(m, p)
 
-    # -- bulk phases ------------------------------------------------------
-    def _flush_quiet(self) -> None:
-        """Vectorized Lindley evaluation of every quiet module's queue.
+    def _withdraw(self, c: int) -> None:
+        """Drop re-submission ``c`` and its descendants."""
+        m = self._resub[c - self._n][0]
+        p = int(np.flatnonzero(self._queue[m] == c)[0])
+        self._queue[m] = np.delete(self._queue[m], p)
+        self._qput[m] = np.delete(self._qput[m], p)
+        self._moved(m, p)
+        self._events.pop(c, None)
+        if c in self._child:
+            self._withdraw(self._child.pop(c))
 
-        Quiet modules run the *healthy* service loop in the DES too
-        (:class:`~repro.flash.module.FlashModule` drops quiet views),
-        so their completions are exactly the FCFS recurrence; they are
-        also never a failure source, so evaluating them after the
-        scalar phase cannot change any failover decision.
-        """
-        streams = [(m, subs) for m, subs in enumerate(self._deferred)
-                   if subs]
-        if not streams:
+    # -- results ----------------------------------------------------------
+    def _fill(self, log) -> None:
+        """Every row's outcome into ``log``: reads from the last attempt
+        of their failover chain, writes folded over their replicas
+        (mirroring :meth:`~repro.flash.driver.OnlineStreamSession.\
+_write_process`)."""
+        n = self._n
+        out = self._out[:n]
+        rows = np.frombuffer(self._row, np.int64)
+        enqueued, device = self._puts.copy(), self._modules.copy()
+        for s in [s for s in self._child if s < n]:
+            chain = [s]
+            while chain[-1] in self._child:
+                chain.append(self._child[chain[-1]])
+            tries = self._out[chain]
+            device[s], enqueued[s] = self._resub[chain[-1] - n][:2]
+            began = tries["started"][~np.isnan(tries["started"])]
+            out[s] = (began[-1] if began.size else np.nan,
+                      tries[-1]["completed"], 0,
+                      tries["retries"].sum() + len(chain) - 1,
+                      FAULTED | tries[-1]["flags"], tries[-1]["reason"])
+        read = ~self._is_write
+        started = out["started"][read]
+        log.fill(rows[read], {
+            "issued": self._puts[read], "enqueued": enqueued[read],
+            "started": np.where(np.isnan(started), 0.0, started),
+            "completed": out["completed"][read], "device": device[read],
+            "retries": out["retries"][read], "reason": out["reason"][read]},
+            out["flags"][read] & (FAILED | FAULTED))
+        if not self._write_first:
             return
-        from repro.flash.batch import stacked_fcfs_completion_times
-
-        read_ms = self.params.service_ms(True)
-        write_ms = self.params.service_ms(False)
-        # One stacked Lindley evaluation over every quiet module's
-        # queue (per-stream bit-identical to the scalar recurrence).
-        flat = [s for _, subs in streams for s in subs]
-        puts = np.array([s.put for s in flat], dtype=np.float64)
-        svc = np.array([read_ms if s.is_read else write_ms
-                        for s in flat], dtype=np.float64)
-        offsets = np.zeros(len(streams) + 1, dtype=np.intp)
-        np.cumsum([len(subs) for _, subs in streams],
-                  out=offsets[1:])
-        comp = stacked_fcfs_completion_times(puts, offsets, svc)
-        started = np.empty_like(comp)
-        started[1:] = np.maximum(puts[1:], comp[:-1])
-        started[offsets[:-1]] = np.maximum(puts[offsets[:-1]], 0.0)
-        for (m, subs), a in zip(streams, offsets[:-1]):
-            for s, t_start, t_done in zip(
-                    subs, started[a:a + len(subs)].tolist(),
-                    comp[a:a + len(subs)].tolist()):
-                s.device = m
-                s.enqueued = s.put
-                s.started = t_start
-                s.completed = t_done
-
-    def _write_reads(self, log) -> None:
-        """Every read's outcome into its row, in one bulk write."""
-        reads = self._reads
-        if not reads:
-            return
-        n = len(reads)
-        rows = np.fromiter((s.row for s in reads), np.int64, n)
-        log.fill(rows, {
-            "issued": np.fromiter((s.first_issue for s in reads),
-                                  np.float64, n),
-            "enqueued": np.fromiter((s.enqueued for s in reads),
-                                    np.float64, n),
-            "started": np.fromiter((s.started for s in reads),
-                                   np.float64, n),
-            "completed": np.fromiter((s.completed for s in reads),
-                                     np.float64, n),
-            "device": np.fromiter((s.device for s in reads), np.int32, n),
-            "retries": np.fromiter((s.retries for s in reads),
-                                   np.int32, n),
-            "reason": np.fromiter((reason_code(s.reason) for s in reads),
-                                  np.uint8, n),
-        }, np.fromiter(((FAILED if s.failed else 0)
-                        | (FAULTED if s.faulted else 0) for s in reads),
-                       np.uint8, n))
-
-    def _finalize_writes(self, log) -> None:
-        """Fold replica outcomes into each write master's row,
-        mirroring :meth:`~repro.flash.driver.OnlineStreamSession.\
-_write_process`."""
-        if not self._writes:
-            return
-        rows, completed, retries, flags, reasons = [], [], [], [], []
-        for wm in self._writes:
-            replicas = wm.replicas
-            done = replicas[0].completed
-            for r in replicas[1:]:
-                if r.completed > done:
-                    done = r.completed
-            flag = 0
-            n_retries = 0
-            reason = ""
-            if any(r.failed or r.faulted for r in replicas):
-                flag = FAULTED
-                n_retries = sum(r.retries for r in replicas)
-            if all(r.failed for r in replicas):
-                flag |= FAILED
-                reason = replicas[0].reason
-            rows.append(wm.row)
-            completed.append(done)
-            retries.append(n_retries)
-            flags.append(flag)
-            reasons.append(reason_code(reason))
-        log.fill(np.array(rows, dtype=np.int64),
-                 {"completed": completed, "retries": retries,
-                  "reason": reasons}, flags)
+        count = np.frombuffer(self._write_count, np.int64)
+        replicas = out[self._is_write]
+        at = np.cumsum(count) - count
+        hit = (replicas["flags"] & (FAILED | FAULTED)) != 0
+        lost = np.logical_and.reduceat((replicas["flags"] & FAILED) != 0, at)
+        log.fill(rows[np.frombuffer(self._write_first, np.int64)], {
+            "completed": np.maximum.reduceat(replicas["completed"], at),
+            "retries": np.add.reduceat(replicas["retries"], at),
+            "reason": np.where(lost, replicas["reason"][at], 0)},
+            np.where(np.logical_or.reduceat(hit, at), FAULTED, 0)
+            | np.where(lost, FAILED, 0))

@@ -25,11 +25,11 @@ def flags(tmp_path, src):
     return ["--src", str(src), "--quiet"]
 
 
-def test_all_on_real_tree_passes(tmp_path):
+def test_all_on_real_tree_passes(shared_run_checks, tmp_path):
     assert main(["--all", "--quiet"]) == 0
 
 
-def test_all_flag_runs_flow_section(capsys):
+def test_all_flag_runs_flow_section(shared_run_checks, capsys):
     assert main(["--all"]) == 0
     out = capsys.readouterr().out
     assert "flow:" in out
@@ -67,8 +67,8 @@ def test_run_checks_flow_report_integration(tmp_path, dirty_src):
     assert "flow:" in report.render()
 
 
-def test_without_all_flow_section_is_absent():
-    report = run_checks(probe_workloads=[])
+def test_without_all_flow_section_is_absent(shared_run_checks):
+    report = shared_run_checks(probe_workloads=[])
     assert report.flow is None
     assert report.to_dict()["flow"] is None
 

@@ -6,20 +6,20 @@ import sys
 from pathlib import Path
 
 from repro.check.cli import main
-from repro.check.report import default_src_root, run_checks
+from repro.check.report import default_src_root
 
 SRC_ROOT = default_src_root()
 
 
-def test_run_checks_lint_only_clean_tree():
-    report = run_checks(probe_workloads=[])
+def test_run_checks_lint_only_clean_tree(shared_run_checks):
+    report = shared_run_checks(probe_workloads=[])
     assert report.lint.clean, report.lint.render()
     assert report.passed
     assert report.lint.files_checked > 100
 
 
-def test_report_json_shape():
-    report = run_checks(probe_workloads=[])
+def test_report_json_shape(shared_run_checks):
+    report = shared_run_checks(probe_workloads=[])
     data = json.loads(report.to_json())
     assert data["tool"] == "repro.check"
     assert data["passed"] is True
@@ -31,11 +31,11 @@ def test_report_json_shape():
             "bare-except"} <= rule_ids
 
 
-def test_cli_lint_only_exit_zero(capsys):
+def test_cli_lint_only_exit_zero(shared_run_checks, capsys):
     assert main(["--lint-only", "--quiet"]) == 0
 
 
-def test_cli_json_output(tmp_path, capsys):
+def test_cli_json_output(shared_run_checks, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--lint-only", "--quiet", "--json", str(out)])
     assert code == 0
@@ -44,7 +44,7 @@ def test_cli_json_output(tmp_path, capsys):
     assert data["determinism"] == []
 
 
-def test_cli_with_probe(capsys):
+def test_cli_with_probe(shared_run_checks, capsys):
     code = main(["--probe", "fig8", "--json", "-"])
     captured = capsys.readouterr()
     assert code == 0

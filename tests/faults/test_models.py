@@ -1,5 +1,7 @@
 """Unit tests for the fault models (events, schedules, processes)."""
 
+import math
+
 import pytest
 
 from repro.faults import (
@@ -46,6 +48,40 @@ class TestFaultEvent:
     def test_infinite_end_serialises_as_string(self):
         row = FaultEvent("crash", 0, 0.0).to_list()
         assert row[3] == "inf"
+
+
+NON_FINITE = {
+    "down_nan_start": (lambda: FaultEvent("down", 0, math.nan, 1.0),
+                       "start"),
+    "crash_inf_start": (lambda: FaultEvent("crash", 0, math.inf), "start"),
+    "down_nan_end": (lambda: FaultEvent("down", 0, 0.0, math.nan), "end"),
+    "crash_minus_inf_end": (
+        lambda: FaultEvent("crash", 0, 1.0, -math.inf), "end"),
+    "slow_nan_factor": (
+        lambda: FaultEvent("slow", 0, 0.0, 1.0, factor=math.nan), "factor"),
+    "slow_inf_factor": (
+        lambda: FaultEvent("slow", 0, 0.0, 1.0, factor=math.inf), "factor"),
+    "nan_backoff": (lambda: RetryPolicy(backoff_ms=math.nan), "backoff_ms"),
+    "inf_backoff": (lambda: RetryPolicy(backoff_ms=math.inf), "backoff_ms"),
+    "nan_growth": (lambda: RetryPolicy(growth=math.nan), "growth"),
+    "nan_backoff_and_growth": (
+        lambda: RetryPolicy(backoff_ms=math.nan, growth=math.nan),
+        "backoff_ms"),
+    "from_dict_nan_start": (lambda: FaultSchedule.from_dict(
+        {"events": [["down", 0, "nan", 1.0, 1.0, 0.0]]}), "start"),
+    "from_dict_inf_growth": (lambda: FaultSchedule.from_dict(
+        {"events": [], "retry": {"growth": math.inf}}), "growth"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_inputs_rejected(case):
+    """NaN passes every ordered comparison, so each of these used to be
+    accepted; a NaN-start down window then crashed both engines
+    mid-play with a bare ``KeyError``."""
+    make, field = NON_FINITE[case]
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 class TestRetryPolicy:

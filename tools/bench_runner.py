@@ -198,31 +198,35 @@ def _pr8_baseline():
     roll, ``offer``, dispatch) for every configuration, and the
     faulted replay heap-pushed every submission individually.
     Demoting every new session before its first feed (the scalar
-    reference) and patching the per-submission push back in
-    reproduces that baseline on today's code.
+    reference) and wrapping the replay's submission hook with one
+    ``heapq.heappush`` per submission reproduces that baseline on
+    today's code.
     """
     import heapq
 
     from repro.flash.driver import OnlineTracePlayer
     from repro.flash.faulted import FaultedReplay
 
-    def push(self, sub):
-        heapq.heappush(self._heap,
-                       (sub.put, sub.created, sub.seq, sub))
+    submit_read = FaultedReplay.submit_read
+    open_session = OnlineTracePlayer.session
+
+    def pushed_submit(self, row, module, issue_at, created,
+                      candidates=None):
+        submit_read(self, row, module, issue_at, created, candidates)
+        heap = self.__dict__.setdefault("_pr8_heap", [])
+        heapq.heappush(heap, (issue_at, created, len(heap), row))
 
     def demoted_session(self):
         session = open_session(self)
         session._demote("reference")
         return session
 
-    saved = FaultedReplay._push
-    open_session = OnlineTracePlayer.session
-    FaultedReplay._push = push
+    FaultedReplay.submit_read = pushed_submit
     OnlineTracePlayer.session = demoted_session
     try:
         yield
     finally:
-        FaultedReplay._push = saved
+        FaultedReplay.submit_read = submit_read
         OnlineTracePlayer.session = open_session
 
 
