@@ -269,7 +269,10 @@ StreamingFPGrowth` mines the exact itemsets and supports batch
     * **live-vs-offline loop identity** -- an unbudgeted, fault-free
       :class:`repro.controller.ReplicationController` run reproduces
       ``play_workload`` byte for byte: same per-request floats, same
-      match rates.
+      match rates;
+    * **one boundary step** -- a 1-array
+      :class:`repro.cluster.ShardedCluster` runs the same per-array
+      boundary step, so it plays those parts byte for byte as well.
 
     The returned payload (controller experiment table + per-request
     fingerprint + audit trail) then guards the loop's own run-to-run
@@ -277,6 +280,7 @@ StreamingFPGrowth` mines the exact itemsets and supports batch
     """
     import json
 
+    from repro.cluster import ClusterConfig, ShardedCluster
     from repro.controller import ControllerConfig, ReplicationController
     from repro.experiments import controller as controller_exp
     from repro.experiments.common import play_workload
@@ -310,6 +314,13 @@ StreamingFPGrowth` mines the exact itemsets and supports batch
             or live.match_rates != offline.match_rates:
         raise ValueError("the live controller diverged from the "
                          "offline play_workload loop")
+    one = ShardedCluster(ClusterConfig(
+        n_arrays=1, n_devices=9, cross_replication=1, epsilon=0.01,
+        seed=seed)).play(parts).arrays[0].report
+    if fingerprint(one) != fingerprint(offline.report) \
+            or one.series.state() != offline.report.series.state():
+        raise ValueError("a 1-array cluster diverged from the live "
+                         "controller and play_workload")
 
     table = controller_exp.run(scale=0.2, n_intervals=4,
                                seed=seed).to_json()

@@ -4,8 +4,10 @@ Scale-out happens in three composable layers:
 
 1. **Sharding** (:mod:`repro.cluster.sharding`) gives every data block
    a *home array*; each array runs the full single-array stack --
-   per-array FIM matching, admission control, the byte-identical
-   playback engines, module-level fault injection.
+   FIM matching through its own
+   :class:`~repro.controller.boundary.BoundaryStep` (the live
+   controller's), admission control, the byte-identical playback
+   engines, module-level fault injection.
 2. **Cross-array replication** (:mod:`repro.cluster.replicator`)
    mirrors hot blocks onto secondary arrays under a migration budget,
    reusing :class:`repro.controller.ReplicationPlanner` verbatim.
@@ -17,9 +19,10 @@ Determinism contracts (enforced by tests and the ``cluster`` probe):
 
 * **1-shard identity** -- a 1-array cluster replays
   :func:`repro.experiments.common.play_workload` byte for byte: with
-  one array, routing is the identity, per-array mining sees exactly
-  the offline trace, and the streaming session's chunking invariance
-  makes feed-per-part equal feed-once.
+  one array, routing is the identity, the array's boundary step mines
+  each part with the offline rule (an empty part resets it to the
+  modulo fallback, as offline), and the streaming session's chunking
+  invariance makes feed-per-part equal feed-once.
 * **Mode identity** -- the serial streaming path and the
   parallel-runner cell path produce identical
   :class:`ClusterReport` fingerprints when routing runs open-loop
@@ -52,14 +55,13 @@ from repro import obs
 from repro.cluster.replicator import CrossArrayReplicator
 from repro.cluster.routing import ReplicaRouter
 from repro.cluster.sharding import Sharding, make_sharding
+from repro.controller.boundary import BoundaryStep
 from repro.controller.planner import pair_support_by_block
 from repro.core.qos import QoSFlashArray, QoSReport
 from repro.faults import FaultSchedule
-from repro.flash.driver import OnlineTracePlayer
 from repro.flash.metrics import IntervalSeries
 from repro.flash.played import PlayedTable
 from repro.mining.apriori import apriori
-from repro.mining.matching import FIMBlockMatcher, MatchResult
 from repro.mining.transactions import transactions_from_trace
 from repro.obs.series import ModuleSeries, module_interval_series, \
     queue_depth
@@ -141,18 +143,6 @@ def _make_qos(config: ClusterConfig,
         faults=faults)
 
 
-def _make_player(config: ClusterConfig, qos: QoSFlashArray,
-                 faults: Optional[FaultSchedule]) -> OnlineTracePlayer:
-    """Exactly :meth:`QoSFlashArray.run_online`'s player construction
-    (the 1-shard identity contract depends on the match)."""
-    probs = qos.probabilities() if config.epsilon > 0 else None
-    return OnlineTracePlayer(
-        qos.allocation, config.interval_ms, epsilon=config.epsilon,
-        probabilities=probs, accesses=qos.accesses, params=qos.params,
-        engine=config.engine, admission=config.admission,
-        faults=faults)
-
-
 @dataclass
 class ArrayResult:
     """One array's contribution to a cluster play-through.
@@ -215,8 +205,7 @@ def _cell_play_array(config: ClusterConfig, array: int,
         faults = _array_faults(FaultSchedule.from_dict(faults_data),
                                array, config.n_devices)
     qos = _make_qos(config, faults)
-    player = _make_player(config, qos, faults)
-    series, played = player.play(arrivals, buckets)
+    series, played = qos.online_player().play(arrivals, buckets)
     return _array_result(array, series, played, qos.guarantee_ms,
                          keep_requests=False)
 
@@ -385,9 +374,10 @@ masked_arrays_at`) without ever touching in-flight playback.
              router_sync: Optional[bool] = None) -> ClusterReport:
         """Play a multi-part workload through the cluster.
 
-        Per part: at the boundary each array mines its own previous
-        sub-trace (FIM matching, as in ``play_workload``), the
-        cluster-wide hot set drives one budgeted
+        Per part: at the boundary each array's boundary step mines
+        the reads it was fed in the previous part (FIM matching, as
+        in ``play_workload``), the cluster-wide hot set drives one
+        budgeted
         :class:`~repro.cluster.replicator.CrossArrayReplicator` round,
         then every request is routed (home array, or the least-loaded
         live replica for mirrored reads) and fed to its array.
@@ -418,29 +408,18 @@ masked_arrays_at`) without ever touching in-flight playback.
             cfg.n_arrays, self.sharding.array_of,
             cross_replication=cfg.effective_cross_replication,
             migration_budget=cfg.migration_budget)
-        matchers = [FIMBlockMatcher(qos.allocation)
-                    for qos in self.arrays]
-        match = [MatchResult.empty(qos.allocation.n_buckets)
-                 for qos in self.arrays]
+        steps = [BoundaryStep(qos.allocation, cfg.fim_window_ms,
+                              cfg.min_support) for qos in self.arrays]
         audit: List[BoundaryRecord] = []
         serial = runner is None
-        sessions = players = None
+        sessions = [qos.online_player().session()
+                    for qos in self.arrays] if serial else None
         #: per array, the played-row count at each router-sync
         #: boundary: the module series folds over these slices
         marks: List[List[int]] = [[] for _ in range(cfg.n_arrays)]
-        if serial:
-            players = [
-                _make_player(cfg, qos,
-                             _array_faults(self.faults, a,
-                                           cfg.n_devices))
-                for a, qos in enumerate(self.arrays)]
-            sessions = [p.session() for p in players]
-        #: accumulated per-array feeds for the runner path
-        feed_arrivals: List[List[np.ndarray]] = \
+        #: per array, the (arrivals, buckets) fed, for the runner path
+        feeds: List[List[Tuple[np.ndarray, List[int]]]] = \
             [[] for _ in range(cfg.n_arrays)]
-        feed_buckets: List[List[np.ndarray]] = \
-            [[] for _ in range(cfg.n_arrays)]
-        prev_sub: List[Optional[Trace]] = [None] * cfg.n_arrays
         n_unrouted = 0
 
         for part_idx, part in enumerate(parts):
@@ -452,9 +431,10 @@ masked_arrays_at`) without ever touching in-flight playback.
                     if router_sync:
                         self._sync_router(router, sessions, marks,
                                           boundary)
+                for step in steps:
+                    step.boundary()
                 self._boundary_round(part_idx, boundary,
-                                     parts[part_idx - 1], prev_sub,
-                                     matchers, match, replicator,
+                                     parts[part_idx - 1], replicator,
                                      audit)
             dest, unrouted = self._route_part(part, router,
                                               replicator)
@@ -462,20 +442,13 @@ masked_arrays_at`) without ever touching in-flight playback.
             for a in range(cfg.n_arrays):
                 sel = np.flatnonzero((dest == a) & ~unrouted)
                 if sel.size == 0:
-                    sub = None
-                else:
-                    sub = part[sel]
-                prev_sub[a] = sub
-                if sub is None:
                     continue
-                mapped = self._map_buckets(match[a], sub.block)
+                sub = part[sel]
+                mapped = steps[a].feed(sub)
                 if serial:
                     sessions[a].feed(sub.arrival_ms, mapped)
                 else:
-                    feed_arrivals[a].append(
-                        np.asarray(sub.arrival_ms, dtype=np.float64))
-                    feed_buckets[a].append(
-                        np.asarray(mapped, dtype=np.int64))
+                    feeds[a].append((sub.arrival_ms, mapped))
 
         if serial:
             results = []
@@ -491,8 +464,7 @@ masked_arrays_at`) without ever touching in-flight playback.
                 if obs.ACTIVE:
                     obs.SESSION.record_qos_report(result.report)
         else:
-            results = self._run_cells(runner, feed_arrivals,
-                                      feed_buckets)
+            results = self._run_cells(runner, feeds)
 
         return ClusterReport(config=cfg,
                              guarantee_ms=self.guarantee_ms,
@@ -503,27 +475,16 @@ masked_arrays_at`) without ever touching in-flight playback.
 
     # -- boundary work ----------------------------------------------------
     def _boundary_round(self, part_idx: int, boundary: float,
-                        prev_part: Trace,
-                        prev_sub: List[Optional[Trace]],
-                        matchers, match, replicator,
+                        prev_part: Trace, replicator,
                         audit: List[BoundaryRecord]) -> None:
-        """Mine at the boundary, then run one replication round.
+        """Run one replication round on the previous part's hot set.
 
-        Two mining scopes, deliberately distinct: each array mines
-        its *own* previous sub-trace to train its FIM bucket matching
-        (exactly the single-array pipeline, which keeps the 1-shard
-        identity), while the replicator's hot set is mined over the
-        *whole* previous part -- a hot pattern whose blocks home on
-        different arrays never co-occurs in any per-array sub-trace,
-        so only the cluster-wide pass can see it.
+        The hot set is mined over the *whole* part, not per array as
+        each array's :class:`~repro.controller.boundary.BoundaryStep`
+        mines: a hot pattern whose blocks home on different arrays
+        never co-occurs in any one array's traffic.
         """
         cfg = self.config
-        for a, sub in enumerate(prev_sub):
-            if sub is None or not len(sub):
-                continue
-            txns = transactions_from_trace(sub, cfg.fim_window_ms)
-            itemsets = apriori(txns, cfg.min_support, max_size=2)
-            match[a] = matchers[a].match(itemsets)
         whole = apriori(
             transactions_from_trace(prev_part, cfg.fim_window_ms),
             cfg.min_support, max_size=2)
@@ -616,16 +577,6 @@ masked_arrays_at`) without ever touching in-flight playback.
                     unrouted |= sel
         return dest, unrouted
 
-    def _map_buckets(self, match: MatchResult,
-                     blocks: np.ndarray) -> List[int]:
-        """FIM-mapped design buckets via a unique-block table."""
-        uniq, inverse = np.unique(np.asarray(blocks, dtype=np.int64),
-                                  return_inverse=True)
-        lut = np.fromiter(
-            (match.design_block_of(int(b)) for b in uniq),
-            dtype=np.int64, count=uniq.size)
-        return [int(b) for b in lut[inverse]]
-
     def _sync_router(self, router: ReplicaRouter, sessions,
                      marks: List[List[int]], boundary: float) -> None:
         """Re-anchor the router to measured boundary queue depths.
@@ -658,8 +609,7 @@ masked_arrays_at`) without ever touching in-flight playback.
         return series
 
     # -- parallel cells ---------------------------------------------------
-    def _run_cells(self, runner, feed_arrivals,
-                   feed_buckets) -> List[ArrayResult]:
+    def _run_cells(self, runner, feeds) -> List[ArrayResult]:
         """Per-array playback as parallel-runner cells."""
         from repro.runner import Cell
 
@@ -667,13 +617,10 @@ masked_arrays_at`) without ever touching in-flight playback.
         faults_data = self.faults.to_dict() \
             if self.faults is not None else None
         cells = []
-        for a in range(cfg.n_arrays):
-            arr = (np.concatenate(feed_arrivals[a])
-                   if feed_arrivals[a]
-                   else np.zeros(0, dtype=np.float64))
-            buck = (np.concatenate(feed_buckets[a])
-                    if feed_buckets[a]
-                    else np.zeros(0, dtype=np.int64))
+        for a, fed in enumerate(feeds):
+            arr = np.concatenate([np.zeros(0)] + [t for t, _ in fed])
+            buck = np.fromiter((b for _, chunk in fed for b in chunk),
+                               dtype=np.int64)
             cells.append(Cell(
                 "cluster", f"array{a}", _cell_play_array,
                 (cfg, a, arr, buck, faults_data),

@@ -9,13 +9,12 @@ computed up front and the whole trace is played once.
 1. **stream** -- each trace part is fed into one long-running
    :class:`~repro.flash.driver.OnlineStreamSession`; traffic never
    stops at interval boundaries;
-2. **mine** -- requests are folded into
-   :class:`~repro.mining.streaming.StreamingTransactions` +
-   :class:`~repro.mining.streaming.StreamingFPGrowth` as they are fed,
-   so the boundary mining step is a cheap tree walk, provably equal to
-   the batch miners on the interval's transactions;
-3. **plan** -- the :class:`~repro.controller.strategy.PlacementStrategy`
-   proposes a target placement, and the
+2. **mine** -- a :class:`~repro.controller.boundary.BoundaryStep`
+   keeps each part's read columns as it is fed and mines them at the
+   next boundary exactly as ``play_workload`` mines the previous part;
+3. **plan** -- the step asks the
+   :class:`~repro.controller.strategy.PlacementStrategy` for a target
+   placement, and the
    :class:`~repro.controller.planner.ReplicationPlanner` diffs it
    against the live placement into budgeted, fault-aware migration
    deltas (never onto dead modules);
@@ -33,34 +32,23 @@ probe): with an unlimited migration budget, no faults and the default
 :class:`~repro.controller.strategy.FIMReplan` strategy, the controller
 reproduces ``play_workload`` *byte-identically* -- same per-request
 floats, same match rates -- because the streaming session replays the
-offline heap order exactly and streaming mining equals batch mining at
-every boundary.
+offline heap order exactly and the boundary step mines each interval
+with the oracle's own rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.controller.planner import (
-    ReplicationPlan,
-    ReplicationPlanner,
-    pair_support_by_block,
-)
-from repro.controller.strategy import (
-    FIMReplan,
-    PlacementStrategy,
-    StaticPlacement,
-)
+from repro.controller.boundary import BoundaryStep
+from repro.controller.strategy import PlacementStrategy
 from repro.core.adaptive import AdaptiveEpsilonController
 from repro.core.qos import QoSFlashArray, QoSReport
 from repro.experiments.common import WorkloadRun
-from repro.flash.driver import OnlineTracePlayer
-from repro.mining.matching import FIMBlockMatcher, MatchResult
-from repro.mining.streaming import StreamingFPGrowth, StreamingTransactions
 from repro.traces.records import Trace, check_part_arrivals
 
 __all__ = ["ControllerConfig", "AuditRecord", "ControllerReport",
@@ -209,12 +197,7 @@ StaticPlacement` is the do-nothing baseline.
             engine=config.engine,
             admission=config.admission,
             faults=faults)
-        self.matcher = FIMBlockMatcher(self.qos.allocation)
-        self.strategy = strategy if strategy is not None \
-            else FIMReplan(self.matcher)
-        self.planner = ReplicationPlanner(
-            self.qos.allocation,
-            migration_budget=config.migration_budget)
+        self.strategy = strategy
         self._adaptive: Optional[AdaptiveEpsilonController] = None
         if config.adapt_target_delayed_pct is not None:
             self._adaptive = AdaptiveEpsilonController(
@@ -232,11 +215,6 @@ StaticPlacement` is the do-nothing baseline.
         total = int(np.count_nonzero(counted))
         delayed = int(np.count_nonzero(window.delayed & counted))
         return 100.0 * delayed / total if total else 0.0
-
-    def _excluded_at(self, t: float) -> frozenset:
-        if self.faults is None:
-            return frozenset()
-        return self.faults.masked_at(t)
 
     # -- the loop ----------------------------------------------------------
     def run(self, parts: Sequence[Trace]) -> ControllerReport:
@@ -256,20 +234,11 @@ StaticPlacement` is the do-nothing baseline.
         for part_idx, part in enumerate(parts):
             check_part_arrivals(part_idx, part.arrival_ms)
         cfg = self.config
-        self.strategy.reset()
         session_hook = obs.SESSION if obs.ACTIVE else None
-        probs = self.qos.probabilities() if cfg.epsilon > 0 else None
-        player = OnlineTracePlayer(
-            self.qos.allocation, cfg.interval_ms,
-            epsilon=cfg.epsilon, probabilities=probs,
-            accesses=self.qos.accesses, params=self.qos.params,
-            engine=cfg.engine, admission=cfg.admission,
-            faults=self.faults)
-        session = player.session()
-        miner = StreamingFPGrowth(min_support=cfg.min_support,
-                                  max_size=2)
-        txns = StreamingTransactions(cfg.fim_window_ms, miner.add)
-        match = MatchResult.empty(self.qos.allocation.n_buckets)
+        session = self.qos.online_player().session()
+        step = BoundaryStep(self.qos.allocation, cfg.fim_window_ms,
+                            cfg.min_support, strategy=self.strategy,
+                            migration_budget=cfg.migration_budget)
         match_rates: List[float] = []
         part_of_request: List[int] = []
         audit: List[AuditRecord] = []
@@ -292,57 +261,37 @@ StaticPlacement` is the do-nothing baseline.
                         session_hook.on_controller("epsilon_update")
                 played_mark = len(session.played)
                 # -- mine, plan, apply ------------------------------------
-                txns.flush()
-                itemsets = miner.mine()
-                target = self.strategy.propose(itemsets, match)
-                excluded = self._excluded_at(boundary)
-                if target is not None:
-                    plan = self.planner.plan(
-                        target, match,
-                        supports=pair_support_by_block(itemsets),
-                        excluded=excluded)
-                    match = plan.mapping
-                else:
-                    plan = None
-                match_rates.append(match.match_rate(part.block))
+                excluded = frozenset() if self.faults is None \
+                    else self.faults.masked_at(boundary)
+                n_transactions, itemsets, plan = step.boundary(excluded)
+                applied, deferred, blocked, cost = ([], [], [], 0) \
+                    if plan is None else \
+                    (plan.applied, plan.deferred, plan.blocked, plan.cost)
+                match_rates.append(step.match.match_rate(part.block))
                 audit.append(AuditRecord(
                     part=part_idx, boundary_ms=boundary,
-                    n_transactions=miner.n_transactions,
-                    n_itemsets=len(itemsets),
-                    replanned=plan is not None,
-                    deltas_applied=0 if plan is None else
-                    len(plan.applied),
-                    deltas_deferred=0 if plan is None else
-                    len(plan.deferred),
-                    deltas_blocked=0 if plan is None else
-                    len(plan.blocked),
-                    migration_cost=0 if plan is None else plan.cost,
-                    match_rate=match_rates[-1],
-                    epsilon=epsilon,
+                    n_transactions=n_transactions,
+                    n_itemsets=len(itemsets), replanned=plan is not None,
+                    deltas_applied=len(applied),
+                    deltas_deferred=len(deferred),
+                    deltas_blocked=len(blocked), migration_cost=cost,
+                    match_rate=match_rates[-1], epsilon=epsilon,
                     excluded=tuple(sorted(excluded))))
                 if session_hook is not None:
                     session_hook.on_controller("boundary")
                     if plan is not None:
                         session_hook.on_controller("replan")
+                        for event, deltas in (("delta_applied", applied),
+                                              ("delta_deferred", deferred),
+                                              ("delta_blocked", blocked)):
+                            session_hook.on_controller(event, len(deltas))
                         session_hook.on_controller(
-                            "delta_applied", len(plan.applied))
-                        session_hook.on_controller(
-                            "delta_deferred", len(plan.deferred))
-                        session_hook.on_controller(
-                            "delta_blocked", len(plan.blocked))
-                        session_hook.on_controller(
-                            "rescue", sum(1 for d in plan.applied
-                                          if d.rescue))
-                miner.reset()
-                txns.reset()
+                            "rescue", sum(1 for d in applied if d.rescue))
             else:
                 match_rates.append(0.0)
             # -- feed the part's traffic under the placement in force -----
-            session.feed(part.arrival_ms, match.map_blocks(part.block))
+            session.feed(part.arrival_ms, step.feed(part))
             part_of_request.extend([part_idx] * len(part))
-            reads = part.reads_only()
-            for t, b in zip(reads.arrival_ms, reads.block):
-                txns.observe(float(t), int(b))
         series, played = session.drain()
         report = QoSReport(series, played, self.qos.guarantee_ms)
         if session_hook is not None:

@@ -99,10 +99,6 @@ class ReplicationPlan:
     mapping: MatchResult
     cost: int
 
-    @property
-    def n_moves(self) -> int:
-        return len(self.applied)
-
 
 class ReplicationPlanner:
     """Diff placements into budgeted, fault-aware migration plans.

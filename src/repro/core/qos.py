@@ -279,6 +279,22 @@ class QoSFlashArray:
             obs.SESSION.record_qos_report(report)
         return report
 
+    def online_player(self, tenant_budgets: Optional[Dict[str, int]] = None,
+                      ) -> OnlineTracePlayer:
+        """The online player of this array's configuration.
+
+        :meth:`run_online`, the live controller and every cluster array
+        build their player here, so a 1-shard cluster and the
+        controller play exactly as ``run_online`` does.
+        """
+        probs = self.probabilities() if self.epsilon > 0 else None
+        return OnlineTracePlayer(
+            self.allocation, self.interval_ms, epsilon=self.epsilon,
+            probabilities=probs, accesses=self.accesses,
+            params=self.params, tenant_budgets=tenant_budgets,
+            engine=self.engine, admission=self.admission,
+            faults=self.faults)
+
     def run_online(self, arrivals: Sequence[float],
                    buckets: Sequence[int],
                    reads: Optional[Sequence[bool]] = None,
@@ -291,13 +307,7 @@ class QoSFlashArray:
         admission cost ``c``); ``tenant_budgets`` + ``apps`` enforce
         per-application interval budgets (§III-A).
         """
-        probs = self.probabilities() if self.epsilon > 0 else None
-        player = OnlineTracePlayer(
-            self.allocation, self.interval_ms, epsilon=self.epsilon,
-            probabilities=probs, accesses=self.accesses,
-            params=self.params, tenant_budgets=tenant_budgets,
-            engine=self.engine, admission=self.admission,
-            faults=self.faults)
+        player = self.online_player(tenant_budgets)
         series, played = player.play(arrivals, buckets, reads=reads,
                                      apps=apps)
         report = QoSReport(series, played, self.guarantee_ms)

@@ -13,7 +13,8 @@ from repro.flash.metrics import IntervalSeries
 from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher, MatchResult
 from repro.mining.transactions import transactions_from_trace
-from repro.traces.records import Trace, _check_arrival_times
+from repro.traces.records import Trace, _check_arrival_times, \
+    check_part_arrivals
 
 __all__ = ["ExperimentResult", "render_table", "WorkloadRun",
            "play_workload", "play_original"]
@@ -137,7 +138,16 @@ def play_workload(parts: Sequence[Trace], n_devices: int,
     mode:
         ``"online"`` (paper §V-D/E) or ``"batch"``
         (design-theoretic interval alignment, §V-G).
+
+    Every part's arrivals must be finite times ``>= 0`` in
+    non-decreasing order, as for the live controller and the cluster
+    (the transaction windows and the playback assume arrival order); a
+    part that is not raises ``ValueError`` naming the part and the
+    first bad index, before anything is mined.
     """
+    parts = list(parts)
+    for part_idx, part in enumerate(parts):
+        check_part_arrivals(part_idx, part.arrival_ms)
     qos = QoSFlashArray(n_devices=n_devices, replication=replication,
                         interval_ms=qos_interval_ms, epsilon=epsilon,
                         seed=seed, engine=engine)

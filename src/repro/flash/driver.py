@@ -728,6 +728,8 @@ class OnlineStreamSession:
         or the (provably identical) busy-until arithmetic.
         """
         player = self.player
+        if self.replay is not None:
+            self.replay.wakes.append(t)
         # Roll the admission window forward.
         idx = self.interval_of(t)
         while self._current_interval < idx:
@@ -1131,7 +1133,10 @@ class OnlineStreamSession:
         times = plan.times.tolist()
         intervals = plan.intervals.tolist()
         admitted = plan.admitted.tolist()
-        bounds = np.flatnonzero(plan.starts).tolist()
+        starts = np.flatnonzero(plan.starts)
+        if self.replay is not None:
+            self.replay.wakes.append(plan.times[starts])
+        bounds = starts.tolist()
         bounds.append(len(order))
         segs = np.searchsorted(np.asarray(self._mask_pts, np.float64),
                                plan.times, side="right").tolist()

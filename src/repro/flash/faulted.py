@@ -40,9 +40,14 @@ Three rules keep this exact:
    each attempt, not by whether the module has events: ``slowdown``
    and ``error_prob`` are sampled at the start of an attempt, and a
    quiet segment draws no read-error.
-2. Re-submissions sort after every driver-phase submission, in the
-   order their failing attempts would have been popped: a
-   re-submission's ``seq`` is its failing attempt's full sort key.
+2. Queue puts at one instant take the event loop's order: a
+   submission's ``seq`` is the :class:`_Event` that puts it (a
+   driver process's start or issue timeout, a failed attempt's
+   completion, a failover backoff), and events are ordered by time,
+   then by the order of the events that scheduled them, then by
+   scheduling order -- the DES's ``(time, sequence)`` heap order.
+   Events are built only for failovers, from the driver's wake-ups
+   (:attr:`FaultedReplay.wakes`) and the served rows' timelines.
 3. When a suffix is re-run, the module's ``free`` time and read-error
    draw counter are restored to their values at that position;
    re-submissions from the old suffix are withdrawn, and ``obs`` fault
@@ -51,6 +56,7 @@ Three rules keep this exact:
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -77,6 +83,69 @@ _OUTCOME = np.dtype([("started", np.float64), ("completed", np.float64),
                      ("flags", np.uint8), ("reason", np.uint8)])
 
 
+class _Event:
+    """One DES event, ordered as the event loop pops it.
+
+    ``t`` is its time, ``parent`` the event in whose processing it was
+    scheduled (``None`` for the root) and ``i`` its place among that
+    event's children.  The loop pops by ``(time, sequence)`` and
+    sequence numbers follow scheduling order, so ``a < b`` compares
+    ``(t, parent, i)`` lexicographically.
+    """
+
+    __slots__ = ("t", "parent", "i")
+
+    def __init__(self, t: float, parent: Optional["_Event"], i: float):
+        self.t, self.parent, self.i = t, parent, i
+
+    def __lt__(self, other: "_Event") -> bool:
+        return _order(self, other) < 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Event) and _order(self, other) == 0
+
+    __hash__ = None
+
+
+#: the driver loop's start at time 0
+_ROOT = _Event(0.0, None, 0)
+
+
+class _Wake(_Event):
+    """The driver loop's ``k``-th wake-up: the timeout the one before
+    schedules last, after starting the processes it placed.  Its
+    parent is built only when a comparison reaches it, by the replay,
+    held weakly so the replay's memo of these is no reference cycle
+    (a cycle kept each finished replay alive until a full GC)."""
+
+    __slots__ = ("_replay", "_k")
+
+    def __init__(self, t: float, replay: "FaultedReplay", k: int):
+        self.t, self.i, self._k = t, _INF, k
+        self._replay = weakref.ref(replay)
+
+    @property
+    def parent(self) -> _Event:
+        return self._replay()._wake_event(self._k - 1)
+
+
+def _order(a: Optional[_Event], b: Optional[_Event]) -> int:
+    """-1, 0 or 1 as ``a`` pops before, with or after ``b``; iterative,
+    as the ancestries can be long."""
+    places = []
+    while a is not b:
+        if a is None or b is None:
+            return -1 if a is None else 1
+        if a.t != b.t:
+            return -1 if a.t < b.t else 1
+        places.append((a.i, b.i))
+        a, b = a.parent, b.parent
+    for i, j in reversed(places):
+        if i != j:
+            return -1 if i < j else 1
+    return 0
+
+
 class FaultedReplay:
     """Replay one play-through's module queues under a fault schedule.
 
@@ -99,6 +168,10 @@ class FaultedReplay:
         self._candidates: List[Optional[Sequence[int]]] = []
         #: write masters: first replica seq and replica count
         self._write_first, self._write_count = array("q"), array("q")
+        #: the driver's wake-up times (one per batch of simultaneous
+        #: arrivals, whatever it placed), in order: a float per
+        #: scalar wake-up, an array per vectorised plan
+        self.wakes: list = []
 
     # -- driver-side API --------------------------------------------------
     def submit_read(self, row: int, module: int, issue_at: float,
@@ -152,6 +225,12 @@ class FaultedReplay:
         self._resub: List[tuple] = []
         self._child: Dict[int, int] = {}
         self._events: Dict[int, List[str]] = {}  # scalar rows' faults
+        #: per module: position -> the event ending that row's service
+        self._ends: List[Dict[int, _Event]] = [{} for _ in
+                                               range(self.n_modules)]
+        self._puts_at: Dict[int, _Event] = {}
+        self._wake_at: Dict[int, _Event] = {}
+        self._wake_times: Optional[np.ndarray] = None
         modules = range(self.n_modules)
         self._loud = [self.schedule.loud_windows(m) for m in modules]
         #: per module: next row, ``free``, draw counter; queue edits
@@ -169,12 +248,93 @@ class FaultedReplay:
                     k for ev in self._events.values() for k in ev).items():
                 obs.SESSION.on_fault(kind, count)
 
-    def _key(self, s) -> tuple:
-        """The full queue sort key ``(put, created, seq)`` of ``s``."""
+    def _key(self, s) -> _Event:
+        """The event whose processing puts ``s`` on its queue."""
         s = int(s)
         if s >= self._n:
             return self._resub[s - self._n][3]
-        return (float(self._puts[s]), float(self._creates[s]), (0, s))
+        ev = self._puts_at.get(s)
+        if ev is None:
+            created, put = float(self._creates[s]), float(self._puts[s])
+            ev = _Event(created, self._wake(created),  # its start
+                        self._first(s))
+            if put != created:
+                ev = _Event(put, ev, 0)  # its issue timeout
+            self._puts_at[s] = ev
+        return ev
+
+    def _first(self, s: int) -> int:
+        """The first submission of ``s``'s driver process (a write
+        process puts its replicas in order, in one event)."""
+        if not self._is_write[s]:
+            return s
+        firsts = np.frombuffer(self._write_first, np.int64)
+        return int(firsts[np.searchsorted(firsts, s, "right") - 1])
+
+    def _wake(self, t: float) -> _Event:
+        """The driver loop's wake-up event at ``t``."""
+        if self._wake_times is None:
+            parts, floats = [], []
+            for w in self.wakes:
+                if isinstance(w, float):
+                    floats.append(w)
+                else:
+                    parts += [np.array(floats, np.float64), w]
+                    floats = []
+            self._wake_times = np.concatenate(
+                parts + [np.array(floats, np.float64)])
+        return self._wake_event(int(np.searchsorted(self._wake_times, t)))
+
+    def _wake_event(self, k: int) -> _Event:
+        """The driver loop's ``k``-th wake-up event; built on demand,
+        its parent (the one before) too."""
+        if k < 0:
+            return _ROOT
+        ev = self._wake_at.get(k)
+        if ev is None:
+            t = float(self._wake_times[k])
+            ev = self._wake_at[k] = _ROOT if k == 0 and t == 0.0 \
+                else _Wake(t, self, k)
+        return ev
+
+    def _end(self, m: int, p: int) -> _Event:
+        """The event ending served row ``p`` of module ``m``: its last
+        attempt's timeout, or its dequeue when it failed dead."""
+        memo, ids, puts = self._ends[m], self._queue[m], self._qput[m]
+        completed = self._out["completed"]
+        todo = []
+        q = p
+        while q not in memo:
+            todo.append(q)
+            if not q or puts[q] > completed[ids[q - 1]]:
+                break  # dequeued on its own put
+            q -= 1
+        ev = memo.get(q)
+        for q in reversed(todo):
+            s = int(ids[q])
+            put = float(puts[q])
+            free, draws = self._state(ids[q - 1]) if q else (0.0, 0)
+            ev = self._dequeue(s, put, ev, free)
+            if self._out["flags"][s] & _SCALAR:
+                times = self._attempts(s, m, put, free, draws)[-1]
+            else:
+                times = (float(completed[s]),)
+            for t in times:
+                ev = _Event(t, ev, 0)
+            memo[q] = ev
+        return ev
+
+    def _dequeue(self, s: int, put: float, prev: Optional[_Event],
+                 free: float) -> _Event:
+        """The event whose processing dequeues ``s``: the get the module
+        loop issues on finishing the previous row (event ``prev`` at
+        ``free``) when ``s`` was queued by then, else the get ``s``'s
+        own put fires."""
+        if prev is not None and (put < free or put == free
+                                 and self._key(s) < prev):
+            return _Event(free, prev, 1)  # after the done event
+        return _Event(put, self._key(s),
+                      s - self._first(s) if s < self._n else 0)
 
     def _state(self, s) -> tuple:
         """The module's ``(free, draws)`` right after serving ``s``."""
@@ -262,16 +422,38 @@ class FaultedReplay:
         if p < job[0]:
             job[:] = [p, *(self._state(self._queue[m][p - 1]) if p
                            else (0.0, 0))]
+        ends = self._ends[m]
+        for q in [q for q in ends if q >= p]:
+            del ends[q]
         self._edits[m] += 1
         self._hazard[m] = self._next(m)
 
     def _serve(self, s: int, m: int, put: float, free: float,
                draws: int) -> tuple:
-        """One dequeue on the scalar path, a line-by-line mirror of
-        :meth:`repro.flash.module.FlashModule._serve_faulty`; returns
-        the module's ``(free, draws)`` after it."""
+        """One dequeue on the scalar path; returns the module's
+        ``(free, draws)`` after it."""
+        started, t, draws, retries, reason, events, timeline = \
+            self._attempts(s, m, put, free, draws)
+        if reason:
+            events.append("dead_module" if reason == _DEAD else "read_error")
+        child = self._failover(s, m, put, free, t, events, timeline) \
+            if reason else None
+        flags = (FAULTED if events else 0) | (FAILED if reason else 0)
+        self._out[s] = (started, t, draws, retries, flags | _SCALAR, reason)
+        self._events[s] = events
+        self._set_child(s, child)
+        return t, draws
+
+    def _attempts(self, s: int, m: int, put: float, free: float,
+                  draws: int) -> tuple:
+        """``s``'s service from its dequeue, a line-by-line mirror of
+        :meth:`repro.flash.module.FlashModule._serve_faulty`: ``(started,
+        completed, draws, retries, reason, events, timeline)``, where
+        ``timeline`` lists the times of the events it schedules after
+        the dequeue (down wait, attempts, backoffs)."""
         sched = self.schedule
         events: List[str] = []  # any fault event marks it faulted
+        timeline: List[float] = []
         t = put if put > free else free  # dequeue instant
         started, retries, reason = np.nan, 0, 0
         available = _INF if sched.is_dead(m, t) \
@@ -282,6 +464,7 @@ class FaultedReplay:
             if available > t:
                 events.append("down_wait")
                 t = available
+                timeline.append(t)
             started = t
             is_read = s >= self._n or not self._is_write[s]
             base = self._read_ms if is_read else self._write_ms
@@ -291,6 +474,7 @@ class FaultedReplay:
                 if service != base:
                     events.append("slow_service")
                 t = t0 + service
+                timeline.append(t)
                 prob = sched.error_prob(m, t0) if is_read else 0.0
                 if prob > 0.0:
                     draws += 1
@@ -304,23 +488,20 @@ class FaultedReplay:
                         events.append("read_retry")
                         if backoff > 0:
                             t = t + backoff
+                            timeline.append(t)
                         continue
                 break
-        if reason:
-            events.append("dead_module" if reason == _DEAD else "read_error")
-        child = self._failover(s, m, t, events) if reason else None
-        flags = (FAULTED if events else 0) | (FAILED if reason else 0)
-        self._out[s] = (started, t, draws, retries, flags | _SCALAR, reason)
-        self._events[s] = events
-        self._set_child(s, child)
-        return t, draws
+        return started, t, draws, retries, reason, events, timeline
 
-    def _failover(self, s: int, m: int, t: float,
-                  events: List[str]) -> Optional[tuple]:
-        """The re-submission of failed ``s`` on its next live untried
-        replica, or ``None``, as ``OnlineStreamSession._issue_process``
-        fails over; write replicas and batch submissions (no
-        candidates) stay failed, as in the DES drivers."""
+    def _failover(self, s: int, m: int, put: float, free: float,
+                  t: float, events: List[str],
+                  timeline: List[float]) -> Optional[tuple]:
+        """The re-submission of ``s`` on its next live untried replica,
+        or ``None``, as ``OnlineStreamSession._issue_process`` fails
+        over; write replicas and batch submissions (no candidates) stay
+        failed, as in the DES drivers.  ``s`` was put at ``put`` on
+        module ``m``, free at ``free``, and failed at ``t`` after the
+        events of ``timeline`` (see :meth:`_attempts`)."""
         attempt, tried, cands = (0, (m,), self._candidates[s]) \
             if s < self._n else self._resub[s - self._n][4:]
         if cands is None:
@@ -331,17 +512,27 @@ class FaultedReplay:
             events.append("unavailable")
             return None
         events.append("failover")
+        # the failed attempt's done event, where the driver fails over
+        p = self._job[m][0]
+        ev = self._dequeue(s, put, self._end(m, p - 1)
+                           if p and put <= free else None, free)
+        for x in timeline:
+            ev = _Event(x, ev, 0)
+        ev = _Event(t, ev, 0)
         backoff = self.retry.delay(attempt)
-        put = t + backoff if backoff > 0 else t
-        return (alive[0], put, t, (put, t, (1, self._key(s))),
-                attempt + 1, tried + (alive[0],), cands)
+        at = t
+        if backoff > 0:
+            at = t + backoff
+            ev = _Event(at, ev, 0)  # the backoff timeout
+        return (alive[0], at, t, ev, attempt + 1, tried + (alive[0],),
+                cands)
 
     def _set_child(self, s: int, rec: Optional[tuple]) -> None:
         """Make ``rec`` the re-submission of ``s``: an unchanged one is
         kept, a changed one replaces (withdraws) the old."""
         old = self._child.pop(s, None)
         if old is not None:
-            if rec is not None and self._resub[old - self._n][:3] == rec[:3]:
+            if rec is not None and self._resub[old - self._n][:4] == rec[:4]:
                 self._child[s] = old
                 return
             self._withdraw(old)

@@ -8,9 +8,8 @@ Implements the substrate the paper takes from ``fim_apriori-lowmem``:
   :mod:`~repro.mining.fpgrowth` -- the three classic FIM algorithm
   families (§IV-A cites exactly these); they produce identical
   itemsets, which the test-suite exploits as a cross-check,
-* :mod:`~repro.mining.streaming` -- incremental FP-growth for the live
-  controller (:mod:`repro.controller`), provably identical to the
-  batch miners at every stream prefix,
+* :mod:`~repro.mining.streaming` -- incremental FP-growth, provably
+  identical to the batch miners at every stream prefix,
 * :mod:`~repro.mining.matching` -- mapping data blocks to design
   blocks so that frequently co-requested blocks land on different
   design blocks, with the ``block % n_design_blocks`` fallback.

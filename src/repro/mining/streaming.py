@@ -1,20 +1,20 @@
 """Streaming FP-growth: fold transactions in, mine at any prefix.
 
-The offline loop mines each interval with a fresh batch run
-(:func:`repro.mining.fpgrowth.fpgrowth` over the interval's
-transactions).  The live controller (:mod:`repro.controller`) cannot
-afford to keep raw transactions around, so this module provides the
-incremental twin: :class:`StreamingFPGrowth` folds transactions into a
-canonical prefix tree one at a time, and :meth:`~StreamingFPGrowth.mine`
-produces -- at *any* prefix of the stream -- exactly the itemsets and
-supports the batch miner would report for the transactions folded so
-far.  The identity is structural, not approximate: mining re-derives a
-weighted transaction database from the prefix tree (multiset-equal to
-the folded stream) and runs it through the batch miner's own build/mine
-machinery, so the result is the same ``ItemsetCounts`` object the
-offline loop computes.  The equality is enforced by a hypothesis
-property over random stream prefixes and by the ``controller``
-determinism probe.
+A batch miner (:func:`repro.mining.fpgrowth.fpgrowth`) needs the
+interval's transactions at hand.  This module is its incremental twin,
+for a caller that cannot keep them (the live controller keeps one
+interval's read columns and mines them in batch, see
+:mod:`repro.controller.boundary`): :class:`StreamingFPGrowth` folds
+transactions into a canonical prefix tree one at a time, and
+:meth:`~StreamingFPGrowth.mine` produces -- at *any* prefix of the
+stream -- exactly the itemsets and supports the batch miner would
+report for the transactions folded so far.  The identity is
+structural, not approximate: mining re-derives a weighted transaction
+database from the prefix tree (multiset-equal to the folded stream)
+and runs it through the batch miner's own build/mine machinery, so the
+result is the same ``ItemsetCounts`` object.  The equality is
+enforced by a hypothesis property over random stream prefixes and by
+the ``controller`` determinism probe.
 
 The prefix tree is ordered by item id (a canonical order independent of
 frequencies), which keeps :meth:`~StreamingFPGrowth.add` O(|t| log |t|)

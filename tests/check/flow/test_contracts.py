@@ -135,7 +135,8 @@ class TestLiveControllerIsCovered:
 
     CONTROLLER_MODULES = ("repro.controller.planner",
                           "repro.controller.controller",
-                          "repro.controller.strategy")
+                          "repro.controller.strategy",
+                          "repro.controller.boundary")
 
     def test_planner_contract_surface_is_visible(self):
         model = real_model("repro.controller.planner")

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ShardedCluster
+from repro.cluster.cluster import _array_result
+from repro.controller import ControllerConfig, ReplicationController
+from repro.controller.boundary import BoundaryStep
+from repro.experiments.common import play_workload
 from repro.faults import FaultSchedule
 from repro.flash.metrics import IntervalSeries
 from repro.runner import ParallelRunner
@@ -24,6 +28,35 @@ def _parts(n_parts=3, n=60, n_blocks=24, seed=0):
                                        blocks.astype(np.int64)))
         t0 = float(arrivals[-1]) + 5.0
     return parts
+
+
+def _pair_rows(pattern, t0, n_pairs=30, is_read=True):
+    """Arrivals, blocks and read flags of ``n_pairs`` windows hitting
+    both ``pattern`` blocks, from ``t0`` on."""
+    arrivals, blocks = [], []
+    t = t0
+    for _ in range(n_pairs):
+        t += 0.05
+        arrivals += [t, t + 0.001]
+        blocks += list(pattern)
+    return arrivals, blocks, [is_read] * len(blocks)
+
+
+def _trace(*rows):
+    arrivals, blocks, reads = [], [], []
+    for a, b, r in rows:
+        arrivals += a
+        blocks += b
+        reads += r
+    order = np.argsort(arrivals, kind="stable")
+    return Trace.from_arrays(np.asarray(arrivals)[order],
+                             np.asarray(blocks, dtype=np.int64)[order],
+                             is_read=np.asarray(reads)[order])
+
+
+def _fingerprint(report):
+    return _array_result(0, report.series, report.requests,
+                         report.guarantee_ms, False).fingerprint
 
 
 class TestRollUp:
@@ -207,3 +240,61 @@ class TestModuleSeries:
         for result in report.arrays:
             assert min(k for _, k in result.module_series.busy_ms) \
                 < first_boundary
+
+
+class TestEmptyIntervalResetsToModulo:
+    """An array whose interval had no reads mines nothing, so it falls
+    back to the modulo placement, as ``play_workload`` does."""
+
+    def test_one_shard_with_an_empty_middle_part(self):
+        parts = [_trace(_pair_rows((3, 7), 0.0),
+                        ([3.1 + 0.05 * b for b in range(40)],
+                         [100 + b for b in range(40)], [True] * 40)),
+                 _trace(),
+                 _trace(_pair_rows((3, 7), 20.0)),
+                 _trace(_pair_rows((3, 7), 30.0))]
+        single = play_workload(parts, n_devices=9)
+        live = ReplicationController(
+            ControllerConfig(n_devices=9)).run(parts)
+        one = ShardedCluster(ClusterConfig(
+            n_arrays=1, n_devices=9, cross_replication=1)).play(parts)
+        assert one.series.state() == single.report.series.state()
+        assert live.report.series.state() == \
+            single.report.series.state()
+        assert one.arrays[0].fingerprint == \
+            _fingerprint(single.report) == _fingerprint(live.report)
+
+    def test_idle_and_write_only_arrays_reset(self, monkeypatch):
+        # range sharding: blocks < 100 home on array 0, the rest on 1
+        config = ClusterConfig(n_arrays=2, n_devices=9,
+                               cross_replication=1, sharding="range",
+                               n_blocks=200)
+        parts = [_trace(_pair_rows((3, 7), 0.0),
+                        _pair_rows((103, 107), 0.02)),
+                 # array 0 gets nothing, array 1 only writes
+                 _trace(_pair_rows((103, 107), 10.0, is_read=False)),
+                 _trace(_pair_rows((3, 7), 20.0),
+                        _pair_rows((103, 107), 20.02))]
+        mappings = []
+        boundary = BoundaryStep.boundary
+
+        def spy(step, *args, **kwargs):
+            out = boundary(step, *args, **kwargs)
+            mappings.append(dict(step.match.mapping))
+            return out
+
+        monkeypatch.setattr(BoundaryStep, "boundary", spy)
+        report = ShardedCluster(config).play(parts)
+        # boundary 1 matched each array's pair; boundary 2 found no
+        # reads on either array
+        assert mappings[0].keys() == {3, 7}
+        assert mappings[1].keys() == {103, 107}
+        assert mappings[2:] == [{}, {}]
+        monkeypatch.setattr(BoundaryStep, "boundary", boundary)
+        for a, result in enumerate(report.arrays):
+            own = [part[np.flatnonzero((part.block >= 100) == bool(a))]
+                   for part in parts]
+            single = play_workload(own, n_devices=9)
+            assert result.series.state() == \
+                single.report.series.state()
+            assert result.fingerprint == _fingerprint(single.report)

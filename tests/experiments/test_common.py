@@ -58,6 +58,26 @@ class TestPlayHelpers:
         with pytest.raises(ValueError):
             play_workload(self._parts(), n_devices=9, mode="bogus")
 
+    def test_play_workload_rejects_unsorted_part(self):
+        bad = Trace.from_arrays([0.0, 0.5, 0.2, 0.9], [1, 2, 3, 4])
+        with pytest.raises(ValueError,
+                           match=r"part 0: arrival 2 \(0\.2\) comes "
+                                 r"before arrival 1 \(0\.5\)"):
+            play_workload([bad], n_devices=9)
+
+    def test_play_workload_checks_every_part_before_mining(
+            self, monkeypatch):
+        import repro.experiments.common as common
+
+        def no_mining(*args, **kwargs):
+            raise AssertionError("mined before validation")
+
+        monkeypatch.setattr(common, "apriori", no_mining)
+        parts = self._parts() + [
+            Trace.from_arrays([30.0, float("nan")], [6, 7])]
+        with pytest.raises(ValueError, match=r"part 2: arrival 1 is nan"):
+            play_workload(parts, n_devices=9)
+
     def test_per_part_series_buckets_by_part(self):
         run = play_workload(self._parts(), n_devices=9)
         series = run.per_part_series()

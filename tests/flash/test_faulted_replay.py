@@ -13,6 +13,9 @@ so its two queued reads fail at the same dequeue instant and both fail
 over to module 1.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,59 @@ def test_equal_put_and_created_resubmissions_keep_pop_order(spy):
     assert played.device[moved].tolist() == [1, 1]
     # the earlier-queued read was popped first, so it is served first
     assert played.completed[moved[0]] < played.completed[moved[1]]
+
+
+def test_simultaneous_failovers_take_the_event_loop_order(spy):
+    """Eleven reads at t = 0 put two on module 8 (rows 2 and 9) and
+    two on module 5 (rows 3 and 7); both modules draw read errors from
+    0.1 ms, so rows 9 and 7 fail both attempts in lockstep, at the same
+    instant, and both fail over to module 3.  The DES queues them in
+    the order it pops the two failed attempts' completions, which
+    follows the modules' earlier service: row 2 was put before row 3,
+    so module 8 runs ahead and row 9 lands first, although row 7 comes
+    first in the driver's order."""
+    schedule = FaultSchedule([
+        FaultEvent("read_error", 5, 0.1, 5.0, prob=1.0),
+        FaultEvent("read_error", 8, 0.1, 5.0, prob=1.0),
+    ], n_modules=9, retry=RetryPolicy(max_retries=1, backoff_ms=0.0))
+    # bucket 10 lives on (3, 4, 5), 16 on (3, 8, 1), 22 on (4, 5, 3)
+    buckets = [22, 10, 16, 22, 10, 16, 10, 10, 22, 16, 22]
+    played, _ = both(OnlineTracePlayer, schedule, [0.0] * 11, buckets,
+                     accesses=4)
+    assert played.device[[2, 3, 7, 9]].tolist() == [8, 5, 3, 3]
+    assert played.retries[[7, 9]].tolist() == [2, 2]
+    assert (3, 0.397521, 0.397521) in [
+        (m, round(put, 6), round(t, 6)) for m, put, t in spy["resubs"]]
+    assert played.started[9] < played.started[7]
+
+
+def test_replay_is_freed_on_return(monkeypatch):
+    """The replay's wake-up events refer back to it only weakly, so a
+    finished replay (and its columns) goes as soon as the play returns,
+    not at the next full garbage collection."""
+    replays = []
+    run = faulted.FaultedReplay.run
+
+    def spy_run(self, log):
+        replays.append(weakref.ref(self))
+        run(self, log)
+
+    monkeypatch.setattr(faulted.FaultedReplay, "run", spy_run)
+    # the burst of the case above, a millisecond later: its failovers
+    # order wake-up events of the driver loop past its start
+    schedule = FaultSchedule([
+        FaultEvent("read_error", 5, 1.1, 6.0, prob=1.0),
+        FaultEvent("read_error", 8, 1.1, 6.0, prob=1.0),
+    ], n_modules=9, retry=RetryPolicy(max_retries=1, backoff_ms=0.0))
+    buckets = [22, 10, 16, 22, 10, 16, 10, 10, 22, 16, 22]
+    gc.disable()
+    try:
+        played, counters = both(OnlineTracePlayer, schedule, [1.0] * 11,
+                                buckets, accesses=4)
+        assert counters["faults.failover"] == 3
+        assert len(replays) == 1 and replays[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_failover_ahead_of_served_rows_reruns_the_suffix(spy):

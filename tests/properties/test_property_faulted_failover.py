@@ -26,8 +26,13 @@ ALLOC = design_alloc()
 
 
 @st.composite
-def dense_cases(draw):
-    """A dense mixed trace and a schedule that fails reads over."""
+def dense_cases(draw, retries=st.sampled_from([1, 3])):
+    """A dense mixed trace and a schedule that fails reads over.
+
+    The first faulted module always gets a read-error window, so every
+    example has reads that exhaust their retries; ``retries`` draws
+    ``max_retries``, and only ``max_retries >= 1`` can fail over.
+    """
     seed = draw(st.integers(0, 2 ** 32 - 1))
     n = draw(st.integers(200, 320))
     span = draw(st.floats(1.0, 5.0))
@@ -41,9 +46,10 @@ def dense_cases(draw):
     horizon = float(_player(accesses).play(
         arrivals, buckets, reads=reads)[1].completed.max())
     events = []
-    for m in rng.choice(9, draw(st.integers(2, 5)), replace=False).tolist():
-        kind = draw(st.sampled_from(["read_error", "crash", "down",
-                                     "slow"]))
+    modules = rng.choice(9, draw(st.integers(2, 5)), replace=False)
+    for i, m in enumerate(modules.tolist()):
+        kind = "read_error" if i == 0 else draw(st.sampled_from(
+            ["read_error", "crash", "down", "slow"]))
         start = draw(st.floats(0.0, 0.8)) * horizon
         end = start + draw(st.floats(0.1, 0.5)) * horizon
         if kind == "crash":
@@ -54,7 +60,7 @@ def dense_cases(draw):
             events.append(FaultEvent("slow", m, start, end, factor=3.0))
         else:
             events.append(FaultEvent("down", m, start, end))
-    retry = RetryPolicy(max_retries=draw(st.sampled_from([1, 3, 0])),
+    retry = RetryPolicy(max_retries=draw(retries),
                         backoff_ms=draw(st.sampled_from([0.0, 0.02, 0.05])),
                         growth=draw(st.sampled_from([1.0, 2.0])))
     schedule = FaultSchedule(events, n_modules=9, seed=seed % 97,
@@ -84,6 +90,17 @@ def test_dense_failover_matches_des(case):
     des, des_faults = _play("des", *case)
     assert_same_columns(fast, des)
     assert fast_faults == des_faults
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=dense_cases(retries=st.just(0)))
+def test_dense_no_retry_matches_des(case):
+    """``max_retries=0``: a failed read is unavailable at once."""
+    fast, fast_faults = _play("fast", *case)
+    des, des_faults = _play("des", *case)
+    assert_same_columns(fast, des)
+    assert fast_faults == des_faults
+    assert "faults.failover" not in fast_faults
 
 
 def test_dense_cases_fail_over():

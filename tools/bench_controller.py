@@ -8,12 +8,13 @@ Measures the cost of closing the paper's loop online
    (stream + incremental mining + planning + mid-stream apply), per
    stand (static / adaptive), with the offline ``play_workload``
    pipeline on the same trace as the reference;
-2. **mining overhead** -- wall time spent in the boundary mining step
-   (streaming flush + tree mine + match + plan), per interval and as a
-   fraction of the whole run -- the price of the loop itself.
+2. **mining overhead** -- wall time spent in the boundary step
+   (:meth:`repro.controller.boundary.BoundaryStep.boundary`: mine +
+   match + plan + re-map), per interval and as a fraction of the whole
+   run -- the price of the loop itself.
 
-Run after touching the controller, the streaming miner or the
-streaming session::
+Run after touching the controller, the boundary step or the streaming
+session::
 
     PYTHONPATH=src python tools/bench_controller.py \
         [--repeats N] [--min-throughput RPS] [--smoke]
@@ -94,48 +95,35 @@ def bench_loop(scale: float, n_intervals: int, repeats: int) -> dict:
 
 def bench_mining(scale: float, n_intervals: int,
                  repeats: int) -> dict:
-    """Per-interval cost of the boundary mining step, in isolation.
+    """Per-interval cost of the boundary step, in isolation.
 
-    Streams each interval's transactions into the incremental miner
-    (the fold is amortized over the stream), then times the boundary
-    work -- mine + match -- against batch ``fpgrowth`` + match on the
-    same transactions, which is what the offline loop pays.
+    Walks the intervals as the live loop does: feed an interval's
+    traffic into a :class:`~repro.controller.boundary.BoundaryStep`,
+    then time its ``boundary()`` -- mine + match + plan + re-map --
+    best of ``repeats`` on identical copies of the fed step.
     """
+    import copy
+
+    from repro.controller.boundary import BoundaryStep
     from repro.core.qos import QoSFlashArray
     from repro.experiments.fig8 import make_parts
-    from repro.mining.fpgrowth import fpgrowth
-    from repro.mining.matching import FIMBlockMatcher
-    from repro.mining.streaming import StreamingFPGrowth
-    from repro.mining.transactions import transactions_from_trace
 
     parts = make_parts("tpce", scale, n_intervals, 0)
-    matcher = FIMBlockMatcher(QoSFlashArray(n_devices=13).allocation)
+    step = BoundaryStep(QoSFlashArray(n_devices=13).allocation)
     per_interval = []
     for part in parts:
-        txns = transactions_from_trace(part, 0.133)
-        miner = StreamingFPGrowth(min_support=1, max_size=2)
-        fold = _best(lambda: StreamingFPGrowth(
-            min_support=1, max_size=2).add_many(txns), repeats)
-        miner.add_many(txns)
-        boundary = _best(
-            lambda: matcher.match(miner.mine()), repeats)
-        batch = _best(
-            lambda: matcher.match(fpgrowth(txns, 1, max_size=2)),
-            repeats)
+        step.feed(part)
+        copies = [copy.deepcopy(step) for _ in range(repeats)]
+        best = min(_timed(fed.boundary)[1] for fed in copies)
+        n_txns, _itemsets, _plan = step.boundary()
         per_interval.append({
-            "n_transactions": len(txns),
-            "fold_seconds": round(fold, 6),
-            "boundary_seconds": round(boundary, 6),
-            "batch_seconds": round(batch, 6),
+            "n_transactions": n_txns,
+            "boundary_seconds": round(best, 6),
         })
-    total_boundary = sum(p["boundary_seconds"] for p in per_interval)
-    total_batch = sum(p["batch_seconds"] for p in per_interval)
     return {
         "per_interval": per_interval,
-        "boundary_seconds_total": round(total_boundary, 6),
-        "batch_seconds_total": round(total_batch, 6),
-        "streaming_vs_batch_x": round(
-            total_boundary / total_batch, 3) if total_batch else None,
+        "boundary_seconds_total": round(
+            sum(p["boundary_seconds"] for p in per_interval), 6),
     }
 
 
