@@ -68,7 +68,7 @@ def _runner_small(seed: int) -> str:
 
 
 def _fastpath_small(seed: int) -> str:
-    """Vectorized playback vs the DES on the same trace.
+    """Fast (event-free) playback vs the DES on the same trace.
 
     Raises if the two engines disagree on any sample (float-exact),
     so a divergence fails the probe outright; the returned payload

@@ -386,8 +386,13 @@ masked_arrays_at`) without ever touching in-flight playback.
         cells; routing then runs open-loop (no boundary queue-depth
         sync, since playback state does not exist yet) and the result
         is byte-identical to the serial path with
-        ``router_sync=False``.  ``router_sync`` defaults to True in
-        the serial path and is forced False with a runner.
+        ``router_sync=False``.  ``router_sync`` is forced False with a
+        runner.  In the serial path the sync reads each array's rows
+        played so far, which only a fast-engine array without module
+        faults has at a boundary (the DES plays at the drain, and the
+        faulted replay fills its rows there): ``None`` syncs when
+        every array can, and ``True`` raises ``ValueError`` naming the
+        first array that cannot.
 
         Every part's arrivals must be finite times ``>= 0`` in
         non-decreasing order (routing replays router decisions in
@@ -399,10 +404,6 @@ masked_arrays_at`) without ever touching in-flight playback.
         parts = list(parts)
         for part_idx, part in enumerate(parts):
             check_part_arrivals(part_idx, part.arrival_ms)
-        if router_sync is None:
-            router_sync = runner is None
-        if runner is not None:
-            router_sync = False
         router = ReplicaRouter(cfg.n_arrays, self._drain_rate)
         replicator = CrossArrayReplicator(
             cfg.n_arrays, self.sharding.array_of,
@@ -414,6 +415,7 @@ masked_arrays_at`) without ever touching in-flight playback.
         serial = runner is None
         sessions = [qos.online_player().session()
                     for qos in self.arrays] if serial else None
+        router_sync = serial and self._sync_allowed(sessions, router_sync)
         #: per array, the played-row count at each router-sync
         #: boundary: the module series folds over these slices
         marks: List[List[int]] = [[] for _ in range(cfg.n_arrays)]
@@ -425,12 +427,10 @@ masked_arrays_at`) without ever touching in-flight playback.
         for part_idx, part in enumerate(parts):
             boundary = float(part.arrival_ms[0]) if len(part) else 0.0
             if part_idx > 0:
-                if serial and all(s.fast for s in sessions):
+                if router_sync:
                     for s in sessions:
                         s.advance(boundary)
-                    if router_sync:
-                        self._sync_router(router, sessions, marks,
-                                          boundary)
+                    self._sync_router(router, sessions, marks, boundary)
                 for step in steps:
                     step.boundary()
                 self._boundary_round(part_idx, boundary,
@@ -457,9 +457,8 @@ masked_arrays_at`) without ever touching in-flight playback.
                 result = _array_result(a, series, played,
                                        self.guarantee_ms,
                                        keep_requests=True)
-                if router_sync:
-                    result.module_series = self._module_series(
-                        played, marks[a])
+                result.module_series = self._module_series(played,
+                                                           marks[a])
                 results.append(result)
                 if obs.ACTIVE:
                     obs.SESSION.record_qos_report(result.report)
@@ -576,6 +575,23 @@ masked_arrays_at`) without ever touching in-flight playback.
                         & np.isin(dest, sorted(dead))
                     unrouted |= sel
         return dest, unrouted
+
+    @staticmethod
+    def _sync_allowed(sessions, router_sync: Optional[bool]) -> bool:
+        """Resolve ``router_sync`` for the serial path: ``None`` syncs
+        when every array has its played rows at a boundary, ``True``
+        raises unless every array does."""
+        for a, session in enumerate(sessions):
+            if session.fast and session.replay is None:
+                continue
+            if router_sync:
+                why = "replays module faults at the drain" \
+                    if session.fast else "plays on the DES"
+                raise ValueError(
+                    f"router_sync=True needs every array's played rows "
+                    f"at each boundary, but array {a} {why}")
+            return False
+        return router_sync is not False
 
     def _sync_router(self, router: ReplicaRouter, sessions,
                      marks: List[List[int]], boundary: float) -> None:

@@ -63,7 +63,7 @@ class ControllerConfig:
     parameters (so the identity contract is a like-for-like
     comparison) plus the live-loop knobs: ``migration_budget`` caps
     data-block moves per boundary and ``adapt_target_delayed_pct``
-    switches on ε feedback (statistical mode only).
+    switches on ε feedback (statistical mode on the fast engine only).
     """
 
     n_devices: int = 9
@@ -90,6 +90,12 @@ class ControllerConfig:
             raise ValueError(
                 "adaptive epsilon requires statistical QoS "
                 "(epsilon > 0)")
+        if self.adapt_target_delayed_pct is not None \
+                and self.engine == "des":
+            raise ValueError(
+                "adaptive epsilon needs the fast engine: engine='des' "
+                "plays nothing before the drain, so every boundary "
+                "would observe an empty interval")
 
     @classmethod
     def from_slo(cls, slo, **overrides) -> "ControllerConfig":

@@ -189,9 +189,9 @@ def play_original(parts: Sequence[Trace], n_devices: int,
 
     The baseline has no admission control, so with ``engine="auto"``
     (or ``"fast"``) the per-device response times come straight from
-    the vectorized Lindley recurrence
-    (:func:`repro.flash.batch.stacked_fcfs_completion_times`) --
-    bit-identical to the DES, which ``engine="des"`` still runs.
+    the FCFS recurrence, one pass with a per-device busy-until list
+    (:func:`_play_original_fast`) -- bit-identical to the DES, which
+    ``engine="des"`` still runs.
     Every part's arrivals must be finite times ``>= 0``; both engines
     refuse a bad one up front, naming the part and the index.
     """
@@ -240,19 +240,19 @@ def play_original(parts: Sequence[Trace], n_devices: int,
 
 def _play_original_fast(parts: Sequence[Trace],
                         n_devices: int) -> IntervalSeries:
-    """Vectorized twin of the DES baseline loop above.
+    """Event-free twin of the DES baseline loop above.
 
-    Each device is an independent FCFS constant-rate server fed its
-    requests in arrival order, so all devices' completion times are one
-    :func:`~repro.flash.batch.stacked_fcfs_completion_times` call.  Samples
-    are recorded in the DES's stream order (stable sort by arrival),
-    which makes the resulting :class:`IntervalSeries` indistinguishable
-    from the event-loop run -- same floats, same write order.
+    Each device is an independent FCFS constant-rate server, so one
+    pass over the stream in the DES's order (stable sort by arrival)
+    with a per-device busy-until list gives every completion with the
+    event loop's own arithmetic: ``max`` of arrival and busy-until,
+    then one addition.  Samples are recorded in that stream order,
+    which makes the resulting :class:`IntervalSeries`
+    indistinguishable from the event-loop run -- same floats, same
+    write order.
     """
     import numpy as np
 
-    from repro.flash.batch import stacked_fcfs_completion_times, \
-        stream_offsets
     from repro.flash.params import FlashParams
 
     series = IntervalSeries()
@@ -266,17 +266,14 @@ def _play_original_fast(parts: Sequence[Trace],
     part_idx = np.concatenate([
         np.full(len(p), i, dtype=np.intp) for i, p in enumerate(parts)])
     order = np.argsort(arrival, kind="stable")
-    issue = arrival[order]
-    device = device[order]
-    part_idx = part_idx[order]
-    # All devices evaluated as one stacked Lindley computation
-    # (per-stream bit-identical to the scalar recurrence).
-    grouping, offsets = stream_offsets(device, n_devices)
-    u = issue[grouping]
-    response = np.empty(issue.size, dtype=np.float64)
-    response[grouping] = \
-        stacked_fcfs_completion_times(u, offsets, service) - u
-    series.record_array(part_idx, response)
+    busy = [0.0] * n_devices
+    responses = []
+    for t, dev in zip(arrival[order].tolist(), device[order].tolist()):
+        done = busy[dev]
+        done = busy[dev] = (t if t > done else done) + service
+        responses.append(done - t)
+    response = np.array(responses, dtype=np.float64)
+    series.record_array(part_idx[order], response)
     if obs.ACTIVE:
         # same stream-order bulk record as the DES loop above
         obs.SESSION.observe_responses_array(response)

@@ -23,7 +23,9 @@ tests):
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.allocation import (
     DesignTheoreticAllocation,
@@ -32,12 +34,12 @@ from repro.allocation import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.faults import FaultSchedule
-from repro.flash.batch import played_metrics
 from repro.flash.driver import OnlineTracePlayer
 from repro.flash.params import MSR_SSD_PARAMS
+from repro.obs.metrics import sequential_sum
 from repro.runner import Cell, ParallelRunner
 
-__all__ = ["run", "SCHEMES", "make_allocation"]
+__all__ = ["run", "SCHEMES", "make_allocation", "played_metrics"]
 
 #: scheme slug -> replication degree, in presentation order
 SCHEMES = {"single": 1, "chained": 2, "design": 3}
@@ -52,6 +54,37 @@ def make_allocation(scheme: str, n_devices: int):
     if scheme == "design":
         return DesignTheoreticAllocation.from_parameters(n_devices, 3)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def played_metrics(played, guarantee_ms: float,
+                   ) -> Tuple[float, float, float, float]:
+    """Degraded-mode cell metrics over one play-through, in bulk.
+
+    ``played`` is a :class:`~repro.flash.played.PlayedTable`.  Returns
+    ``(avg_ms, pct_delayed, failed, violation_rate)`` exactly as the
+    reference per-request loops compute them (this family's row
+    shape): served = not rejected and not failed; violations =
+    failures + guarantee misses among served; percentages over served
+    + failed.  The mean adds left to right
+    (:func:`repro.obs.metrics.sequential_sum`, not ``np.sum``, whose
+    pairwise reassociation could drift a rounded golden digit).
+    """
+    if len(played) == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    failed = played.failed
+    served = played.served
+    response = played.response_ms[served]
+    n_served = int(np.count_nonzero(served))
+    n_failed = int(np.count_nonzero(failed))
+    considered = n_served + n_failed
+    violations = n_failed + int(np.count_nonzero(
+        response > guarantee_ms + 1e-9))
+    avg_ms = (sequential_sum(response) / n_served
+              if n_served else 0.0)
+    pct_delayed = (100.0 * int(np.count_nonzero(played.delayed & served))
+                   / considered if considered else 0.0)
+    rate = violations / considered if considered else 0.0
+    return avg_ms, pct_delayed, float(n_failed), rate
 
 
 def _cell_faults(scheme: str, n_failed: int, n_requests: int,

@@ -16,8 +16,7 @@ segmented recurrence that vectorizes exactly:
     a write ``c`` (it lands on every replica), and the controller
     admits a request while ``count + cost <= S``.  The running units
     within each interval run are a segmented cumulative sum of the
-    cost column (the same offset trick :mod:`repro.flash.batch` uses
-    for its segmented cummax), resumed from ``count₀``, the units an
+    cost column, resumed from ``count₀``, the units an
     :meth:`advance` cut left in the live interval.  An interval whose
     running units never pass ``S`` admits everything, so *congested*
     intervals are located in one vector comparison; spans of

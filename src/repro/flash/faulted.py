@@ -15,13 +15,12 @@ probe, the golden snapshots and the fault properties enforce.
   seq)``: the DES event queue's order of queue puts.
 * **Segmentation.**  Each module's change-point table
   (:meth:`repro.faults.FaultSchedule.loud_windows`) splits time into
-  quiet stretches and loud windows.  A queue is served
-  speculate-and-verify: a run of rows is evaluated with
-  :func:`repro.flash.batch.stacked_fcfs_completion_times` (one call a
-  round stacks every module's next run) and accepted while each
-  dequeue instant ``max(put, previous completion)`` falls before the
-  next loud window.  The first row dequeued inside one takes the
-  scalar :meth:`~FaultedReplay._serve` (a mirror of
+  quiet stretches and loud windows.  A queue is served row by row
+  with the plain FCFS recurrence, ``completed = max(put, previous
+  completion) + service``, while each dequeue instant ``max(put,
+  previous completion)`` falls before the next loud window.  The first
+  row dequeued inside one takes the scalar
+  :meth:`~FaultedReplay._serve` (a mirror of
   :meth:`repro.flash.module.FlashModule._serve_faulty`) until a
   dequeue is quiet again.  A fault-free module has no loud window.
 * **Failover in waves.**  A failed read is re-submitted on its next
@@ -65,7 +64,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.flash.batch import stacked_fcfs_completion_times
 from repro.flash.played import FAILED, FAULTED, reason_code
 
 __all__ = ["FaultedReplay"]
@@ -213,7 +211,9 @@ class FaultedReplay:
             marks[first] += 1
             marks[first + np.frombuffer(self._write_count, np.int64)] -= 1
         self._is_write = np.cumsum(marks[:n]) > 0
-        self._svc = np.where(self._is_write, self._write_ms, self._read_ms)
+        #: service time by submission id (re-submissions are reads)
+        self._svc = np.full(n + 16, self._read_ms)
+        self._svc[:n][self._is_write] = self._write_ms
         order = np.lexsort((self._creates, self._puts, self._modules))
         cuts = np.searchsorted(self._modules[order],
                                np.arange(self.n_modules + 1))
@@ -233,14 +233,16 @@ class FaultedReplay:
         self._wake_times: Optional[np.ndarray] = None
         modules = range(self.n_modules)
         self._loud = [self.schedule.loud_windows(m) for m in modules]
-        #: per module: next row, ``free``, draw counter; queue edits
-        #: (voiding a run in flight); the hazard (:meth:`_next`)
+        #: per module: next row, ``free``, draw counter; the hazard
+        #: (:meth:`_next`)
         self._job = [[0, 0.0, 0] for _ in modules]
-        self._edits = [0] * self.n_modules
         self._hazard = [self._next(m) for m in modules]
         while any(state < 2 for _, state in self._hazard):
-            self._serve_quiet([m for m in modules
-                               if self._hazard[m][1] == 1])
+            for m in modules:
+                # a withdrawal while serving an earlier module may have
+                # rewound this one; its run is taken after that edit
+                if self._hazard[m][1] == 1:
+                    self._serve_quiet(m)
             self._serve_loud()
         self._fill(log)
         if obs.ACTIVE:
@@ -377,43 +379,36 @@ class FaultedReplay:
             job[:] = [job[0] + 1, free, draws]
             hazard[m] = self._next(m)
 
-    def _serve_quiet(self, modules: List[int]) -> None:
-        """Speculate-and-verify: every listed module's next quiet run in
-        one stacked kernel call, each accepted while its dequeue
-        instants fall before the module's next loud window."""
-        runs = []
-        for m in modules:
-            k, free, _ = self._job[m]
-            ids, puts = self._queue[m], self._qput[m]
-            end = self._hazard[m][0]
-            j = k + int(np.searchsorted(puts[k:], end))
-            resub = np.flatnonzero(ids[k:j] >= self._n)
-            j = k + int(resub[0]) if resub.size else j
-            runs.append((m, k, end, ids[k:j], np.maximum(puts[k:j], free),
-                         self._edits[m]))
-        if not runs:
-            return
-        u = np.concatenate([run[4] for run in runs])
-        ids = np.concatenate([run[3] for run in runs])
-        offs = np.cumsum([0] + [len(run[3]) for run in runs])
-        comp = stacked_fcfs_completion_times(u, offs, self._svc[ids])
-        first = u[offs[:-1]]
-        u[1:] = np.maximum(u[1:], comp[:-1])  # dequeue instants
-        u[offs[:-1]] = first
-        for (m, k, end, w, _, edits), a in zip(runs, offs[:-1].tolist()):
-            if edits != self._edits[m]:
-                continue  # a withdrawal edited this queue: run it again
-            acc = int(np.searchsorted(u[a:a + len(w)], end))
-            w = w[:acc]
-            for s in w[(self._out["flags"][w] & _SCALAR) != 0].tolist():
-                self._events.pop(s, None)
-                self._set_child(s, None)
-            out = self._out
-            out[w] = (0.0, 0.0, self._job[m][2], 0, 0, 0)
-            out["started"][w] = u[a:a + acc]
-            out["completed"][w] = comp[a:a + acc]
-            self._job[m][:2] = [k + acc, float(comp[a + acc - 1])]
-            self._hazard[m] = self._next(m)
+    def _serve_quiet(self, m: int) -> None:
+        """Serve module ``m``'s next quiet run with the plain FCFS
+        recurrence, row by row, up to the first dequeue instant at or
+        after its next loud window or the first re-submission."""
+        k, free, draws = self._job[m]
+        end = self._hazard[m][0]
+        puts = self._qput[m]
+        j = k + int(np.searchsorted(puts[k:], end))
+        ids = self._queue[m][k:j]
+        rows, n = ids.tolist(), self._n
+        began, done = [], []
+        for s, put, svc in zip(rows, puts[k:j].tolist(),
+                               self._svc[ids].tolist()):
+            t = put if put > free else free  # dequeue instant
+            if s >= n or t >= end:
+                break
+            free = t + svc
+            began.append(t)
+            done.append(free)
+        acc = len(done)
+        events = self._events  # keyed by the rows ``_serve`` served
+        for s in [s for s in rows[:acc] if s in events]:
+            del events[s]
+            self._set_child(s, None)
+        out, ids = self._out, ids[:acc]
+        out[ids] = (0.0, 0.0, draws, 0, 0, 0)
+        out["started"][ids] = began
+        out["completed"][ids] = done
+        self._job[m][:2] = [k + acc, free]
+        self._hazard[m] = self._next(m)
 
     def _moved(self, m: int, p: int) -> None:
         """Module ``m``'s queue changed from position ``p`` on: rewind
@@ -425,7 +420,6 @@ class FaultedReplay:
         ends = self._ends[m]
         for q in [q for q in ends if q >= p]:
             del ends[q]
-        self._edits[m] += 1
         self._hazard[m] = self._next(m)
 
     def _serve(self, s: int, m: int, put: float, free: float,
@@ -542,6 +536,8 @@ class FaultedReplay:
         self._resub.append(rec)
         if c >= len(self._out):  # rows past the old end are unread
             self._out = np.resize(self._out, c + c // 4)
+            self._svc = np.append(self._svc, np.full(
+                len(self._out) - len(self._svc), self._read_ms))
         m, put, key = rec[0], rec[1], rec[3]
         ids, puts = self._queue[m], self._qput[m]
         p = bisect_left(ids, key, int(np.searchsorted(puts, put)),

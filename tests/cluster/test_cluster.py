@@ -9,7 +9,7 @@ from repro.cluster.cluster import _array_result
 from repro.controller import ControllerConfig, ReplicationController
 from repro.controller.boundary import BoundaryStep
 from repro.experiments.common import play_workload
-from repro.faults import FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule
 from repro.flash.metrics import IntervalSeries
 from repro.runner import ParallelRunner
 from repro.traces.records import Trace
@@ -225,6 +225,55 @@ class TestPartValidation:
         monkeypatch.setattr(cluster, "_route_part", no_routing)
         with pytest.raises(ValueError, match="part 1"):
             cluster.play(parts)
+
+
+class TestRouterSync:
+    """The boundary sync reads each array's rows played so far, which a
+    DES array (it plays at the drain) and a module-faulted array (its
+    rows are placeholders until the drain) do not have."""
+
+    @staticmethod
+    def _busy_parts():
+        # back-to-back parts dense enough to leave queues at every
+        # boundary, so the sync moves routing
+        rng = np.random.default_rng(0)
+        parts, t0 = [], 0.0
+        for _ in range(4):
+            arrivals = t0 + np.cumsum(rng.uniform(0.0005, 0.004, 800))
+            parts.append(Trace.from_arrays(
+                arrivals, rng.integers(0, 24, 800).astype(np.int64)))
+            t0 = float(arrivals[-1])
+        return parts
+
+    def test_explicit_sync_raises_on_des_cluster(self):
+        config = ClusterConfig(n_arrays=2, n_devices=9, engine="des")
+        with pytest.raises(ValueError, match="array 0 plays on the DES"):
+            ShardedCluster(config).play(_parts(n_parts=2),
+                                        router_sync=True)
+
+    def test_explicit_sync_raises_on_module_faulted_array(self):
+        config = ClusterConfig(n_arrays=2, n_devices=9)
+        faults = FaultSchedule.crashes([9], n_modules=18)
+        with pytest.raises(ValueError, match="array 1 replays module"):
+            ShardedCluster(config, faults=faults).play(
+                _parts(n_parts=2), router_sync=True)
+
+    def test_module_faulted_default_is_open_loop(self):
+        """A slow window that never fires still makes the default play
+        route open-loop, as ``router_sync=False`` does."""
+        config = ClusterConfig(n_arrays=3, n_devices=9, interval_ms=0.8,
+                               cross_replication=2, hot_support=2)
+        parts = self._busy_parts()
+        faults = FaultSchedule([FaultEvent("slow", 0, 1e6, factor=2.0)],
+                               n_modules=27)
+        default = ShardedCluster(config, faults=faults).play(parts)
+        open_loop = ShardedCluster(config, faults=faults).play(
+            parts, router_sync=False)
+        assert default.routed == open_loop.routed
+        assert default.fingerprint() == open_loop.fingerprint()
+        # the sync does move routing on this workload when it can run
+        synced = ShardedCluster(config).play(parts)
+        assert synced.routed != open_loop.routed
 
 
 class TestModuleSeries:

@@ -118,6 +118,16 @@ class TestAdaptiveEpsilon:
         with pytest.raises(ValueError, match="epsilon"):
             ControllerConfig(adapt_target_delayed_pct=2.0)
 
+    def test_requires_fast_engine(self):
+        # the DES plays nothing before its drain: each boundary would
+        # read an empty interval and epsilon could only decay
+        with pytest.raises(ValueError, match="fast engine"):
+            ControllerConfig(epsilon=0.05, engine="des",
+                             adapt_target_delayed_pct=2.0)
+        ControllerConfig(epsilon=0.05, engine="des")
+        ControllerConfig(epsilon=0.05, engine="fast",
+                         adapt_target_delayed_pct=2.0)
+
     def test_epsilon_adapts_across_boundaries(self, parts):
         live = ReplicationController(ControllerConfig(
             n_devices=9, epsilon=0.05,

@@ -1,7 +1,7 @@
-"""The vectorized constant-latency fast path vs the event loop.
+"""The event-free constant-latency fast path vs the event loop.
 
 The acceptance bar is *float-exactness*: every completion time the
-closed form produces must equal the DES value bit for bit, across
+fast path produces must equal the DES value bit for bit, across
 hundreds of randomized traces.  ``==`` on floats below is deliberate.
 """
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.experiments.common import play_original
-from repro.flash.batch import _sequential_var, stacked_fcfs_completion_times
 from repro.flash.driver import (
     BatchTracePlayer,
     OnlineTracePlayer,
@@ -21,12 +20,6 @@ from repro.traces.records import Trace
 
 READ = MSR_SSD_PARAMS.read_ms
 T = 0.133
-
-
-def fcfs(issue_ms, service_ms):
-    """One FCFS queue: the one-stream case of the stacked kernel."""
-    u = np.asarray(issue_ms, dtype=np.float64)
-    return stacked_fcfs_completion_times(u, [0, u.size], service_ms)
 
 
 class TestSupportsFastPlayback:
@@ -50,55 +43,18 @@ class TestSupportsFastPlayback:
             select_engine("fast", ftl_factory=object())
 
 
-class TestFcfsCompletionTimes:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fcfs([1.0, 0.5], 1.0)
-        with pytest.raises(ValueError):
-            fcfs([0.0], -1.0)
-        with pytest.raises(ValueError):
-            stacked_fcfs_completion_times([0.0, 1.0], [0, 1], 1.0)
-
-    def test_empty(self):
-        assert fcfs([], 1.0).size == 0
-
-    def test_idle_server(self):
-        # Far-apart arrivals: every request starts immediately.
-        u = np.array([0.0, 10.0, 25.0])
-        np.testing.assert_array_equal(fcfs(u, 1.0), u + 1.0)
-
-    def test_saturated_server(self):
-        # Simultaneous arrivals: pure head-of-line queueing.
-        c = fcfs(np.zeros(5), READ)
-        expected = np.add.accumulate(np.full(5, READ))
-        np.testing.assert_array_equal(c, expected)
-
-    def test_matches_scalar_recurrence_randomized(self):
-        rng = np.random.default_rng(42)
-        for trial in range(120):
-            n = int(rng.integers(1, 200))
-            # Mix regimes: idle, critically loaded, saturated.
-            spacing = rng.choice([0.1, 1.0, 3.0]) * READ
-            u = np.sort(rng.uniform(0, n * spacing, size=n))
-            if trial % 3 == 0:  # inject exact ties and boundary hits
-                u = np.round(u / READ) * READ
-                u.sort()
-            c_fast = fcfs(u, READ)
-            c_ref = _sequential_var(u, np.full(n, READ))
-            np.testing.assert_array_equal(c_fast, c_ref)
-
-    def test_zero_service_time(self):
-        u = np.array([0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(fcfs(u, 0.0), u)
-
-
-def random_parts(rng, n_devices):
-    """1-3 trace parts with bursty random arrivals on random devices."""
+def random_parts(rng, n_devices, grid=False):
+    """1-3 trace parts with bursty random arrivals on random devices;
+    ``grid`` puts every arrival on a multiple of the read time, so
+    arrivals tie with each other and land on (or an ulp off) the
+    completions before them."""
     parts = []
     for _ in range(int(rng.integers(1, 4))):
         n = int(rng.integers(5, 60))
         u = np.sort(rng.uniform(0, n * rng.choice([0.3, 1.0, 3.0])
                                 * READ, size=n))
+        if grid:
+            u = np.round(u / READ) * READ
         dev = rng.integers(0, n_devices, size=n)
         parts.append(Trace.from_arrays(u, dev, device=dev))
     return parts
@@ -106,12 +62,13 @@ def random_parts(rng, n_devices):
 
 class TestPlayOriginalFastVsDes:
     def test_float_exact_on_randomized_traces(self):
-        # The headline property: 200 randomized traces, bit-identical
-        # per-part response samples from both engines.
+        # The headline property: 200 randomized traces and 100 more on
+        # the tie grid, bit-identical per-part response samples from
+        # both engines.
         rng = np.random.default_rng(0)
-        for _ in range(200):
+        for trial in range(300):
             n_devices = int(rng.integers(2, 14))
-            parts = random_parts(rng, n_devices)
+            parts = random_parts(rng, n_devices, grid=trial >= 200)
             fast = play_original(parts, n_devices, engine="fast")
             des = play_original(parts, n_devices, engine="des")
             assert fast.intervals() == des.intervals()

@@ -20,12 +20,16 @@ multi-million-request workload.
 
 Every run also appends a dated one-line summary to
 ``BENCH_trajectory.jsonl`` so the ``BENCH_*.json`` snapshots gain a
-history (CI archives both).
+history (CI archives both).  The smoke scale writes neither file
+unless asked: its report goes only to an explicit ``--json PATH`` and
+its summary line only to an explicit ``--trajectory PATH``, so a
+local smoke run never overwrites the committed snapshots.
 
 Run after cluster or runner changes::
 
     PYTHONPATH=src python tools/bench_cluster.py [--jobs N]
         [--scale smoke|fast|full] [--min-shard-speedup X]
+        [--json PATH] [--trajectory PATH]
 
 ``--min-shard-speedup`` turns a shard-scaling regression into a
 non-zero exit; CI gates the smoke scale at 1.5x on its multi-core
@@ -220,11 +224,17 @@ def main(argv=None) -> int:
                         default=None, metavar="X",
                         help="exit non-zero if the 4-shard cluster "
                              "fails to beat the single array by X")
-    parser.add_argument("--trajectory", type=Path, default=TRAJECTORY,
+    parser.add_argument("--json", type=Path, default=None,
+                        metavar="PATH",
+                        help="write the report here (default: "
+                             "BENCH_cluster.json, nowhere at the "
+                             "smoke scale)")
+    parser.add_argument("--trajectory", type=Path, default=None,
                         metavar="PATH",
                         help="bench-history JSONL to append a dated "
                              "summary line to (default: "
-                             "BENCH_trajectory.jsonl)")
+                             "BENCH_trajectory.jsonl, nowhere at the "
+                             "smoke scale)")
     parser.add_argument("--no-trajectory", action="store_true",
                         help="skip the bench-history append")
     args = parser.parse_args(argv)
@@ -237,12 +247,16 @@ def main(argv=None) -> int:
         "scale": scale,
         "cluster": bench_cluster(cfg, args.jobs),
     }
-    OUT.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-    print(f"\nwritten to {OUT}")
-    if not args.no_trajectory:
-        _append_trajectory(report, args.trajectory)
-        print(f"trajectory appended to {args.trajectory}")
+    smoke = scale == "smoke"
+    out = args.json or (None if smoke else OUT)
+    if out:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"\nwritten to {out}")
+    trajectory = args.trajectory or (None if smoke else TRAJECTORY)
+    if trajectory and not args.no_trajectory:
+        _append_trajectory(report, trajectory)
+        print(f"trajectory appended to {trajectory}")
     return _gate(report, args)
 
 

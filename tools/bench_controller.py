@@ -17,13 +17,14 @@ Run after touching the controller, the boundary step or the streaming
 session::
 
     PYTHONPATH=src python tools/bench_controller.py \
-        [--repeats N] [--min-throughput RPS] [--smoke]
+        [--repeats N] [--min-throughput RPS] [--smoke] [--json PATH]
 
 ``--min-throughput`` turns the adaptive stand's requests/sec into a
 hard gate (exit 1 below the floor); ``--smoke`` shrinks the workload
-(the report notes which scale produced it) -- CI uses it with a
-conservative floor to catch order-of-magnitude regressions and
-uploads the JSON as an artifact.
+(the report notes which scale produced it) and writes the report only
+to an explicit ``--json PATH``, never over the committed full-mode
+snapshot -- CI uses it with a conservative floor to catch
+order-of-magnitude regressions and uploads that JSON as an artifact.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload, no BENCH_controller.json "
                              "-- CI health check only")
+    parser.add_argument("--json", type=Path, default=None,
+                        metavar="PATH",
+                        help="write the report here (default: "
+                             "BENCH_controller.json in full mode, "
+                             "nowhere with --smoke)")
     args = parser.parse_args(argv)
 
     scale, n_intervals = (0.2, 4) if args.smoke else (0.4, 8)
@@ -156,8 +162,10 @@ def main(argv=None) -> int:
         "mining": mining,
     }
     print(json.dumps(report, indent=2))
-    OUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwritten to {OUT}")
+    out = args.json if args.json or args.smoke else OUT
+    if out:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"\nwritten to {out}")
     if args.min_throughput is not None:
         rps = loop["requests_per_sec"]["adaptive"]
         if rps < args.min_throughput:

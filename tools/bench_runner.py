@@ -4,7 +4,7 @@
 Measures five things and writes ``BENCH_runner.json`` at the repo
 root (schema below):
 
-1. **engine**: the vectorized constant-latency playback vs the DES on
+1. **engine**: the event-free constant-latency playback vs the DES on
    the Figure 8 Exchange workload -- the original ``>= 10x`` criterion.
 2. **faulted**: faulted playback (crash/down/slow/read_error schedule)
    through the :class:`repro.flash.faulted.FaultedReplay` fast path vs
@@ -155,9 +155,9 @@ def bench_faulted(cfg: dict) -> dict:
 
     Reports the sweep-representative crash schedule and the dense
     adversarial schedule separately: the replay wins big on the former
-    (quiet modules collapse into one vectorized flush) and roughly
-    ties the DES on the latter (every module keeps taking fault
-    events).
+    (quiet modules are served by the plain FCFS loop, with no fault
+    query per row) and by less on the latter, where most dequeues fall
+    inside a fault window and take the scalar fault mirror.
     """
     descriptions = {
         "crash": "2 modules crashed at t=0 (the sweep's schedule)",
