@@ -266,6 +266,10 @@ def _controller_small(seed: int) -> str:
       transactions into :class:`repro.mining.streaming.\
 StreamingFPGrowth` mines the exact itemsets and supports batch
       ``fpgrowth`` (and ``apriori``) reports;
+    * **columnar-vs-batch mining identity** -- the boundary's pair
+      counter (:func:`repro.mining.pairs.pair_counts`) returns the
+      itemsets, supports and transaction count ``apriori`` does on
+      each interval, pairs in the same order;
     * **live-vs-offline loop identity** -- an unbudgeted, fault-free
       :class:`repro.controller.ReplicationController` run reproduces
       ``play_workload`` byte for byte: same per-request floats, same
@@ -285,7 +289,9 @@ StreamingFPGrowth` mines the exact itemsets and supports batch
     from repro.experiments import controller as controller_exp
     from repro.experiments.common import play_workload
     from repro.experiments.fig8 import make_parts
+    from repro.mining.apriori import apriori
     from repro.mining.fpgrowth import fpgrowth
+    from repro.mining.pairs import pair_counts
     from repro.mining.streaming import StreamingFPGrowth
     from repro.mining.transactions import transactions_from_trace
 
@@ -298,6 +304,14 @@ StreamingFPGrowth` mines the exact itemsets and supports batch
         if miner.mine() != fpgrowth(txns, 1, max_size=2):
             raise ValueError("streaming FP-growth diverged from "
                              "batch fpgrowth on a probe interval")
+        reads = part.reads_only()
+        counted = pair_counts(reads.arrival_ms, reads.block, 0.133)
+        batch = apriori(txns, 1, max_size=2)
+        if counted != batch or len(counted) != len(batch) \
+                or counted.n_transactions != batch.n_transactions \
+                or counted.pairs() != batch.pairs():
+            raise ValueError("the boundary's pair counter diverged "
+                             "from apriori on a probe interval")
 
     offline = play_workload(parts, n_devices=9, epsilon=0.01,
                             seed=seed)

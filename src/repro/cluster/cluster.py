@@ -62,7 +62,8 @@ from repro.faults import FaultSchedule
 from repro.flash.metrics import IntervalSeries
 from repro.flash.played import PlayedTable
 from repro.mining.apriori import apriori
-from repro.mining.transactions import transactions_from_trace
+from repro.mining.transactions import check_window_ms, \
+    transactions_from_trace
 from repro.obs.series import ModuleSeries, module_interval_series, \
     queue_depth
 from repro.traces.records import Trace, check_part_arrivals
@@ -113,6 +114,7 @@ class ClusterConfig:
             raise ValueError("cross_replication must be >= 1")
         if self.hot_support < 1:
             raise ValueError("hot_support must be >= 1")
+        check_window_ms(self.fim_window_ms, "fim_window_ms")
 
     @property
     def effective_cross_replication(self) -> int:

@@ -49,6 +49,7 @@ from repro.controller.strategy import PlacementStrategy
 from repro.core.adaptive import AdaptiveEpsilonController
 from repro.core.qos import QoSFlashArray, QoSReport
 from repro.experiments.common import WorkloadRun
+from repro.mining.transactions import check_window_ms
 from repro.traces.records import Trace, check_part_arrivals
 
 __all__ = ["ControllerConfig", "AuditRecord", "ControllerReport",
@@ -83,8 +84,7 @@ class ControllerConfig:
     def __post_init__(self):
         if self.min_support < 1:
             raise ValueError("min_support must be >= 1")
-        if self.fim_window_ms <= 0:
-            raise ValueError("fim_window_ms must be positive")
+        check_window_ms(self.fim_window_ms, "fim_window_ms")
         if self.adapt_target_delayed_pct is not None \
                 and self.epsilon <= 0:
             raise ValueError(

@@ -34,8 +34,8 @@ Fault awareness (``excluded=`` dead modules, from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.allocation.base import AllocationScheme
 from repro.mining.itemsets import ItemsetCounts
@@ -50,24 +50,25 @@ def pair_support_by_block(itemsets: ItemsetCounts) -> Dict[int, int]:
 
     The planner orders deltas by this value -- a block in a
     high-support pair is the one most worth re-replicating first.
+    :meth:`~repro.mining.itemsets.ItemsetCounts.pairs` serves the rows
+    by descending support, so a block's first row holds its maximum.
     """
     support: Dict[int, int] = {}
     for a, b, s in itemsets.pairs():
-        for blk in (a, b):
-            if s > support.get(blk, 0):
-                support[blk] = s
+        support.setdefault(a, s)
+        support.setdefault(b, s)
     return support
 
 
-@dataclass(frozen=True)
-class PlacementDelta:
+class PlacementDelta(NamedTuple):
     """One data-block move: re-replicate ``block`` onto ``new``.
 
     ``old`` is the design block the data currently lives on (explicit
     mapping or the modulo fallback); ``support`` is the mined pair
     support that motivated the move (0 for evictions back to the
     modulo fallback and for rescues); ``rescue`` marks moves forced by
-    a fully-dead current design block rather than by mining.
+    a fully-dead current design block rather than by mining.  A named
+    tuple, because a boundary builds hundreds of them.
     """
 
     block: int
@@ -154,22 +155,24 @@ class ReplicationPlanner:
         to the design block it already occupies costs nothing.
         """
         supports = supports or {}
-        deltas: List[PlacementDelta] = []
+        placed, n = current.mapping, current.n_design_blocks
+        # (-support, block, old, new) rows sort in sort_key order: a
+        # diff makes no rescues, and no block moves twice
+        rows: List[Tuple[int, int, int, int]] = []
         for block, new in target.mapping.items():
-            old = current.design_block_of(block)
+            old = placed.get(block, block % n)
             if old != new:
-                deltas.append(PlacementDelta(
-                    block=block, old=old, new=new,
-                    support=int(supports.get(block, 0))))
-        for block, old in current.mapping.items():
+                rows.append((-int(supports.get(block, 0)), block, old,
+                             new))
+        for block, old in placed.items():
             if block in target.mapping:
                 continue
             fallback = block % target.n_design_blocks
             if old != fallback:
-                deltas.append(PlacementDelta(
-                    block=block, old=old, new=fallback))
-        deltas.sort(key=PlacementDelta.sort_key)
-        return deltas
+                rows.append((0, block, old, fallback))
+        rows.sort()
+        return [PlacementDelta(block, old, new, -negated)
+                for negated, block, old, new in rows]
 
     def plan(self, target: MatchResult, current: MatchResult,
              supports: Optional[Dict[int, int]] = None,

@@ -12,7 +12,8 @@ from repro.core.qos import QoSFlashArray, QoSReport
 from repro.flash.metrics import IntervalSeries
 from repro.mining.apriori import apriori
 from repro.mining.matching import FIMBlockMatcher, MatchResult
-from repro.mining.transactions import transactions_from_trace
+from repro.mining.transactions import check_window_ms, \
+    transactions_from_trace
 from repro.traces.records import Trace, _check_arrival_times, \
     check_part_arrivals
 
@@ -139,12 +140,14 @@ def play_workload(parts: Sequence[Trace], n_devices: int,
         ``"online"`` (paper §V-D/E) or ``"batch"``
         (design-theoretic interval alignment, §V-G).
 
-    Every part's arrivals must be finite times ``>= 0`` in
-    non-decreasing order, as for the live controller and the cluster
-    (the transaction windows and the playback assume arrival order); a
-    part that is not raises ``ValueError`` naming the part and the
-    first bad index, before anything is mined.
+    ``fim_window_ms`` must be a finite number ``> 0``.  Every part's
+    arrivals must be finite times ``>= 0`` in non-decreasing order, as
+    for the live controller and the cluster (the transaction windows
+    and the playback assume arrival order); a part that is not raises
+    ``ValueError`` naming the part and the first bad index, before
+    anything is mined.
     """
+    check_window_ms(fim_window_ms, "fim_window_ms")
     parts = list(parts)
     for part_idx, part in enumerate(parts):
         check_part_arrivals(part_idx, part.arrival_ms)

@@ -1146,6 +1146,7 @@ class OnlineStreamSession:
         busy = self.busy_until
         service = self.service
         log = self._log
+        log.reserve(len(order))
         add = log.add
         submit = self.replay.submit_read if self.replay is not None \
             else None

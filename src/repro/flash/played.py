@@ -311,15 +311,18 @@ class PlayedTable:
 class PlayedLog:
     """The append-only writer behind a play-through's table.
 
-    :meth:`add` appends one row to per-column lists; :meth:`table`
-    commits them to a growing structured array and returns the rows so
-    far as a :class:`PlayedTable` view, so a live session can be read
-    at every boundary without copying.  :meth:`fill` writes columns of
+    :meth:`add` appends one row to per-column lists and commits them to
+    a growing structured array every ``_COMMIT_ROWS`` rows, so the
+    Python objects pending at once stay bounded whatever the play's
+    length; :meth:`table` commits the rest and returns the rows so far
+    as a :class:`PlayedTable` view, so a live session can be read at
+    every boundary without copying.  :meth:`fill` writes columns of
     rows already logged (the replay's and the DES's service outcomes);
     :meth:`close` commits and trims the array to its rows.
     """
 
     _MIN_CAPACITY = 1024
+    _COMMIT_ROWS = 1024
 
     def __init__(self):
         self._data = np.zeros(0, dtype=PLAYED_DTYPE)
@@ -351,17 +354,26 @@ class PlayedLog:
         c_retries.append(retries)
         c_flags.append(flags)
         c_reason.append(reason)
+        if len(c_reason) >= self._COMMIT_ROWS:
+            self._commit()
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more rows at once, so a play that
+        knows its length commits into one array instead of doubling
+        (and copying) one as it goes."""
+        n = len(self)
+        if n + rows > len(self._data):
+            grown = np.zeros(max(2 * len(self._data), n + rows,
+                                 self._MIN_CAPACITY), dtype=PLAYED_DTYPE)
+            grown[:self._n] = self._data[:self._n]
+            self._data = grown
 
     def _commit(self) -> None:
         k = len(self._pending[0])
         if not k:
             return
         n = self._n
-        if n + k > len(self._data):
-            grown = np.zeros(max(2 * len(self._data), n + k,
-                                 self._MIN_CAPACITY), dtype=PLAYED_DTYPE)
-            grown[:n] = self._data[:n]
-            self._data = grown
+        self.reserve(0)  # room for the pending rows
         rows = self._data[n:n + k]
         for name, column in zip(PLAYED_DTYPE.names, self._pending):
             rows[name] = column
@@ -388,5 +400,6 @@ class PlayedLog:
     def close(self) -> PlayedTable:
         """Commit, drop the spare capacity and return every row."""
         self._commit()
-        self._data = self._data[:self._n].copy()
+        if len(self._data) != self._n:
+            self._data = self._data[:self._n].copy()
         return PlayedTable(self._data)

@@ -8,6 +8,9 @@ Implements the substrate the paper takes from ``fim_apriori-lowmem``:
   :mod:`~repro.mining.fpgrowth` -- the three classic FIM algorithm
   families (§IV-A cites exactly these); they produce identical
   itemsets, which the test-suite exploits as a cross-check,
+* :mod:`~repro.mining.pairs` -- the frequent items and pairs of one
+  interval's read columns, counted on arrays (the online boundary's
+  miner; equal to ``apriori(..., max_size=2)``),
 * :mod:`~repro.mining.streaming` -- incremental FP-growth, provably
   identical to the batch miners at every stream prefix,
 * :mod:`~repro.mining.matching` -- mapping data blocks to design
@@ -20,6 +23,7 @@ from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.itemsets import ItemsetCounts
 from repro.mining.matching import FIMBlockMatcher, MatchResult
+from repro.mining.pairs import pair_counts
 from repro.mining.streaming import StreamingFPGrowth, StreamingTransactions
 from repro.mining.transactions import transactions_from_trace
 
@@ -32,5 +36,6 @@ __all__ = [
     "apriori",
     "eclat",
     "fpgrowth",
+    "pair_counts",
     "transactions_from_trace",
 ]

@@ -16,8 +16,11 @@ too further reduces serialisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.allocation.base import AllocationScheme
 from repro.mining.itemsets import ItemsetCounts
@@ -76,18 +79,38 @@ class MatchResult:
 class FIMBlockMatcher:
     """Greedy conflict-avoiding matcher driven by mined pairs.
 
+    Each design block's device set is one bitmask, so a data block's
+    neighbour devices are an OR of masks and a candidate's overlap with
+    them is one AND.  For each neighbour mask seen, the matcher keeps
+    the design blocks grouped by overlap with it (:meth:`_entry`).  A
+    block with a device outside the mask cannot be a neighbour's, so
+    when the least-overlap group holds only such blocks the greedy
+    answer from every cursor position is known in advance and most
+    data blocks are placed with one lookup; otherwise the groups are
+    walked from the cursor, skipping the neighbours' design blocks, as
+    the plain greedy scan would.
+
     Parameters
     ----------
     allocation:
         Supplies the design-block count and, for the device-overlap
-        preference, each design block's device set.
+        preference, each design block's device set (never empty).
     """
+
+    #: neighbour masks remembered before the cache starts over (a
+    #: 9-device design has at most 512)
+    _CACHE_SIZE = 4096
 
     def __init__(self, allocation: AllocationScheme):
         self.allocation = allocation
         self.n_design_blocks = allocation.n_buckets
-        self._device_sets = [frozenset(allocation.devices_for(b))
-                             for b in range(self.n_design_blocks)]
+        self._masks = [
+            sum(1 << d for d in sorted(set(allocation.devices_for(b))))
+            for b in range(self.n_design_blocks)]
+        if not all(self._masks):
+            raise ValueError("every design block needs a device")
+        #: neighbour-device mask -> :meth:`_entry`
+        self._entries: Dict[int, Tuple[List[int], List[List[int]]]] = {}
 
     def match_history(self, itemset_history: Sequence[ItemsetCounts],
                       decay: float = 0.5) -> MatchResult:
@@ -129,41 +152,70 @@ class FIMBlockMatcher:
         least, with a rotating tie-break to spread load.
         """
         pairs = itemsets.pairs()
-        neighbours: Dict[int, Set[int]] = {}
+        neighbours: Dict[int, List[int]] = defaultdict(list)
         for a, b, _support in pairs:
-            neighbours.setdefault(a, set()).add(b)
-            neighbours.setdefault(b, set()).add(a)
+            neighbours[a].append(b)
+            neighbours[b].append(a)
 
+        masks, n = self._masks, self.n_design_blocks
+        entries = self._entries
         mapping: Dict[int, int] = {}
+        placed = mapping.get
         cursor = 0  # rotating start for tie-breaking
         for a, b, _support in pairs:
             for blk in (a, b):
-                if blk not in mapping:
-                    mapping[blk] = self._choose(blk, neighbours, mapping,
-                                                cursor)
-                    cursor += 1
+                if blk in mapping:
+                    continue
+                near = 0
+                for other in neighbours[blk]:
+                    db = placed(other)
+                    if db is not None:
+                        near |= masks[db]
+                table, levels = entries.get(near) or self._entry(near)
+                choice = table[cursor % n]
+                if choice < 0:
+                    choice = self._least_overlap(
+                        blk, neighbours[blk], mapping, levels, cursor % n)
+                mapping[blk] = choice
+                cursor += 1
         return MatchResult(mapping, frozenset(mapping),
                            self.n_design_blocks)
 
-    def _choose(self, blk: int, neighbours: Dict[int, Set[int]],
-                mapping: Dict[int, int], cursor: int) -> int:
-        taken: Set[int] = set()
-        neighbour_devices: Set[int] = set()
-        for other in neighbours.get(blk, ()):
-            db = mapping.get(other)
-            if db is not None:
-                taken.add(db)
-                neighbour_devices |= self._device_sets[db]
-        n = self.n_design_blocks
-        best, best_score = blk % n, None
-        for off in range(n):
-            cand = (cursor + off) % n
-            if cand in taken:
-                continue
-            overlap = len(self._device_sets[cand] & neighbour_devices)
-            score = (overlap, off)
-            if best_score is None or score < best_score:
-                best, best_score = cand, score
-                if overlap == 0:
-                    break
-        return best
+    def _entry(self, near: int) -> Tuple[List[int], List[List[int]]]:
+        """Design blocks by overlap with neighbour mask ``near``, and
+        the greedy answer from each cursor position where no taken
+        block can change it (-1 elsewhere).
+
+        ``levels`` lists the design blocks by ascending overlap, each
+        level in ascending order.  A block with a device outside
+        ``near`` cannot be a neighbour's; when every block of the
+        lowest level has one, the answer is the first of them from the
+        cursor on, wrapping round.
+        """
+        masks, n = self._masks, self.n_design_blocks
+        overlap = [(m & near).bit_count() for m in masks]
+        levels = [[d for d in range(n) if overlap[d] == k]
+                  for k in sorted(set(overlap))]
+        low = levels[0]
+        table = [-1] * n
+        if all(masks[d] & ~near for d in low):
+            table = [low[bisect_left(low, start) % len(low)]
+                     for start in range(n)]
+        if len(self._entries) >= self._CACHE_SIZE:
+            self._entries.clear()
+        entry = self._entries[near] = (table, levels)
+        return entry
+
+    def _least_overlap(self, blk: int, neighbours: List[int],
+                       mapping: Dict[int, int], levels: List[List[int]],
+                       start: int) -> int:
+        """The first design block, by ascending overlap and then from
+        the cursor ``start`` on, that no neighbour holds; ``blk``'s
+        modulo block when the neighbours hold them all."""
+        taken = {mapping[o] for o in neighbours if o in mapping}
+        for level in levels:
+            i = bisect_left(level, start)
+            for cand in chain(level[i:], level[:i]):
+                if cand not in taken:
+                    return cand
+        return blk % self.n_design_blocks

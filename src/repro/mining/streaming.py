@@ -28,6 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.mining.fpgrowth import _build, _mine, _Node
 from repro.mining.itemsets import ItemsetCounts
+from repro.mining.transactions import check_window_ms
 
 __all__ = ["StreamingFPGrowth", "StreamingTransactions"]
 
@@ -159,8 +160,7 @@ transactions_from_arrays`.
     """
 
     def __init__(self, window_ms: float, sink) -> None:
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        check_window_ms(window_ms)
         self.window_ms = window_ms
         self._sink = sink
         self._base: Optional[float] = None

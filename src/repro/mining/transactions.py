@@ -8,15 +8,33 @@ distinct blocks requested in that window.
 
 from __future__ import annotations
 
+import math
 from typing import FrozenSet, List, Sequence
 
 import numpy as np
 
 from repro.traces.records import Trace
 
-__all__ = ["transactions_from_trace", "transactions_from_arrays"]
+__all__ = ["check_window_ms", "transactions_from_trace",
+           "transactions_from_arrays"]
 
 Transaction = FrozenSet[int]
+
+
+def check_window_ms(window_ms: float, name: str = "window_ms") -> None:
+    """Refuse a FIM window that is not a finite number ``> 0``.
+
+    A NaN or infinite window puts every read of an interval into one
+    transaction, which no caller means and which costs quadratic time
+    in the interval's reads once pairs are counted.
+    """
+    try:
+        ok = math.isfinite(window_ms) and window_ms > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{name} must be a finite number > 0, got {window_ms!r}")
 
 
 def transactions_from_arrays(arrivals_ms: Sequence[float],
@@ -27,8 +45,7 @@ def transactions_from_arrays(arrivals_ms: Sequence[float],
     Windows are aligned to the first arrival; empty windows produce no
     transaction; duplicate blocks inside a window collapse (sets).
     """
-    if window_ms <= 0:
-        raise ValueError("window_ms must be positive")
+    check_window_ms(window_ms)
     arr = np.asarray(arrivals_ms, dtype=np.float64)
     blk = np.asarray(blocks, dtype=np.int64)
     if len(arr) != len(blk):

@@ -45,6 +45,8 @@ class TestOracleRule:
                 n_txns, mined, plan = step.boundary()
                 assert n_txns == len(txns)
                 assert mined == itemsets
+                assert len(mined) == len(itemsets)
+                assert mined.pairs() == itemsets.pairs()
                 assert plan.mapping is step.match
                 assert step.match.mapping == oracle.mapping
                 assert step.match.matched_blocks == oracle.matched_blocks

@@ -87,6 +87,19 @@ class TestPlayedResultBytes:
         per_request = faulted_10k[0]
         assert per_request <= self.LIMIT, f"{per_request:.0f} B"
 
+    def test_healthy_peak_is_flat(self):
+        """While ``PlayedLog`` kept its 13 per-row lists until the end
+        of the play, a healthy play peaked at 415 and 420 B per request
+        at 10K and 40K requests.  Committed every ``_COMMIT_ROWS`` rows
+        into an array the plan walker sizes up front, it peaks at 369
+        and 361 B; most of the rest is the plan's own per-row lists."""
+        peaks = {}
+        for n in (10_000, 40_000):
+            arrivals, buckets, _ = _trace(n)
+            peaks[n] = _traced_play(_player(), arrivals, buckets)[1]
+        assert peaks[40_000] <= 1.05 * peaks[10_000], peaks
+        assert max(peaks.values()) <= 400, peaks
+
 
 class TestFaultedReplayCost:
     """The faulted replay builds no object per submission: its peak
@@ -96,7 +109,7 @@ class TestFaultedReplayCost:
     def test_peak_per_request(self, faulted_10k):
         """While each submission was a ``_Submission`` on a heap, a
         faulted play peaked at 833 B (10K requests) and 840 B (40K)
-        per request; a healthy play peaks at 377 and 381 B."""
+        per request; a healthy play then peaked at 377 and 381 B."""
         arrivals, buckets, reads = _trace(40_000)
         faults = FAULTS.materialize(9, arrivals[-1], 0)
         peaks = {10_000: faulted_10k[1],

@@ -24,7 +24,10 @@ root (schema below):
 
 Every run also appends a dated one-line summary to
 ``BENCH_trajectory.jsonl`` so the ``BENCH_*.json`` snapshots gain a
-history (CI archives both).
+history (CI archives both).  The smoke scale writes neither file
+unless asked: its report goes only to an explicit ``--json PATH`` and
+its summary line only to an explicit ``--trajectory PATH``, so a
+local smoke run never overwrites the committed snapshots.
 
 Run after engine or runner changes::
 
@@ -32,6 +35,7 @@ Run after engine or runner changes::
         [--scale smoke|fast|full]
         [--min-parallel-speedup X] [--min-fastpath-coverage Y]
         [--min-admission-speedup Z] [--max-sweep-seconds S]
+        [--json PATH] [--trajectory PATH]
 
 ``--scale fast`` (default) uses the CLI's ``--fast`` workload sizes so
 the benchmark finishes in minutes; ``smoke`` shrinks further for CI,
@@ -575,11 +579,17 @@ def main(argv=None) -> int:
                         default=None, metavar="S",
                         help="exit non-zero if the parallel faulted "
                              "sweep takes longer than S seconds")
-    parser.add_argument("--trajectory", type=Path, default=TRAJECTORY,
+    parser.add_argument("--json", type=Path, default=None,
+                        metavar="PATH",
+                        help="where to write the report (default: "
+                             "BENCH_runner.json, nowhere at the "
+                             "smoke scale)")
+    parser.add_argument("--trajectory", type=Path, default=None,
                         metavar="PATH",
                         help="bench-history JSONL to append a dated "
                              "summary line to (default: "
-                             "BENCH_trajectory.jsonl)")
+                             "BENCH_trajectory.jsonl, nowhere at the "
+                             "smoke scale)")
     parser.add_argument("--no-trajectory", action="store_true",
                         help="skip the bench-history append")
     args = parser.parse_args(argv)
@@ -596,12 +606,16 @@ def main(argv=None) -> int:
         "sweep": bench_sweep(cfg, args.jobs),
         "harness": bench_harness(args.jobs, fast=scale != "full"),
     }
-    OUT.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-    print(f"\nwritten to {OUT}")
-    if not args.no_trajectory:
-        _append_trajectory(report, args.trajectory)
-        print(f"trajectory appended to {args.trajectory}")
+    smoke = scale == "smoke"
+    out = args.json or (None if smoke else OUT)
+    if out:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"\nwritten to {out}")
+    trajectory = args.trajectory or (None if smoke else TRAJECTORY)
+    if trajectory and not args.no_trajectory:
+        _append_trajectory(report, trajectory)
+        print(f"trajectory appended to {trajectory}")
     return _gate(report, args)
 
 
