@@ -92,7 +92,8 @@ class ClusterConfig:
     admission: str = "counting"
     #: ``"hash"`` (consistent-hash ring, default) or ``"range"``
     sharding: str = "hash"
-    #: block-space size for range sharding (ignored for hash)
+    #: block-space size for range sharding (ignored for hash): every
+    #: block played must lie in ``[0, n_blocks)``
     n_blocks: int = 1 << 16
     #: virtual nodes per array on the hash ring
     vnodes: int = 64
@@ -133,6 +134,19 @@ def _array_faults(faults: Optional[FaultSchedule], array: int,
     if faults is None:
         return None
     return faults.for_array(array, array * n_devices, n_devices)
+
+
+def _check_part_blocks(part_idx: int, blocks, n_blocks: int) -> None:
+    """Refuse a part with a block outside ``[0, n_blocks)``, naming
+    the part and the first bad index: range sharding would send it to
+    an end array without complaint."""
+    blocks = np.asarray(blocks)
+    bad = np.flatnonzero((blocks < 0) | (blocks >= n_blocks))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"part {part_idx}: block {i} ({int(blocks[i])}) lies "
+            f"outside the range-sharded block space [0, {n_blocks})")
 
 
 def _make_qos(config: ClusterConfig,
@@ -400,12 +414,16 @@ masked_arrays_at`) without ever touching in-flight playback.
         non-decreasing order (routing replays router decisions in
         arrival order, and a part's first arrival is its boundary); a
         part that is not raises ``ValueError`` naming the part and the
-        first bad index, before anything is routed.
+        first bad index, before anything is routed.  Under range
+        sharding, so does a part with a block outside
+        ``[0, config.n_blocks)``.
         """
         cfg = self.config
         parts = list(parts)
         for part_idx, part in enumerate(parts):
             check_part_arrivals(part_idx, part.arrival_ms)
+            if cfg.sharding == "range":
+                _check_part_blocks(part_idx, part.block, cfg.n_blocks)
         router = ReplicaRouter(cfg.n_arrays, self._drain_rate)
         replicator = CrossArrayReplicator(
             cfg.n_arrays, self.sharding.array_of,

@@ -27,7 +27,7 @@ from typing import List, Optional
 from repro.cluster import ClusterConfig, ShardedCluster
 from repro.experiments.common import ExperimentResult, play_workload
 from repro.faults import FaultEvent, FaultSchedule
-from repro.traces.exchange import exchange_like_trace
+from repro.traces.exchange import EXCHANGE_N_BLOCKS, exchange_like_trace
 
 __all__ = ["run", "STANDS", "cluster_report"]
 
@@ -39,17 +39,13 @@ STANDS = {
     "hash+kill": (4, "hash", True),
 }
 
-#: range sharding needs the block-space size; the Exchange-like model
-#: draws blocks from a pool this bound comfortably covers
-N_BLOCKS = 1 << 14
-
 
 def make_config(stand: str, n_devices: int, seed: int) -> ClusterConfig:
     """The :class:`ClusterConfig` behind one stand slug."""
     n_arrays, kind, _ = STANDS[stand]
     return ClusterConfig(
         n_arrays=n_arrays, n_devices=n_devices,
-        sharding=kind, n_blocks=N_BLOCKS,
+        sharding=kind, n_blocks=EXCHANGE_N_BLOCKS,
         cross_replication=min(2, n_arrays), seed=seed)
 
 

@@ -11,8 +11,6 @@ implements the equivalent substrate on our DES kernel:
   controller with per-request completion events,
 * :class:`~repro.flash.metrics.ResponseStats` -- I/O-driver response
   time accounting (avg / std / max, per run and per interval),
-* :class:`~repro.flash.ftl.PageMappedFTL` -- a minimal page-mapped FTL
-  for write/erase traffic in extension experiments,
 * :mod:`~repro.flash.driver` -- trace players: interval-batch
   (design-theoretic) and online,
 * :class:`~repro.flash.played.PlayedTable` -- the per-request results
@@ -21,7 +19,6 @@ implements the equivalent substrate on our DES kernel:
 
 from repro.flash.array import FlashArray, IORequest
 from repro.flash.driver import BatchTracePlayer, OnlineTracePlayer
-from repro.flash.ftl import PageMappedFTL
 from repro.flash.metrics import ResponseStats
 from repro.flash.module import FlashModule
 from repro.flash.params import MSR_SSD_PARAMS, FlashParams
@@ -35,7 +32,6 @@ __all__ = [
     "IORequest",
     "MSR_SSD_PARAMS",
     "OnlineTracePlayer",
-    "PageMappedFTL",
     "PlayedTable",
     "ResponseStats",
 ]

@@ -83,7 +83,7 @@ class FlashArray:
 
     def __init__(self, env: Environment, n_modules: int,
                  params: Optional[FlashParams] = None,
-                 ftl_factory=None, priority_queues: bool = False,
+                 priority_queues: bool = False,
                  module_factory=None, faults=None):
         if n_modules < 1:
             raise ValueError("need at least one module")
@@ -110,7 +110,6 @@ class FlashArray:
                          for i in range(n_modules)]
             self.modules = [
                 FlashModule(env, i, self.params,
-                            ftl=ftl_factory() if ftl_factory else None,
                             priority_queue=priority_queues,
                             faults=views[i])
                 for i in range(n_modules)]

@@ -23,8 +23,8 @@ times straight off the mirror instead of stepping the event loop
 (under a fault schedule, :class:`repro.flash.faulted.FaultedReplay`
 serves the placed queues instead).  The engines are bit-for-bit
 identical where both apply -- enforced by property tests and the
-determinism probes -- and ``"auto"`` falls back to the DES whenever an
-FTL or a custom module type makes service times state-dependent.
+determinism probes -- and ``"auto"`` falls back to the DES whenever a
+custom module type makes service times state-dependent.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ def _observe_engine(engine: str, reason: str) -> None:
         obs.SESSION.on_engine(engine, reason)
 
 
-def select_engine(engine: str, module_factory=None,
-                  ftl_factory=None) -> Tuple[str, str]:
+def select_engine(engine: str, module_factory=None) -> Tuple[str, str]:
     """Pick the playback engine; returns ``(engine, fallback_reason)``.
 
     ``"auto"`` (the default everywhere) selects the closed-form fast
@@ -80,28 +79,24 @@ def select_engine(engine: str, module_factory=None,
     Fault schedules (:mod:`repro.faults`) -- empty *or* non-empty --
     keep the fast engine: they are materialised before playback, so
     :class:`repro.flash.faulted.FaultedReplay` replays them event-free,
-    byte-identical to the DES.  Only hooks that make service time
-    depend on hidden simulation state fall back: a custom module type
-    (``module_factory``: HDD seek/rotation, channel geometry) or an
-    FTL whose garbage collection stalls the module (``ftl_factory``).
-    The returned ``fallback_reason`` names which one, or ``"forced"``
-    when the caller demanded ``"des"``; it is empty when the fast path
-    runs.
+    byte-identical to the DES.  Only a custom module type
+    (``module_factory``: HDD seek/rotation, channel geometry), whose
+    service time depends on hidden simulation state, falls back: the
+    returned ``fallback_reason`` is then ``"module_factory"``, or
+    ``"forced"`` when the caller demanded ``"des"``; it is empty when
+    the fast path runs.
     """
     if engine not in ("auto", "des", "fast"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "des":
         return "des", "forced"
-    if module_factory is None and ftl_factory is None:
+    if module_factory is None:
         return "fast", ""
     if engine == "fast":
         raise ValueError(
             "fast playback requires homogeneous constant-latency FCFS "
-            "modules (no module_factory, no ftl_factory); fault "
-            "schedules are fine")
-    if module_factory is not None:
-        return "des", "module_factory"
-    return "des", "ftl_factory"
+            "modules (no module_factory); fault schedules are fine")
+    return "des", "module_factory"
 
 
 #: the ``reason`` code of a request no live replica could serve
@@ -395,7 +390,6 @@ class OnlineTracePlayer:
                  epsilon: float = 0.0,
                  probabilities: Optional[Dict[int, float]] = None,
                  accesses: int = 1, params=None,
-                 ftl_factory=None,
                  tenant_budgets: Optional[Dict[str, int]] = None,
                  overflow: str = "delay",
                  module_factory=None,
@@ -423,7 +417,6 @@ class OnlineTracePlayer:
         self.probabilities = probabilities or {}
         self.accesses = accesses
         self.params = params
-        self.ftl_factory = ftl_factory
         #: optional per-application budgets (paper §III-A); when set,
         #: play() requires the aligned ``apps`` argument and enforces
         #: both the system limit and each tenant's declared size.
@@ -451,8 +444,7 @@ class OnlineTracePlayer:
         #: :class:`repro.flash.faulted.FaultedReplay`.
         self.faults = faults
         self.engine, self.fallback_reason = select_engine(
-            engine, module_factory=module_factory,
-            ftl_factory=ftl_factory)
+            engine, module_factory=module_factory)
 
     def _make_admission(self):
         if self.admission == "exact":
@@ -481,9 +473,7 @@ class OnlineTracePlayer:
         ``reads[i]`` False marks a write: it is applied to *every* live
         replica (replication consistency), counts ``c`` units against
         the interval budget, and completes when the slowest replica
-        finishes.  With ``ftl_factory`` set, garbage-collection erases
-        stall the affected module, which is exactly the read/write
-        interference the write ablation measures.
+        finishes.
 
         ``apps[i]`` names the issuing application; required when the
         player was built with ``tenant_budgets`` and used to enforce
@@ -566,7 +556,6 @@ class OnlineStreamSession:
             self.array = FlashArray(self.env,
                                     player.allocation.n_devices,
                                     player.params,
-                                    ftl_factory=player.ftl_factory,
                                     module_factory=player.module_factory,
                                     faults=player.faults)
             self.params = self.array.params

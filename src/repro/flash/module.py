@@ -38,15 +38,11 @@ class FlashModule:
 
     def __init__(self, env: Environment, module_id: int,
                  params: Optional[FlashParams] = None,
-                 ftl=None, priority_queue: bool = False,
+                 priority_queue: bool = False,
                  faults=None):
         self.env = env
         self.module_id = module_id
         self.params = params or FlashParams()
-        #: optional :class:`repro.flash.ftl.PageMappedFTL`; when set,
-        #: writes run through the mapping layer and garbage-collection
-        #: erase time stalls the module (read/write interference).
-        self.ftl = ftl
         #: optional :class:`repro.faults.ModuleFaultView`; when set
         #: (and not quiet), service consults the fault schedule --
         #: crashes fail requests, down windows stall service, slow
@@ -100,12 +96,6 @@ class FlashModule:
             request.started_at = self.env.now
             service = self.params.service_ms(request.is_read,
                                              request.n_blocks)
-            if self.ftl is not None and not request.is_read:
-                erases_before = self.ftl.stats.erases
-                for j in range(request.n_blocks):
-                    self.ftl.write(request.bucket + j)
-                service += (self.ftl.stats.erases - erases_before) \
-                    * self.params.block_erase_ms
             yield self.env.timeout(service)
             self.busy = False
             self.busy_time += service
@@ -156,12 +146,6 @@ class FlashModule:
         request.started_at = self.env.now
         base = self.params.service_ms(request.is_read,
                                       request.n_blocks)
-        if self.ftl is not None and not request.is_read:
-            erases_before = self.ftl.stats.erases
-            for j in range(request.n_blocks):
-                self.ftl.write(request.bucket + j)
-            base += (self.ftl.stats.erases - erases_before) \
-                * self.params.block_erase_ms
         attempt = 0
         while True:
             t0 = self.env.now

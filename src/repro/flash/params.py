@@ -1,4 +1,4 @@
-"""Flash device timing and geometry parameters.
+"""Flash device timing parameters.
 
 ``MSR_SSD_PARAMS`` reproduces the figure the paper quotes from the
 Microsoft Research DiskSim SSD extension: *"a single read request (one
@@ -11,6 +11,7 @@ matches the paper's constant exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["FlashParams", "MSR_SSD_PARAMS"]
@@ -18,9 +19,10 @@ __all__ = ["FlashParams", "MSR_SSD_PARAMS"]
 
 @dataclass(frozen=True)
 class FlashParams:
-    """Timing and geometry of one flash module.
+    """Timing of one flash module.
 
-    All times in milliseconds, sizes in bytes.
+    All times in milliseconds, sizes in bytes; every time must be
+    finite and ``>= 0``.
 
     Attributes
     ----------
@@ -29,29 +31,22 @@ class FlashParams:
     transfer_ms:
         Bus transfer time for one 8 KB block (incl. ECC pipeline).
     page_program_ms:
-        Program (write) time, used by FTL/write experiments.
-    block_erase_ms:
-        Erase-block erase time.
+        Program (write) time of one block.
     block_bytes:
         Logical block size served per request (paper: 8 KB).
-    pages_per_block:
-        Erase-block geometry for the FTL.
-    n_blocks:
-        Erase blocks per module (capacity for the FTL).
     """
 
     page_read_ms: float = 0.025
     transfer_ms: float = 0.107507
     page_program_ms: float = 0.2
-    block_erase_ms: float = 1.5
     block_bytes: int = 8192
-    pages_per_block: int = 64
-    n_blocks: int = 2048
 
     def __post_init__(self):
-        for name in ("page_read_ms", "transfer_ms", "page_program_ms",
-                     "block_erase_ms"):
-            if getattr(self, name) < 0:
+        for name in ("page_read_ms", "transfer_ms", "page_program_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.block_bytes <= 0:
             raise ValueError("block_bytes must be positive")

@@ -22,10 +22,13 @@ from repro.traces.workload_model import CorrelatedWorkloadModel, \
     WorkloadInterval
 
 __all__ = ["exchange_like_trace", "exchange_model", "EXCHANGE_N_VOLUMES",
-           "EXCHANGE_N_INTERVALS"]
+           "EXCHANGE_N_INTERVALS", "EXCHANGE_N_BLOCKS"]
 
 EXCHANGE_N_VOLUMES = 9
 EXCHANGE_N_INTERVALS = 96
+#: the model's block space: every drawn block lies in
+#: ``[0, EXCHANGE_N_BLOCKS)``
+EXCHANGE_N_BLOCKS = 131072
 
 #: Scaled stand-in for one 15-minute interval.
 _INTERVAL_MS = 60.0
@@ -62,7 +65,7 @@ def exchange_model(scale: float = 1.0, seed: int = 0,
     return CorrelatedWorkloadModel(
         intervals,
         n_volumes=EXCHANGE_N_VOLUMES,
-        n_blocks=131072,
+        n_blocks=EXCHANGE_N_BLOCKS,
         zipf_a=1.05,
         pair_fraction=0.18,
         persistence=0.40,

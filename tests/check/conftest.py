@@ -1,12 +1,8 @@
-"""One whole-tree analysis for the read-only ``repro.check`` CLI tests.
+"""``run_checks`` answered from the session's one whole-tree analysis.
 
-Parsing, linting and flow-analysing the real ``src`` tree takes one to
-two seconds, and the CLI and report tests only read the result.  They
-share one session-scoped :func:`~repro.check.report.run_checks` result
-through :func:`shared_run_checks`; the tests that measure the analysis
-itself (``test_run_checks_parses_each_file_once``,
-``test_performance_budget_cold``) and the subprocess entry-point test
-keep their own runs.
+The CLI and report tests only read the lint and flow results of the
+real ``src`` tree, so :func:`shared_run_checks` serves them from the
+session-scoped ``tree_checks`` fixture (``tests/conftest.py``).
 """
 
 from pathlib import Path
@@ -16,12 +12,6 @@ import pytest
 from repro.check import cli
 from repro.check.determinism import determinism_probe
 from repro.check.report import CheckReport, default_src_root, run_checks
-
-
-@pytest.fixture(scope="session")
-def tree_checks() -> CheckReport:
-    """Lint and flow analysis of the real tree, no probes: once."""
-    return run_checks(probe_workloads=[], flow=True)
 
 
 @pytest.fixture

@@ -12,8 +12,8 @@ SRC_ROOT = default_src_root()
 
 # -- the real tree -------------------------------------------------------
 
-def test_src_tree_is_clean_under_empty_baseline():
-    report = analyze(SRC_ROOT)
+def test_src_tree_is_clean_under_empty_baseline(tree_checks):
+    report = tree_checks.flow
     assert report.findings == [], "\n".join(
         f.render() for f in report.findings)
     assert report.clean

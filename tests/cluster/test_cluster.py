@@ -226,6 +226,43 @@ class TestPartValidation:
         with pytest.raises(ValueError, match="part 1"):
             cluster.play(parts)
 
+    @pytest.mark.parametrize("bad", [-5, 24, 10 ** 9])
+    def test_range_sharding_refuses_out_of_range_block(self, bad,
+                                                       monkeypatch):
+        parts = _parts(n_parts=2, n=5, n_blocks=24)
+        blocks = parts[1].block.copy()
+        blocks[3] = bad
+        parts[1] = Trace.from_arrays(parts[1].arrival_ms, blocks)
+        cluster = ShardedCluster(ClusterConfig(
+            n_arrays=2, sharding="range", n_blocks=24))
+
+        def no_routing(*args):
+            raise AssertionError("routed before validation")
+
+        monkeypatch.setattr(cluster, "_route_part", no_routing)
+        with pytest.raises(ValueError,
+                           match=rf"part 1: block 3 \({bad}\) .*"
+                                 r"\[0, 24\)"):
+            cluster.play(parts)
+        # hash sharding has no block space to leave
+        report = ShardedCluster(ClusterConfig(
+            n_arrays=2, n_blocks=24)).play(parts)
+        assert report.n_requests == 10
+
+    def test_range_stand_covers_the_exchange_block_space(self):
+        from repro.experiments.cluster import make_config
+        from repro.traces.exchange import (EXCHANGE_N_BLOCKS,
+                                           exchange_like_trace)
+
+        parts = exchange_like_trace(scale=0.2, seed=0, n_intervals=4)
+        blocks = np.concatenate([p.block for p in parts])
+        assert 0 <= blocks.min() and blocks.max() < EXCHANGE_N_BLOCKS
+        config = make_config("range", 9, 0)
+        assert config.n_blocks == EXCHANGE_N_BLOCKS
+        report = ShardedCluster(config).play(parts)
+        assert report.n_requests == len(blocks)
+        assert min(r.n_requests for r in report.arrays) > 0
+
 
 class TestRouterSync:
     """The boundary sync reads each array's rows played so far, which a

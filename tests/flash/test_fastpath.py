@@ -30,8 +30,6 @@ class TestSupportsFastPlayback:
     def test_any_hook_disqualifies(self):
         assert select_engine("auto", module_factory=object()) \
             == ("des", "module_factory")
-        assert select_engine("auto", ftl_factory=object()) \
-            == ("des", "ftl_factory")
 
     def test_select_engine(self):
         assert select_engine("des") == ("des", "forced")
@@ -39,8 +37,6 @@ class TestSupportsFastPlayback:
             select_engine("bogus")
         with pytest.raises(ValueError):
             select_engine("fast", module_factory=object())
-        with pytest.raises(ValueError):
-            select_engine("fast", ftl_factory=object())
 
 
 def random_parts(rng, n_devices, grid=False):
@@ -166,10 +162,6 @@ class TestOnlinePlayerFastVsDes:
         assert [played_key(p) for p in fp] \
             == [played_key(p) for p in dp]
         assert any(p.rejected for p in fp)
-
-    def test_ftl_forces_des(self, alloc):
-        player = OnlineTracePlayer(alloc, T, ftl_factory=lambda: None)
-        assert player.engine == "des"
 
 
 class TestBatchPlayerFastVsDes:

@@ -8,7 +8,6 @@ from repro.flash import (
     FlashParams,
     IORequest,
     MSR_SSD_PARAMS,
-    PageMappedFTL,
     ResponseStats,
 )
 from repro.flash.metrics import IntervalSeries
@@ -34,6 +33,10 @@ class TestParams:
             FlashParams(page_read_ms=-1)
         with pytest.raises(ValueError):
             FlashParams(block_bytes=0)
+        for name in ("page_read_ms", "transfer_ms", "page_program_ms"):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    FlashParams(**{name: bad})
         with pytest.raises(ValueError):
             MSR_SSD_PARAMS.service_ms(True, 0)
 
@@ -145,48 +148,3 @@ class TestResponseStats:
         assert overall.n_total == 2
         assert overall.n_delayed == 1
 
-
-class TestFTL:
-    def test_read_before_write(self):
-        ftl = PageMappedFTL(FlashParams(n_blocks=8, pages_per_block=4))
-        assert ftl.read(0) is None
-
-    def test_write_then_read(self):
-        ftl = PageMappedFTL(FlashParams(n_blocks=8, pages_per_block=4))
-        phys = ftl.write(42)
-        assert ftl.read(42) == phys
-
-    def test_overwrite_remaps(self):
-        ftl = PageMappedFTL(FlashParams(n_blocks=8, pages_per_block=4))
-        p1 = ftl.write(1)
-        p2 = ftl.write(1)
-        assert p1 != p2
-        assert ftl.read(1) == p2
-
-    def test_gc_reclaims_space(self):
-        ftl = PageMappedFTL(FlashParams(n_blocks=4, pages_per_block=4),
-                            gc_threshold=1)
-        # hammer a small hot set so most pages are invalid
-        for i in range(40):
-            ftl.write(i % 3)
-        assert ftl.stats.erases > 0
-        assert ftl.stats.write_amplification >= 1.0
-        for lp in range(3):
-            assert ftl.read(lp) is not None
-
-    def test_out_of_space(self):
-        ftl = PageMappedFTL(FlashParams(n_blocks=2, pages_per_block=2),
-                            gc_threshold=1)
-        with pytest.raises(RuntimeError):
-            for i in range(10):  # all-valid data exceeds capacity
-                ftl.write(i)
-
-    def test_utilisation(self):
-        ftl = PageMappedFTL(FlashParams(n_blocks=8, pages_per_block=4))
-        ftl.write(0)
-        ftl.write(1)
-        assert ftl.utilisation == pytest.approx(2 / 32)
-
-    def test_gc_threshold_validation(self):
-        with pytest.raises(ValueError):
-            PageMappedFTL(gc_threshold=0)

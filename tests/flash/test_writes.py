@@ -5,8 +5,7 @@ import pytest
 
 from repro.allocation.design_theoretic import DesignTheoreticAllocation
 from repro.flash.driver import BatchTracePlayer, OnlineTracePlayer
-from repro.flash.ftl import PageMappedFTL
-from repro.flash.params import MSR_SSD_PARAMS, FlashParams
+from repro.flash.params import MSR_SSD_PARAMS
 
 READ = MSR_SSD_PARAMS.read_ms
 WRITE = MSR_SSD_PARAMS.write_ms
@@ -80,24 +79,7 @@ class TestWriteSemantics:
             list(arrivals), list(buckets), reads=[True] * 100)
         assert s1.overall().summary() == s2.overall().summary()
 
-
-class TestFTLIntegration:
-    def test_gc_erase_stalls_module(self, alloc):
-        # a tiny FTL forces garbage collection quickly; the stalled
-        # write takes longer than the nominal write latency
-        params = FlashParams(n_blocks=4, pages_per_block=4)
-        player = OnlineTracePlayer(
-            alloc, T, params=params,
-            ftl_factory=lambda: PageMappedFTL(params, gc_threshold=1))
-        n = 60
-        arrivals = [i * 1.0 for i in range(n)]
-        buckets = [i % 3 for i in range(n)]  # hot overwrites
-        series, played = player.play(arrivals, buckets,
-                                     reads=[False] * n)
-        maxresp = series.overall().max
-        assert maxresp > WRITE + params.block_erase_ms - 1e-9
-
-    def test_no_ftl_writes_take_nominal_time(self, alloc):
+    def test_hot_overwrites_take_nominal_time(self, alloc):
         n = 20
         arrivals = [i * 1.0 for i in range(n)]
         buckets = [i % 3 for i in range(n)]

@@ -7,12 +7,9 @@ place with ``# repro: allow[rule-id]`` (see docs/checking.md), never by
 editing this test.
 """
 
-from repro.check.lint import lint_paths
-from repro.check.report import default_src_root
 
-
-def test_source_tree_is_lint_clean():
-    report = lint_paths(default_src_root())
+def test_source_tree_is_lint_clean(tree_checks):
+    report = tree_checks.lint
     assert report.files_checked > 100
     assert report.clean, (
         "repro.check lint violations (fix or pragma-waive in place):\n"
