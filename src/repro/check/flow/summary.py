@@ -236,7 +236,8 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ImportBinding:
-    """One name bound by an import statement."""
+    """One name bound by an import statement (``import a.b.c`` also
+    records the dotted path ``a.b.c`` it imports)."""
 
     local: str
     module: str
@@ -422,9 +423,19 @@ class _Extractor(ast.NodeVisitor):
     # -- imports --------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            target = alias.name if alias.asname else \
-                alias.name.split(".")[0]
+            if alias.asname:
+                local, target = alias.asname, alias.name
+            else:
+                local = target = alias.name.split(".")[0]
+                if target != alias.name:
+                    # ``import a.b.c`` imports ``a.b.c`` but binds
+                    # only ``a``: the submodule is recorded under its
+                    # dotted path, which no bare name matches, and the
+                    # binding of ``a`` follows it, so names resolve
+                    # as before.
+                    self.imports.append(ImportBinding(
+                        local=alias.name, module=alias.name,
+                        symbol=None, line=node.lineno))
             self.imports.append(ImportBinding(
                 local=local, module=target, symbol=None,
                 line=node.lineno))

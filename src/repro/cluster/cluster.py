@@ -89,7 +89,6 @@ class ClusterConfig:
     accesses: Optional[int] = None
     seed: int = 0
     engine: str = "auto"
-    admission: str = "counting"
     #: ``"hash"`` (consistent-hash ring, default) or ``"range"``
     sharding: str = "hash"
     #: block-space size for range sharding (ignored for hash): every
@@ -155,8 +154,7 @@ def _make_qos(config: ClusterConfig,
         n_devices=config.n_devices, replication=config.replication,
         interval_ms=config.interval_ms, accesses=config.accesses,
         epsilon=config.epsilon, seed=config.seed,
-        engine=config.engine, admission=config.admission,
-        faults=faults)
+        engine=config.engine, faults=faults)
 
 
 @dataclass

@@ -75,11 +75,9 @@ class ControllerConfig:
     min_support: int = 1
     seed: int = 0
     engine: str = "auto"
-    admission: str = "counting"
     accesses: Optional[int] = None
     migration_budget: Optional[int] = None
     adapt_target_delayed_pct: Optional[float] = None
-    adapt_gain: float = 0.5
 
     def __post_init__(self):
         if self.min_support < 1:
@@ -96,28 +94,6 @@ class ControllerConfig:
                 "adaptive epsilon needs the fast engine: engine='des' "
                 "plays nothing before the drain, so every boundary "
                 "would observe an empty interval")
-
-    @classmethod
-    def from_slo(cls, slo, **overrides) -> "ControllerConfig":
-        """Derive a configuration from a service-level objective.
-
-        Uses :func:`repro.core.planner.plan_configurations` to pick
-        the cheapest ``(N, c, M, T)`` meeting ``slo``; keyword
-        overrides (``epsilon``, ``migration_budget``, ...) are applied
-        on top.
-        """
-        from repro.core.planner import plan_configurations
-
-        plans = plan_configurations(slo)
-        if not plans:
-            raise ValueError(f"no feasible configuration for {slo}")
-        best = plans[0]
-        base = dict(n_devices=best.n_devices,
-                    replication=best.replication,
-                    interval_ms=best.interval_ms,
-                    accesses=best.accesses)
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass(frozen=True)
@@ -201,15 +177,13 @@ StaticPlacement` is the do-nothing baseline.
             epsilon=config.epsilon,
             seed=config.seed,
             engine=config.engine,
-            admission=config.admission,
             faults=faults)
         self.strategy = strategy
         self._adaptive: Optional[AdaptiveEpsilonController] = None
         if config.adapt_target_delayed_pct is not None:
             self._adaptive = AdaptiveEpsilonController(
                 config.adapt_target_delayed_pct,
-                epsilon0=config.epsilon,
-                gain=config.adapt_gain)
+                epsilon0=config.epsilon)
 
     # -- boundary feedback -------------------------------------------------
     @staticmethod

@@ -28,7 +28,6 @@ from repro.core.monitor import SLAMonitor
 from repro.core.planner import SLO, Plan, plan_configurations
 from repro.core.qos import QoSFlashArray, QoSReport
 from repro.core.sampling import OptimalRetrievalSampler
-from repro.core.tenancy import TenantAdmission
 
 __all__ = [
     "AdaptiveEpsilonController",
@@ -43,7 +42,6 @@ __all__ = [
     "SLAMonitor",
     "SLO",
     "StatisticalAdmission",
-    "TenantAdmission",
     "guarantee_capacity",
     "max_admissible",
     "plan_configurations",

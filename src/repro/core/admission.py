@@ -20,20 +20,17 @@ stays below the user's threshold ``epsilon``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 import numpy as np
 
-from repro import obs
 from repro.core.guarantees import guarantee_capacity
-from repro.graph.kernels import WarmStartMatcher
 from repro.obs.metrics import sequential_sum
 
 __all__ = [
     "AdmissionDecision",
     "DeterministicAdmission",
-    "ExactAdmission",
     "StatisticalAdmission",
 ]
 
@@ -250,104 +247,3 @@ class StatisticalAdmission:
             self._violations += 1
             return AdmissionDecision(True, self._count, q=q)
         return AdmissionDecision(False, self._count, q=q)
-
-
-class ExactAdmission:
-    """Admission by *exact* per-interval feasibility (ε = 0).
-
-    The deterministic controller admits at most ``S = (c-1)M^2 + cM``
-    requests per interval -- the worst-case guarantee of paper §III-A1,
-    which rejects many intervals the array could in fact serve.  This
-    controller instead maintains a warm-started maximum matching
-    (:class:`repro.graph.kernels.WarmStartMatcher`) over the interval's
-    admitted requests and admits a request iff the matching proves the
-    *whole interval* still fits the access budget ``M``:
-
-    * a read adds one request whose candidates are its bucket's
-      replica devices;
-    * a write adds one pinned request per replica (every copy must be
-      updated), so it consumes ``c`` units exactly like the counting
-      controllers.
-
-    Each offer costs one augmenting-path attempt (plus rollbacks on
-    denial) rather than a from-scratch solve, and the answer is exact:
-    admitted intervals are always retrievable in ``M`` accesses, and
-    every denial is a certified infeasibility, never slack in a
-    worst-case bound.  Admissions are therefore a superset of
-    :class:`DeterministicAdmission`'s (``S`` is a lower bound on what
-    a matching can place).
-
-    ``excluded`` names failed devices (:mod:`repro.faults`): the
-    matching runs over live replicas only, so admission capacity
-    degrades *exactly* with the failure level instead of by the
-    worst-case ``(c-f-1)M^2 + (c-f)M`` bound.  A read whose replicas
-    are all excluded is denied outright.
-    """
-
-    def __init__(self, allocation, accesses: int = 1,
-                 excluded: Sequence[int] = ()):
-        if accesses < 1:
-            raise ValueError(f"accesses must be >= 1, got {accesses}")
-        self.allocation = allocation
-        self.accesses = accesses
-        self.excluded = frozenset(excluded)
-        if any(not 0 <= d < allocation.n_devices
-               for d in self.excluded):
-            raise ValueError("excluded device out of range")
-        self._matcher = WarmStartMatcher(allocation.n_devices, accesses)
-        # Per-bucket candidate cache: the allocation and the excluded
-        # set are fixed for the controller's lifetime, so the live
-        # replica tuple (and the matcher-side bitset it hashes to) is
-        # computed once per bucket instead of once per offer.
-        self._candidates: Dict[int, tuple] = {}
-
-    @property
-    def interval_count(self) -> int:
-        """Requests admitted in the current interval."""
-        return len(self._matcher)
-
-    def start_interval(self) -> None:
-        """Reset at an interval boundary.
-
-        Clears the warm-started matcher *in place*
-        (:meth:`repro.graph.kernels.WarmStartMatcher.clear`) instead
-        of reallocating its per-device structures; the reuse lands on
-        the ``admission.exact_reuse`` obs counter.
-        """
-        self._matcher.clear()
-        if obs.ACTIVE:
-            obs.SESSION.on_admission_reuse()
-
-    def candidates_for(self, bucket: int) -> tuple:
-        """Live replica devices of ``bucket`` (cached; may be empty)."""
-        key = int(bucket)
-        devices = self._candidates.get(key)
-        if devices is None:
-            devices = self.allocation.devices_for(key)
-            if self.excluded:
-                devices = tuple(d for d in devices
-                                if d not in self.excluded)
-            self._candidates[key] = devices
-        return devices
-
-    def offer_bucket(self, bucket: int,
-                     is_read: bool = True) -> AdmissionDecision:
-        """Offer one request for ``bucket``; writes pin every replica.
-
-        With ``excluded`` set, reads match over live replicas only
-        (denied when none remain) and writes pin only the live copies
-        (a degraded write; the fault layer flags it downstream).
-        """
-        matcher = self._matcher
-        devices = self.candidates_for(bucket)
-        if not devices:
-            return AdmissionDecision(False, len(matcher))
-        if is_read:
-            added = [matcher.add(devices)]
-        else:
-            added = [matcher.add((d,)) for d in devices]
-        if matcher.feasible:
-            return AdmissionDecision(True, len(matcher))
-        for rid in added:
-            matcher.remove(rid)
-        return AdmissionDecision(False, len(matcher))

@@ -153,11 +153,6 @@ class QoSFlashArray:
         Playback engine: ``"auto"`` (closed-form fast path when the
         configuration is eligible, DES otherwise), ``"des"`` or
         ``"fast"`` -- see :func:`repro.flash.driver.select_engine`.
-    admission:
-        Online admission mode: ``"counting"`` (the paper's
-        controllers, default) or ``"exact"`` (per-interval feasibility
-        via warm-started matching; deterministic QoS only) -- see
-        :class:`repro.core.admission.ExactAdmission`.
     faults:
         Optional :class:`repro.faults.FaultSchedule` injected into
         every trace run: module crashes, unavailability windows,
@@ -173,8 +168,7 @@ class QoSFlashArray:
                  epsilon: float = 0.0,
                  params: Optional[FlashParams] = None,
                  sampler_trials: int = 1000, seed: int = 0,
-                 engine: str = "auto", admission: str = "counting",
-                 faults=None):
+                 engine: str = "auto", faults=None):
         self.params = params or MSR_SSD_PARAMS
         self.design = get_design(n_devices, replication)
         self._base_allocation = DesignTheoreticAllocation(self.design)
@@ -189,7 +183,6 @@ class QoSFlashArray:
         self.seed = seed
         self._probabilities: Optional[Dict[int, float]] = None
         self.engine = engine
-        self.admission = admission
         self.faults = faults
 
     # -- failure handling -----------------------------------------------
@@ -267,20 +260,19 @@ class QoSFlashArray:
         return self_check(self, trials=trials, seed=seed)
 
     # -- running traces --------------------------------------------------------
-    def run_batch(self, arrivals: Sequence[float], buckets: Sequence[int],
-                  retrieval: str = "combined") -> QoSReport:
+    def run_batch(self, arrivals: Sequence[float],
+                  buckets: Sequence[int]) -> QoSReport:
         """Interval-aligned playback (design-theoretic retrieval)."""
         player = BatchTracePlayer(self.allocation, self.interval_ms,
-                                  retrieval=retrieval, params=self.params,
-                                  engine=self.engine, faults=self.faults)
+                                  params=self.params, engine=self.engine,
+                                  faults=self.faults)
         series, played = player.play(arrivals, buckets)
         report = QoSReport(series, played, self.guarantee_ms)
         if obs.ACTIVE:
             obs.SESSION.record_qos_report(report)
         return report
 
-    def online_player(self, tenant_budgets: Optional[Dict[str, int]] = None,
-                      ) -> OnlineTracePlayer:
+    def online_player(self) -> OnlineTracePlayer:
         """The online player of this array's configuration.
 
         :meth:`run_online`, the live controller and every cluster array
@@ -291,25 +283,19 @@ class QoSFlashArray:
         return OnlineTracePlayer(
             self.allocation, self.interval_ms, epsilon=self.epsilon,
             probabilities=probs, accesses=self.accesses,
-            params=self.params, tenant_budgets=tenant_budgets,
-            engine=self.engine, admission=self.admission,
-            faults=self.faults)
+            params=self.params, engine=self.engine, faults=self.faults)
 
     def run_online(self, arrivals: Sequence[float],
                    buckets: Sequence[int],
                    reads: Optional[Sequence[bool]] = None,
-                   apps: Optional[Sequence[str]] = None,
-                   tenant_budgets: Optional[Dict[str, int]] = None,
                    ) -> QoSReport:
         """Online FCFS playback with admission control.
 
         ``reads[i]`` False marks a write (applied to every replica,
-        admission cost ``c``); ``tenant_budgets`` + ``apps`` enforce
-        per-application interval budgets (§III-A).
+        admission cost ``c``).
         """
-        player = self.online_player(tenant_budgets)
-        series, played = player.play(arrivals, buckets, reads=reads,
-                                     apps=apps)
+        series, played = self.online_player().play(arrivals, buckets,
+                                                   reads=reads)
         report = QoSReport(series, played, self.guarantee_ms)
         if obs.ACTIVE:
             obs.SESSION.record_qos_report(report)

@@ -51,12 +51,11 @@ segmented recurrence that vectorizes exactly:
     its heap and fall back to the scalar loop mid-stream.  The same
     escape covers out-of-order feeds.
 
-Statistical admission (ε > 0), exact admission and tenant budgets keep
-the scalar loop (see :func:`supports_vector_admission`); their inner
-arithmetic is accelerated separately
+Statistical admission (ε > 0) keeps the scalar loop (see
+:func:`supports_vector_admission`); its inner arithmetic is
+accelerated separately
 (:class:`repro.core.admission.StatisticalAdmission`'s vectorized ``Q``
-histogram, :class:`repro.core.admission.ExactAdmission`'s cached
-candidate masks).
+histogram).
 
 Everything here is decision *classification* only -- placement,
 busy-until arithmetic, faulted replay submission and played-request
@@ -89,22 +88,16 @@ __all__ = [
 _BATCH_TOL = 1e-12
 
 
-def supports_vector_admission(admission: str, epsilon: float,
-                              tenant_budgets) -> Tuple[bool, str]:
+def supports_vector_admission(epsilon: float) -> Tuple[bool, str]:
     """Static eligibility of a player configuration; ``(ok, reason)``.
 
-    The kernel implements exactly the deterministic *counting*
+    The kernel implements exactly the deterministic ``S``-cap
     controller.  Statistical admission interrogates the evolving
-    interval-size histogram per overflow decision, exact admission
-    runs an augmenting-path search per request, and tenant budgets
-    split the cap per application -- all inherently sequential, so
-    they keep the scalar loop and the returned reason names why
-    (mirroring :func:`repro.flash.driver.select_engine`).
+    interval-size histogram per overflow decision, which is
+    sequential, so it keeps the scalar loop and the returned reason
+    (``"statistical"``) names why (mirroring
+    :func:`repro.flash.driver.select_engine`).
     """
-    if tenant_budgets is not None:
-        return False, "tenant_budgets"
-    if admission == "exact":
-        return False, "exact_admission"
     if epsilon > 0:
         return False, "statistical"
     return True, ""

@@ -33,8 +33,6 @@ class IORequest:
     arrival: float
     bucket: int
     is_read: bool = True
-    n_blocks: int = 1
-    app: str = ""
     issued_at: float = 0.0
     #: scheduling priority: lower is served first on priority-queue
     #: modules (0 = foreground, higher = background)

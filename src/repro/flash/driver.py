@@ -24,7 +24,8 @@ times straight off the mirror instead of stepping the event loop
 serves the placed queues instead).  The engines are bit-for-bit
 identical where both apply -- enforced by property tests and the
 determinism probes -- and ``"auto"`` falls back to the DES whenever a
-custom module type makes service times state-dependent.
+custom module type (the batch player's ``module_factory``) makes
+service times state-dependent.
 """
 
 from __future__ import annotations
@@ -37,11 +38,8 @@ import numpy as np
 
 from repro import obs
 from repro.allocation.base import AllocationScheme
-from repro.core.admission import (
-    DeterministicAdmission,
-    ExactAdmission,
-    StatisticalAdmission,
-)
+from repro.core.admission import (DeterministicAdmission,
+                                  StatisticalAdmission)
 from repro.flash import admitpath
 from repro.flash.array import FlashArray, IORequest
 from repro.flash.metrics import IntervalSeries
@@ -49,7 +47,6 @@ from repro.flash.params import FlashParams
 from repro.flash.played import (DELAYED, FAILED, FAULTED, REJECTED,
                                 PlayedLog, PlayedRequest, PlayedTable,
                                 io_columns, reason_code)
-from repro.retrieval.design_theoretic import design_theoretic_retrieval
 from repro.retrieval.policy import combined_retrieval
 from repro.sim import Environment
 from repro.traces.records import _check_arrival_times
@@ -172,8 +169,8 @@ class BatchTracePlayer:
         The QoS interval ``T``.
     retrieval:
         ``"combined"`` (DTR + max-flow fallback, §III-C, default) or
-        ``"guarantee"`` (plain DTR targeting the guarantee level
-        ``M(b)``, the Table II semantics).
+        ``"greedy"`` (the arrival-order least-loaded I/O driver of
+        the RAID baselines in Table III).
     engine:
         ``"auto"`` (closed-form fast path when eligible, else DES),
         ``"des"`` or ``"fast"`` -- see :func:`select_engine`.
@@ -191,7 +188,7 @@ class BatchTracePlayer:
                  engine: str = "auto", faults=None):
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
-        if retrieval not in ("combined", "guarantee", "greedy"):
+        if retrieval not in ("combined", "greedy"):
             raise ValueError(f"unknown retrieval mode {retrieval!r}")
         self.allocation = allocation
         self.interval_ms = interval_ms
@@ -223,10 +220,6 @@ class BatchTracePlayer:
                 assignment.append(best)
             from repro.retrieval.schedule import RetrievalSchedule
             return RetrievalSchedule(tuple(assignment), n)
-        if self.retrieval == "guarantee" and all(c <= 0 for c in carry):
-            return design_theoretic_retrieval(
-                candidates, n, guarantee_level=True,
-                replication=self.allocation.replication)
         if all(c <= 0 for c in carry):
             return combined_retrieval(candidates, n)
         from repro.retrieval.maxflow import maxflow_retrieval_with_carry
@@ -375,26 +368,18 @@ class OnlineTracePlayer:
     accesses:
         Access budget ``M`` per interval (default 1, as in the paper's
         real-trace experiments where ``T`` fits one access).
-    admission:
-        ``"counting"`` (the paper's controllers: the deterministic
-        ``S``-cap or the statistical ``Q < ε`` rule, default) or
-        ``"exact"`` -- per-interval feasibility via a warm-started
-        matching (:class:`repro.core.admission.ExactAdmission`), which
-        admits every interval the array can provably serve instead of
-        stopping at the worst-case bound.  Exact admission is a
-        deterministic-QoS refinement: it requires ``epsilon == 0`` and
-        no tenant budgets.
+
+    Admission is one of the paper's two controllers: the
+    deterministic ``S``-cap (§III-A1) at ``epsilon == 0`` or the
+    statistical ``Q < ε`` rule (§III-B2) above it.
     """
 
     def __init__(self, allocation: AllocationScheme, interval_ms: float,
                  epsilon: float = 0.0,
                  probabilities: Optional[Dict[int, float]] = None,
                  accesses: int = 1, params=None,
-                 tenant_budgets: Optional[Dict[str, int]] = None,
                  overflow: str = "delay",
-                 module_factory=None,
                  engine: str = "auto",
-                 admission: str = "counting",
                  faults=None):
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
@@ -402,37 +387,17 @@ class OnlineTracePlayer:
             raise ValueError("statistical mode requires probabilities")
         if overflow not in ("delay", "reject"):
             raise ValueError(f"unknown overflow policy {overflow!r}")
-        if admission not in ("counting", "exact"):
-            raise ValueError(f"unknown admission mode {admission!r}")
-        if admission == "exact" and epsilon > 0:
-            raise ValueError(
-                "exact admission is a deterministic-QoS refinement; "
-                "use epsilon == 0")
-        if admission == "exact" and tenant_budgets is not None:
-            raise ValueError(
-                "exact admission does not support tenant budgets")
         self.allocation = allocation
         self.interval_ms = interval_ms
         self.epsilon = epsilon
         self.probabilities = probabilities or {}
         self.accesses = accesses
         self.params = params
-        #: optional per-application budgets (paper §III-A); when set,
-        #: play() requires the aligned ``apps`` argument and enforces
-        #: both the system limit and each tenant's declared size.
-        self.tenant_budgets = tenant_budgets
         #: what happens to budget overflow: "delay" pushes the request
         #: to the next interval (paper's choice in §V-D, since
         #: cancelling may break applications); "reject" drops it --
         #: "it can either be rejected or delayed" (§III-A1).
         self.overflow = overflow
-        #: optional custom module constructor (e.g. HDDModule).  NOTE:
-        #: the busy-until mirror assumes deterministic service times;
-        #: with variable-latency modules the mirror is only a
-        #: heuristic and the deterministic guarantee does not hold --
-        #: which is the point of the HDD counterfactual.
-        self.module_factory = module_factory
-        self.admission = admission
         #: optional :class:`repro.faults.FaultSchedule`.  Dead/down
         #: modules are masked out of candidate sets at dispatch time,
         #: the driver fails over to the next live replica (with the
@@ -443,20 +408,9 @@ class OnlineTracePlayer:
         #: updated from fault outcomes) and service replays through
         #: :class:`repro.flash.faulted.FaultedReplay`.
         self.faults = faults
-        self.engine, self.fallback_reason = select_engine(
-            engine, module_factory=module_factory)
+        self.engine, self.fallback_reason = select_engine(engine)
 
     def _make_admission(self):
-        if self.admission == "exact":
-            excluded = ()
-            if self.faults is not None:
-                # Modules dead from the start never serve anything;
-                # exact admission matches over the live array only.
-                excluded = tuple(sorted(
-                    m for m in range(self.allocation.n_devices)
-                    if self.faults.is_dead(m, 0.0)))
-            return ExactAdmission(self.allocation, self.accesses,
-                                  excluded=excluded)
         if self.epsilon > 0:
             return StatisticalAdmission(
                 self.probabilities, self.epsilon,
@@ -466,7 +420,6 @@ class OnlineTracePlayer:
 
     def play(self, arrivals: Sequence[float], buckets: Sequence[int],
              reads: Optional[Sequence[bool]] = None,
-             apps: Optional[Sequence[str]] = None,
              ) -> Tuple[IntervalSeries, PlayedTable]:
         """Play a trace online; returns per-interval stats and detail.
 
@@ -474,14 +427,9 @@ class OnlineTracePlayer:
         replica (replication consistency), counts ``c`` units against
         the interval budget, and completes when the slowest replica
         finishes.
-
-        ``apps[i]`` names the issuing application; required when the
-        player was built with ``tenant_budgets`` and used to enforce
-        each tenant's declared per-interval request size on top of the
-        system limit.
         """
         session = self.session()
-        session.feed(arrivals, buckets, reads=reads, apps=apps)
+        session.feed(arrivals, buckets, reads=reads)
         return session.drain()
 
     def session(self) -> "OnlineStreamSession":
@@ -503,11 +451,11 @@ class OnlineStreamSession:
     """One long-running play-through of an :class:`OnlineTracePlayer`.
 
     Owns every piece of state the online driver threads through a
-    trace -- the admission window, the tenant budgets, the busy-until
-    device mirror, the pending-request heap, the played-request
-    columns (a :class:`~repro.flash.played.PlayedLog`) and (faulted
-    fast engine) the :class:`~repro.flash.faulted.FaultedReplay`
-    -- and the placement that reads and writes it, so that sessions
+    trace -- the admission window, the busy-until device mirror, the
+    pending-request heap, the played-request columns (a
+    :class:`~repro.flash.played.PlayedLog`) and (faulted fast engine)
+    the :class:`~repro.flash.faulted.FaultedReplay` -- and the
+    placement that reads and writes it, so that sessions
     and plays sharing one player never interfere, and a caller can
     interleave *feeding* traffic with *acting* on what has been served
     so far:
@@ -555,18 +503,9 @@ class OnlineStreamSession:
             self.env = Environment()
             self.array = FlashArray(self.env,
                                     player.allocation.n_devices,
-                                    player.params,
-                                    module_factory=player.module_factory,
-                                    faults=player.faults)
+                                    player.params, faults=player.faults)
             self.params = self.array.params
         self.admission = player._make_admission()
-        self.tenant = None
-        if player.tenant_budgets is not None:
-            from repro.core.tenancy import TenantAdmission
-
-            self.tenant = TenantAdmission(player.tenant_budgets,
-                                          player.allocation.replication,
-                                          player.accesses)
         self.service = self.params.read_ms
         self.busy_until = [0.0] * player.allocation.n_devices
         #: fault-mask change points: the masked module set is
@@ -591,8 +530,6 @@ class OnlineStreamSession:
         self.arrivals: List[float] = []
         self.buckets: List[int] = []
         self.is_read: List[bool] = []
-        self.apps: Optional[List[str]] = \
-            None if player.tenant_budgets is None else []
         #: pending heap: (effective_time, origin, seq, index);
         #: origin 0 = fed arrival (seq = feed order), origin 1 =
         #: budget-overflow re-queue (seq = re-queue order)
@@ -600,9 +537,9 @@ class OnlineStreamSession:
         self._requeues = 0
         self._current_interval = -1
         self._drained = False
-        #: vectorized admission kernel (fast engine, counting
-        #: admission, ε = 0, no tenant budgets); ``None`` keeps the
-        #: scalar reference loop.  ``admission_kernel`` /
+        #: vectorized admission kernel (fast engine, deterministic
+        #: admission, ε = 0); ``None`` keeps the scalar reference
+        #: loop.  ``admission_kernel`` /
         #: ``admission_fallback_reason`` report the resolution the
         #: same way the player's ``engine`` / ``fallback_reason`` do.
         self._vec = None
@@ -610,8 +547,7 @@ class OnlineStreamSession:
         self.admission_fallback_reason = "des_engine"
         if self.fast:
             ok, reason = admitpath.supports_vector_admission(
-                player.admission, player.epsilon,
-                player.tenant_budgets)
+                player.epsilon)
             if ok:
                 self._vec = admitpath.VectorAdmissionWindow(
                     player.interval_ms, self.admission.limit,
@@ -644,8 +580,7 @@ class OnlineStreamSession:
 
     # -- feeding -----------------------------------------------------------
     def feed(self, arrivals: Sequence[float], buckets: Sequence[int],
-             reads: Optional[Sequence[bool]] = None,
-             apps: Optional[Sequence[str]] = None) -> None:
+             reads: Optional[Sequence[bool]] = None) -> None:
         """Append a chunk of traffic to the stream.
 
         Chunks must be fed in arrival order *between* calls (the heap
@@ -665,10 +600,6 @@ class OnlineStreamSession:
             raise ValueError("arrivals and buckets must align")
         if reads is not None and len(reads) != len(buckets):
             raise ValueError("reads must align with buckets")
-        if self.tenant is not None:
-            if apps is None or len(apps) != len(buckets):
-                raise ValueError(
-                    "tenant budgets require an aligned apps sequence")
         times = _check_arrival_times(arrivals, "arrival {} of the chunk")
         late = times < self._until - 1e-12
         if late.any():
@@ -701,8 +632,6 @@ class OnlineStreamSession:
             self.buckets.append(int(buckets[i]))
             self.is_read.append(True if reads is None
                                 else bool(reads[i]))
-            if self.apps is not None:
-                self.apps.append(apps[i])
             heapq.heappush(self.heap, (t, 0, seq, seq))
 
     # -- processing --------------------------------------------------------
@@ -723,8 +652,6 @@ class OnlineStreamSession:
         idx = self.interval_of(t)
         while self._current_interval < idx:
             self.admission.start_interval()
-            if self.tenant is not None:
-                self.tenant.start_interval()
             self._current_interval += 1
         # Gather the batch of simultaneous arrivals.
         batch: List[int] = []
@@ -735,14 +662,7 @@ class OnlineStreamSession:
         for orig in batch:
             cost = 1 if self.is_read[orig] else \
                 player.allocation.replication
-            if self.tenant is not None:
-                granted = bool(self.tenant.offer(self.apps[orig], cost))
-            elif player.admission == "exact":
-                granted = bool(self.admission.offer_bucket(
-                    int(self.buckets[orig]), self.is_read[orig]))
-            else:
-                granted = bool(self.admission.offer(cost))
-            if granted:
+            if self.admission.offer(cost):
                 if obs.ACTIVE:
                     obs.SESSION.on_admission("admitted")
                 admitted.append(orig)

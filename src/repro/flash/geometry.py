@@ -80,11 +80,11 @@ class ChannelFlashModule:
             # NAND array phase: parallel across packages.
             array_ms = (params.page_read_ms if request.is_read
                         else params.page_program_ms)
-            yield self.env.timeout(array_ms * request.n_blocks)
+            yield self.env.timeout(array_ms)
             # Channel phase: one transfer at a time per module.
             with self.bus.request() as grant:
                 yield grant
-                xfer = params.transfer_ms * request.n_blocks
+                xfer = params.transfer_ms
                 yield self.env.timeout(xfer)
                 self.busy_time += xfer
             self.n_served += 1

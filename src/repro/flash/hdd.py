@@ -128,8 +128,7 @@ class HDDModule:
             seek = self.hdd.seek_ms(self._head, target)
             rotation = float(self._rng.uniform(0,
                                                self.hdd.revolution_ms))
-            service = (seek + rotation
-                       + self.hdd.transfer_ms * request.n_blocks)
+            service = seek + rotation + self.hdd.transfer_ms
             self._head = target
             yield self.env.timeout(service)
             self.busy = False

@@ -94,8 +94,7 @@ class FlashModule:
                 continue
             self.busy = True
             request.started_at = self.env.now
-            service = self.params.service_ms(request.is_read,
-                                             request.n_blocks)
+            service = self.params.service_ms(request.is_read)
             yield self.env.timeout(service)
             self.busy = False
             self.busy_time += service
@@ -144,8 +143,7 @@ class FlashModule:
             yield self.env.timeout_until(available)
         self.busy = True
         request.started_at = self.env.now
-        base = self.params.service_ms(request.is_read,
-                                      request.n_blocks)
+        base = self.params.service_ms(request.is_read)
         attempt = 0
         while True:
             t0 = self.env.now

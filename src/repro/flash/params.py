@@ -21,8 +21,8 @@ __all__ = ["FlashParams", "MSR_SSD_PARAMS"]
 class FlashParams:
     """Timing of one flash module.
 
-    All times in milliseconds, sizes in bytes; every time must be
-    finite and ``>= 0``.
+    All times in milliseconds; every time must be finite and
+    ``>= 0``.  One request moves one 8 KB block.
 
     Attributes
     ----------
@@ -32,14 +32,11 @@ class FlashParams:
         Bus transfer time for one 8 KB block (incl. ECC pipeline).
     page_program_ms:
         Program (write) time of one block.
-    block_bytes:
-        Logical block size served per request (paper: 8 KB).
     """
 
     page_read_ms: float = 0.025
     transfer_ms: float = 0.107507
     page_program_ms: float = 0.2
-    block_bytes: int = 8192
 
     def __post_init__(self):
         for name in ("page_read_ms", "transfer_ms", "page_program_ms"):
@@ -48,8 +45,6 @@ class FlashParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.block_bytes <= 0:
-            raise ValueError("block_bytes must be positive")
 
     @property
     def read_ms(self) -> float:
@@ -61,12 +56,9 @@ class FlashParams:
         """End-to-end service time of one block program."""
         return self.page_program_ms + self.transfer_ms
 
-    def service_ms(self, is_read: bool, n_blocks: int = 1) -> float:
-        """Service time for a request spanning ``n_blocks`` blocks."""
-        if n_blocks < 1:
-            raise ValueError("n_blocks must be >= 1")
-        per = self.read_ms if is_read else self.write_ms
-        return per * n_blocks
+    def service_ms(self, is_read: bool) -> float:
+        """Service time of one block request."""
+        return self.read_ms if is_read else self.write_ms
 
 
 #: The paper's simulator parameters: 8 KB read = 0.132507 ms.

@@ -22,7 +22,7 @@ it in bulk instead:
 * **warm-started matching** -- :class:`WarmStartMatcher` keeps a
   maximum matching alive across request arrivals/departures and
   repairs it with augmenting paths instead of re-solving, the right
-  shape for admission control and sliding-window retrieval;
+  shape for sliding-window retrieval;
 * **sampler memo** -- :data:`SAMPLER_CACHE` keeps sampled ``P_k``
   values, because the statistical-QoS experiments rebuild the same
   table many times per run.
@@ -518,26 +518,6 @@ class WarmStartMatcher:
                 "fast_placements": self.fast_placements}
 
     # -- updates ----------------------------------------------------------
-    def clear(self) -> None:
-        """Empty the window in place, keeping allocated structures.
-
-        Equivalent to constructing a fresh matcher with the same
-        ``(n_devices, capacity)`` -- request ids restart at 0 and the
-        repair counters reset -- but reuses the per-device load and
-        resident containers, so interval-boundary resets in
-        :class:`repro.core.admission.ExactAdmission` stay
-        allocation-free.
-        """
-        for d in range(self.n_devices):
-            self._loads[d] = 0
-            self._residents[d].clear()
-        self._mask.clear()
-        self._device.clear()
-        self._pending.clear()
-        self._next_id = 0
-        self.repairs = 0
-        self.fast_placements = 0
-
     def add(self, candidates: Sequence[int]) -> int:
         """Admit one request; returns its id for later :meth:`remove`."""
         mask = mask_of(candidates, self.n_devices)

@@ -117,15 +117,6 @@ class ObsSession:
         if reason:
             self.kernel.counter(f"engine.fallback.{reason}").inc()
 
-    def on_admission_reuse(self) -> None:
-        """One in-place :class:`WarmStartMatcher` reuse across an
-        exact-admission interval boundary (allocation-free reset).
-
-        Engine-specific plumbing detail, so it lands in the kernel
-        section on ``kernels.admission.exact_reuse``.
-        """
-        self.kernel.counter("kernels.admission.exact_reuse").inc()
-
     # -- request-side hooks (engine-independent) -------------------------
     def on_admission(self, kind: str, count: int = 1) -> None:
         """One admission-controller decision over an offered request.

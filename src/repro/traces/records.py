@@ -165,22 +165,22 @@ class Trace:
         data["arrival_ms"] += offset_ms
         return Trace(data)
 
-    def aligned_blocks(self, block_bytes: int = BLOCK_BYTES) -> "Trace":
+    def aligned_blocks(self) -> "Trace":
         """Expand multi-block requests into unit 8 KB block requests.
 
         A request of ``size_bytes`` starting at ``block`` becomes
-        ``ceil(size / block_bytes)`` single-block requests on
+        ``ceil(size / BLOCK_BYTES)`` single-block requests on
         consecutive blocks at the same arrival time (paper §V-D:
         "the requests are aligned to 8 KB of block sizes").
         """
-        sizes = np.maximum(1, -(-self._data["size_bytes"] // block_bytes))
+        sizes = np.maximum(1, -(-self._data["size_bytes"] // BLOCK_BYTES))
         total = int(sizes.sum())
         out = np.zeros(total, dtype=TRACE_DTYPE)
         pos = 0
         for row, n in zip(self._data, sizes):
             for j in range(int(n)):
                 out[pos] = (row["arrival_ms"], row["device"],
-                            row["block"] + j, block_bytes, row["is_read"])
+                            row["block"] + j, BLOCK_BYTES, row["is_read"])
                 pos += 1
         return Trace(out)
 

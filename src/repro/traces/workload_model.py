@@ -26,14 +26,13 @@ experiments actually consume:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.traces.records import Trace
 
-__all__ = ["CorrelatedWorkloadModel", "WorkloadInterval",
-           "assign_apps"]
+__all__ = ["CorrelatedWorkloadModel", "WorkloadInterval"]
 
 
 @dataclass(frozen=True)
@@ -191,29 +190,3 @@ class CorrelatedWorkloadModel:
         blk = np.asarray(blocks, dtype=np.int64)[order]
         vols = blk % self.n_volumes
         return Trace.from_arrays(arr, blk, device=vols)
-
-
-def assign_apps(n_requests: int, app_names: Sequence[str],
-                weights: Optional[Sequence[float]] = None,
-                seed: int = 0) -> List[str]:
-    """Tag requests with application names for multi-tenant runs.
-
-    Weighted random assignment (uniform by default); aligned with any
-    generated trace by index.  Used with
-    :meth:`repro.core.qos.QoSFlashArray.run_online`'s ``apps``/
-    ``tenant_budgets`` arguments.
-    """
-    if not app_names:
-        raise ValueError("need at least one application name")
-    if weights is not None:
-        if len(weights) != len(app_names):
-            raise ValueError("weights must align with app_names")
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("weights must be non-negative, not all 0")
-        p = np.asarray(weights, dtype=float)
-        p = p / p.sum()
-    else:
-        p = None
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(app_names), size=n_requests, p=p)
-    return [app_names[i] for i in picks]

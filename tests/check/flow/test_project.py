@@ -94,6 +94,21 @@ def test_module_alias_attribute_call_resolves():
     assert ("app.user:go", "app.impl:work") in edge_set(model)
 
 
+def test_plain_dotted_import_binds_the_top_package():
+    model = model_of({
+        "app": "",
+        "app.impl": "def work():\n    return 1\n",
+        "app.user": src("""
+            import app.impl
+
+            def go():
+                return app.impl.work()
+        """),
+    }, packages={"app"})
+    assert model._binding_of("app.user", "app") == ("module", "app")
+    assert ("app.user:go", "app.impl:work") in edge_set(model)
+
+
 def test_functools_partial_contributes_reference_edge():
     model = model_of({"app.m": src("""
         from functools import partial

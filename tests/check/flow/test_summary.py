@@ -136,3 +136,18 @@ def test_pragma_lines_collected_and_checked():
     assert s.is_allowed(("flow-taint",), 5)       # line-above pragma
     assert s.is_allowed(("wall-clock",), 6)       # same-line pragma
     assert not s.is_allowed(("flow-taint",), 6)
+
+
+def test_plain_dotted_import_records_the_submodule():
+    """``import a.b.c`` imports ``a.b.c`` and binds only ``a``."""
+    s = summarize("app.m", src("""
+        import repro.traces.streaming
+        import os.path as osp
+        import json
+    """))
+    assert [(b.local, b.module, b.symbol) for b in s.imports] == [
+        ("repro.traces.streaming", "repro.traces.streaming", None),
+        ("repro", "repro", None),
+        ("osp", "os.path", None),
+        ("json", "json", None),
+    ]

@@ -82,3 +82,18 @@ def test_every_module_is_reached_from_an_entry_point(tree_summaries):
     assert unreached == [], (
         "modules no entry point imports (wire them in or delete "
         "them): " + ", ".join(unreached))
+
+
+def test_plain_dotted_import_reaches_the_submodule():
+    """``import a.b.c`` reaches ``a.b.c`` and ``a.b``, not only ``a``."""
+    summaries = [
+        summarize_source("import repro.pkg.leaf\n",
+                         module="repro.core.cli", path="repro/core/cli.py"),
+        summarize_source("", module="repro", path="repro/__init__.py",
+                         is_package=True),
+        summarize_source("", module="repro.pkg",
+                         path="repro/pkg/__init__.py", is_package=True),
+        summarize_source("", module="repro.pkg.leaf",
+                         path="repro/pkg/leaf.py"),
+    ]
+    assert {"repro.pkg", "repro.pkg.leaf"} <= reached(summaries)

@@ -10,7 +10,6 @@ from repro.controller import (
     ReplicationController,
     StaticPlacement,
 )
-from repro.core.planner import SLO
 from repro.experiments.common import play_workload
 from repro.experiments.fig8 import make_parts
 from repro.faults import FaultSchedule
@@ -56,6 +55,43 @@ class TestIdentityContract:
         run = live.workload_run()
         assert run.match_rates == live.match_rates
         assert run.per_part_series().overall().n_total > 0
+
+
+class TestOverlappingParts:
+    """Parts may overlap in time: the generator's part 14 (of the
+    benchmark's Exchange x2 / 96-interval trace, seed 0) starts 0.05 ms
+    before part 13's last arrival, with 8 requests spilling over.  The
+    live loop, the offline loop and a 1-array cluster must still agree
+    byte for byte; a cross-part overlap check would refuse this input."""
+
+    @pytest.fixture(scope="class")
+    def overlapping(self):
+        from repro.traces.exchange import exchange_like_trace
+
+        parts = exchange_like_trace(scale=2.0, n_intervals=96,
+                                    seed=0)[12:17]
+        assert parts[2].arrival_ms[0] < parts[1].arrival_ms[-1]
+        return parts
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_controller_offline_and_cluster_agree(self, overlapping,
+                                                  epsilon):
+        from repro.cluster import ClusterConfig, ShardedCluster
+
+        offline = play_workload(overlapping, n_devices=9,
+                                epsilon=epsilon, seed=0)
+        live = ReplicationController(ControllerConfig(
+            n_devices=9, epsilon=epsilon, seed=0)).run(overlapping)
+        one = ShardedCluster(ClusterConfig(
+            n_arrays=1, n_devices=9, cross_replication=1,
+            epsilon=epsilon, seed=0)).play(overlapping).arrays[0].report
+        rows = [request_key(p) for p in offline.report.requests]
+        assert [request_key(p) for p in live.report.requests] == rows
+        assert [request_key(p) for p in one.requests] == rows
+        assert live.match_rates == offline.match_rates
+        state = offline.report.series.state()
+        assert live.report.series.state() == state
+        assert one.series.state() == state
 
 
 class TestStaticBaseline:
@@ -137,20 +173,6 @@ class TestAdaptiveEpsilon:
 
 
 class TestConfig:
-    def test_from_slo_picks_cheapest_plan(self):
-        config = ControllerConfig.from_slo(
-            SLO(response_ms=0.4, requests_per_ms=20.0),
-            epsilon=0.01)
-        assert config.epsilon == 0.01
-        assert config.accesses is not None
-        controller = ReplicationController(config)
-        assert controller.qos.n_devices == config.n_devices
-
-    def test_from_slo_infeasible(self):
-        with pytest.raises(ValueError, match="no feasible"):
-            ControllerConfig.from_slo(
-                SLO(response_ms=0.01, requests_per_ms=1e9))
-
     def test_validation(self):
         with pytest.raises(ValueError, match="min_support"):
             ControllerConfig(min_support=0)

@@ -103,14 +103,3 @@ class TestIntervalBoundaries:
             s = min(guarantee_capacity(m, p.replication),
                     p.n_devices * m)
             assert s / (m * READ) < slo.requests_per_ms
-
-    def test_live_controller_adopts_the_plan_interval(self):
-        # the controller's replan cadence is the planner's T
-        from repro.controller import ControllerConfig
-
-        slo = SLO(response_ms=0.4, requests_per_ms=20.0)
-        best = plan_configurations(slo)[0]
-        config = ControllerConfig.from_slo(slo)
-        assert config.interval_ms == best.interval_ms
-        assert config.n_devices == best.n_devices
-        assert config.accesses == best.accesses

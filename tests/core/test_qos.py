@@ -98,31 +98,3 @@ class TestFacadeWriteAndTenantPassthrough:
         assert len(writes) == 1
         assert writes[0].io.response_ms == pytest.approx(
             qos.params.write_ms)
-
-    def test_run_online_with_tenants(self, qos):
-        arrivals = [0.0, 1e-5, 2e-5]
-        buckets = [0, 10, 20]
-        apps = ["a", "a", "a"]
-        rep = qos.run_online(arrivals, buckets, apps=apps,
-                             tenant_budgets={"a": 2})
-        delayed = [r for r in rep.requests if r.delayed]
-        assert len(delayed) == 1
-
-
-class TestAppAssignment:
-    def test_assign_apps_distribution(self):
-        from repro.traces.workload_model import assign_apps
-
-        tags = assign_apps(1000, ["x", "y"], weights=[9, 1], seed=1)
-        assert len(tags) == 1000
-        assert tags.count("x") > 800
-
-    def test_assign_apps_validation(self):
-        from repro.traces.workload_model import assign_apps
-
-        with pytest.raises(ValueError):
-            assign_apps(5, [])
-        with pytest.raises(ValueError):
-            assign_apps(5, ["a"], weights=[1, 2])
-        with pytest.raises(ValueError):
-            assign_apps(5, ["a", "b"], weights=[0, 0])

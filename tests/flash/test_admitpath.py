@@ -34,19 +34,12 @@ def feed(win, times, base=0):
 
 class TestSupportMatrix:
     def test_counting_admission_is_eligible(self):
-        ok, reason = supports_vector_admission("counting", 0.0, None)
+        ok, reason = supports_vector_admission(0.0)
         assert ok and reason == ""
 
-    @pytest.mark.parametrize("admission,epsilon,budgets,expected", [
-        ("exact", 0.0, None, "exact_admission"),
-        ("counting", 0.05, None, "statistical"),
-        ("counting", 0.0, {"app": 5}, "tenant_budgets"),
-    ])
-    def test_ineligible_reasons(self, admission, epsilon, budgets,
-                                expected):
-        ok, reason = supports_vector_admission(admission, epsilon,
-                                               budgets)
-        assert not ok and reason == expected
+    def test_statistical_admission_is_the_one_reason(self):
+        ok, reason = supports_vector_admission(0.05)
+        assert not ok and reason == "statistical"
 
 
 class TestPlanShape:
@@ -268,13 +261,6 @@ class TestSessionReporting:
                                     engine="des").session()
         assert session.admission_kernel == "scalar"
         assert session.admission_fallback_reason == "des_engine"
-
-    def test_exact_admission_stays_scalar(self):
-        session = OnlineTracePlayer(design_alloc(), interval_ms=0.4,
-                                    admission="exact").session()
-        assert session.admission_kernel == "scalar"
-        assert session.admission_fallback_reason == "exact_admission"
-
 
 class TestBulkSpan:
     """The jammed dispatch loop for runs of admitted singletons."""

@@ -20,9 +20,10 @@ class TestParams:
     def test_paper_read_latency(self):
         assert MSR_SSD_PARAMS.read_ms == pytest.approx(0.132507)
 
-    def test_service_scales_with_blocks(self):
-        assert MSR_SSD_PARAMS.service_ms(True, 3) == pytest.approx(
-            3 * READ)
+    def test_service_is_one_block(self):
+        assert MSR_SSD_PARAMS.service_ms(True) == READ
+        assert MSR_SSD_PARAMS.service_ms(False) == \
+            MSR_SSD_PARAMS.write_ms
 
     def test_write_includes_program(self):
         p = FlashParams()
@@ -31,14 +32,10 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             FlashParams(page_read_ms=-1)
-        with pytest.raises(ValueError):
-            FlashParams(block_bytes=0)
         for name in ("page_read_ms", "transfer_ms", "page_program_ms"):
             for bad in (float("nan"), float("inf"), -float("inf")):
                 with pytest.raises(ValueError, match=name):
                     FlashParams(**{name: bad})
-        with pytest.raises(ValueError):
-            MSR_SSD_PARAMS.service_ms(True, 0)
 
 
 def _issue(env, array, device, arrival=0.0, bucket=0):

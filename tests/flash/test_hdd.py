@@ -78,26 +78,28 @@ class TestHDDModule:
         assert np.std(services) > 0.3
 
 
-class TestHDDOnlineCounterfactual:
+class TestHDDCounterfactual:
     def test_deterministic_qos_impossible_on_hdd(self):
-        """The §II-A claim end to end: the same online QoS policy that
-        pins flash responses at 0.132507 ms cannot bound them on HDDs."""
+        """The §II-A claim end to end, on the flash-vs-HDD ablation's
+        path: the same allocation and batch scheduler that pin flash
+        responses at 0.132507 ms cannot bound them on HDDs."""
         import numpy as np
 
         from repro.allocation.design_theoretic import \
             DesignTheoreticAllocation
-        from repro.flash.driver import OnlineTracePlayer
+        from repro.flash.driver import BatchTracePlayer
 
         alloc = DesignTheoreticAllocation.from_parameters(9, 3)
         rng = np.random.default_rng(1)
         arrivals = list(np.sort(rng.uniform(0, 200.0, 200)))
         buckets = list(rng.integers(0, 36, 200))
 
-        flash_series, _ = OnlineTracePlayer(alloc, 0.133).play(
+        flash_series, _ = BatchTracePlayer(alloc, 0.133).play(
             arrivals, buckets)
-        hdd_player = OnlineTracePlayer(
+        hdd_player = BatchTracePlayer(
             alloc, 0.133,
             module_factory=lambda env, i: HDDModule(env, i, seed=1))
+        assert hdd_player.engine == "des"
         hdd_series, _ = hdd_player.play(arrivals, buckets)
 
         assert flash_series.overall().max <= 0.132507 + 1e-9

@@ -207,16 +207,6 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="reads"):
             session.feed([0.0], [0], reads=[True, False])
 
-    def test_tenant_session_requires_apps(self):
-        player = make_player(tenant_budgets={"a": 5})
-        session = player.session()
-        with pytest.raises(ValueError, match="apps"):
-            session.feed([0.0], [0])
-        session.feed([0.0], [0], apps=["a"])
-        _, played = session.drain()
-        assert len(played) == 1
-
-
 class TestArrivalValidation:
     """Arrivals are checked once, when a chunk is fed: a NaN, infinite
     or negative time raises on every engine instead of being dropped

@@ -218,8 +218,3 @@ class TestAdmissionCounters:
         ref = self.observed_payload(reference=True)
         assert request_sections(vec)["metrics"]["counters"] == \
             request_sections(ref)["metrics"]["counters"]
-
-    def test_exact_reuse_counter_increments(self):
-        payload = self.observed_payload(admission="exact")
-        kernel = payload["kernel"]["metrics"]["counters"]
-        assert kernel["kernels.admission.exact_reuse"] >= 1

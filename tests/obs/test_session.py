@@ -174,16 +174,3 @@ class TestAdmissionHooks:
         assert counters["admission.admitted"] == 5
         assert counters["admission.delayed"] == 2
         assert counters["admission.rejected"] == 1
-
-    def test_exact_reuse_lands_in_kernel_section(self):
-        # matcher warm-start reuse is an engine detail: the scalar
-        # exact path resets per interval while the vector path never
-        # runs exact admission, so the counter must stay out of the
-        # engine-compared request section
-        session = ObsSession()
-        session.on_admission_reuse()
-        payload = session.to_payload()
-        assert payload["kernel"]["metrics"]["counters"][
-            "kernels.admission.exact_reuse"] == 1
-        assert "kernels.admission.exact_reuse" not in \
-            payload["request"]["metrics"]["counters"]

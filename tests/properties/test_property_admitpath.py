@@ -190,52 +190,6 @@ def test_pileup_chains_match_scalar(per_interval, accesses, overflow):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 35)),
-                min_size=1, max_size=60),
-       st.lists(st.integers(0, 8), min_size=0, max_size=3,
-                unique=True),
-       st.floats(0, 8, allow_nan=False))
-def test_exact_admission_chunked_at_interval_boundaries(rows, dead,
-                                                        crash_at):
-    # Chunk boundaries that coincide exactly with QoS interval
-    # boundaries are the adversarial split for the scalar exact-
-    # admission path: the matcher warm-start cache resets per
-    # interval, and a crash schedule shifts the candidate sets --
-    # however the trace is cut at boundaries, the drained result
-    # must equal the one-shot play byte for byte.
-    interval_ms = 0.4
-    trace = sorted((q * 0.1, b) for q, b in rows)  # 4 quanta/interval
-    arrivals = [t for t, _ in trace]
-    buckets = [b for _, b in trace]
-    faults = FaultSchedule(
-        [FaultEvent("crash", m, crash_at) for m in dead],
-        n_modules=9, seed=3) if dead else None
-
-    def make_player():
-        return OnlineTracePlayer(ALLOC, interval_ms=interval_ms,
-                                 admission="exact",
-                                 params=MSR_SSD_PARAMS, faults=faults)
-
-    _, one_shot = make_player().play(arrivals, buckets)
-
-    session = make_player().session()
-    assert session.admission_fallback_reason == "exact_admission"
-    boundary = interval_ms
-    lo = 0
-    while lo < len(arrivals):
-        hi = lo
-        while hi < len(arrivals) and arrivals[hi] < boundary:
-            hi += 1
-        if hi > lo:
-            session.feed(arrivals[lo:hi], buckets[lo:hi])
-        session.advance(boundary)  # wake exactly at the boundary
-        lo = hi
-        boundary += interval_ms
-    _, chunked = session.drain()
-    assert played_key(chunked) == played_key(one_shot)
-
-
-@settings(max_examples=40, deadline=None)
 @given(dense_traces, overflows, write_masks, st.data())
 def test_time_resolution_demotion_with_writes_matches_scalar(
         trace, overflow, mask, data):

@@ -72,8 +72,8 @@ def reference_session(player):
     return session
 
 
-def reference_play(player, arrivals, buckets, reads=None, apps=None):
+def reference_play(player, arrivals, buckets, reads=None):
     """``player.play`` on the scalar reference admission loop."""
     session = reference_session(player)
-    session.feed(arrivals, buckets, reads=reads, apps=apps)
+    session.feed(arrivals, buckets, reads=reads)
     return session.drain()

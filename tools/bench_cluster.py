@@ -61,7 +61,6 @@ SCALES = {
 #: the bench cluster geometry (both stands differ only in n_arrays)
 N_ARRAYS = 4
 N_DEVICES = 9
-N_BLOCKS = 1 << 14
 BLOCK_POOL = 4096
 #: 1ms QoS intervals keep per-interval driver overhead -- which every
 #: shard pays over the full sim horizon -- negligible next to
@@ -120,9 +119,8 @@ def _config(n_arrays: int):
 
     return ClusterConfig(
         n_arrays=n_arrays, n_devices=N_DEVICES,
-        interval_ms=INTERVAL_MS, n_blocks=N_BLOCKS,
-        cross_replication=2, hot_support=HOT_SUPPORT,
-        min_support=MIN_SUPPORT)
+        interval_ms=INTERVAL_MS, cross_replication=2,
+        hot_support=HOT_SUPPORT, min_support=MIN_SUPPORT)
 
 
 def _play(n_arrays: int, parts, runner):
