@@ -21,21 +21,27 @@ segmented recurrence that vectorizes exactly:
     running units never pass ``S`` admits everything, so *congested*
     intervals are located in one vector comparison; spans of
     uncongested intervals are emitted wholesale at their own arrival
-    times.  Each congested interval applies the greedy rule once, in
-    vector form (:func:`_greedy_admit`): requests admit up to the
+    times.  Each congested interval, and each boundary the delayed
+    carry is due at, is one step (:meth:`_Pass.step`) that applies the
+    greedy rule on plain ints over the interval's own arrivals and the
+    carry's head (:func:`_greedy_admit`): requests admit up to the
     first that does not fit, after which every write is denied and
     the next reads fill whatever room is left -- so admission is not
     a prefix, and a denied write can be followed by admitted reads.
-    Only congested intervals and delayed-spill chains run the
-    per-interval (never per-request) Python loop.
 3.  **Spill to the next interval.**  Denied requests under the paper's
     ``delay`` policy re-enter at ``(k+1)·T`` *behind* boundary-
     coincident arrivals (the heap orders origin-0 arrivals before
-    origin-1 re-queues at equal timestamps); the kernel keeps them as
-    an explicit carry queue merged at the boundary with
-    ``searchsorted``.  Under ``reject`` they are emitted as rejected
-    playback entries *before* the batch's admitted ones, exactly as
-    the scalar loop appends them.
+    origin-1 re-queues at equal timestamps) and behind any carry
+    already waiting.  The carry is a queue consumed from its head: a
+    ring of index and cost columns, with a short stack in front for
+    the few entries denied ahead of an admitted one.  A step reads the
+    carry only as far as the greedy rule can reach, pops what it
+    admits and appends what it newly denies, so its work is
+    proportional to what it admits, denies anew and scans, never to
+    the carry's length, and sustained overload stays linear.  Under
+    ``reject`` denied requests are emitted as rejected playback
+    entries *before* the batch's admitted ones, exactly as the scalar
+    loop appends them.
 4.  **Post-hoc verification + scalar fallback.**  The scalar loop
     batches wake-ups with a ``1e-12`` tolerance and anchors each
     batch at the earliest member's timestamp.  The kernel groups by
@@ -60,7 +66,7 @@ histogram).
 Everything here is decision *classification* only -- placement,
 busy-until arithmetic, faulted replay submission and played-request
 bookkeeping stay in :class:`repro.flash.driver.OnlineStreamSession`,
-which consumes the emitted :class:`AdmissionPlan` batch by batch.
+which walks the emitted :class:`AdmissionPlan` a slice at a time.
 The scalar loop stays the reference.  There is no switch for it: a
 session reaches it by demoting before its first feed
 (``session._demote("reference")``), the same exact hand-over a
@@ -150,37 +156,350 @@ class AdmissionPlan:
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
+#: least capacity of the delayed carry's ring
+_RING_MIN = 64
+#: carried entries a step reads beyond the budget's reach, before it
+#: doubles its look-ahead
+_LOOKAHEAD = 16
 
-def _greedy_admit(costs: np.ndarray, count0: int,
-                  limit: int) -> Tuple[int, Optional[np.ndarray], int]:
+
+def _greedy_admit(costs: List[int], count0: int, limit: int,
+                  ) -> Tuple[int, List[int], int, bool]:
     """The scalar ``count + cost <= S`` rule over one interval's
-    requests in processing order, without a per-request loop.
+    requests in processing order, on plain ints.
 
-    Returns ``(first, later, units)``: the first ``first`` requests
-    are admitted, ``later`` holds the positions of any admitted after
-    the first denial (``None`` when there are none), and ``units`` is
-    the budget they consume.  Costs are 1 (a read) or ``c`` (a
-    write), which makes the greedy rule two-phase: requests admit
+    Returns ``(first, later, units, settled)``: the first ``first``
+    requests are admitted, ``later`` lists the positions of any
+    admitted after the first denial, ``units`` is the count after
+    them, and ``settled`` is False when a request past the end of
+    ``costs`` could still be admitted.  Costs are 1 (a read) or ``c``
+    (a write), which makes the greedy rule two-phase: requests admit
     until the first one that does not fit; the room left is then
     below that request's cost, hence below ``c`` if it was a write and
-    0 if it was a read, so every later write is denied and the first
-    ``room`` later reads still fit.
+    0 if it was a read, so every later write is denied and the next
+    ``room`` reads still fit.
     """
-    n = int(costs.size)
-    # Every cost is at least 1 and count0 <= limit, so the first
-    # denial falls within the first limit - count0 + 1 requests: a
-    # long delayed carry need not be summed.
-    units = count0 + np.cumsum(costs[:limit - count0 + 1])
-    first = int(np.searchsorted(units, limit, side="right"))
-    if first == n:
-        return n, None, int(units[-1]) - count0
-    used = int(units[first] - costs[first])
-    room = limit - used
+    units = count0
+    first = 0
+    for cost in costs:
+        if units + cost > limit:
+            break
+        units += cost
+        first += 1
+    else:
+        return first, [], units, False
+    later: List[int] = []
+    room = limit - units
     if room:
-        later = np.flatnonzero(costs[first + 1:] == 1)[:room] + first + 1
-        if later.size:
-            return first, later, used + int(later.size) - count0
-    return first, None, used - count0
+        for j in range(first + 1, len(costs)):
+            if costs[j] == 1:
+                later.append(j)
+                room -= 1
+                if not room:
+                    break
+        else:
+            return first, later, units + len(later), False
+    return first, later, units + len(later), True
+
+
+def _ring_grown(ring: tuple, extra: int, front: bool) -> tuple:
+    """The carry ring ``(ids, costs, head, tail)``'s live entries in new
+    arrays with room for ``extra`` more behind them, or in front of
+    them when ``front``.  Growing never writes the old arrays, so the
+    entries a :meth:`VectorAdmissionWindow.take` started with stay as
+    they were while it runs."""
+    ri, rc, rh, rn = ring
+    live = rn - rh
+    cap = max(_RING_MIN, 2 * (live + extra))
+    head = (cap - live) // 2 if front else 0
+    grown_i = np.empty(cap, dtype=np.int64)
+    grown_c = np.empty(cap, dtype=np.int64)
+    grown_i[head:head + live] = ri[rh:rn]
+    grown_c[head:head + live] = rc[rh:rn]
+    return grown_i, grown_c, head, head + live
+
+
+def _ring_append(ring: tuple, ids, costs) -> tuple:
+    """Append entries behind the carry ring."""
+    k = len(ids)
+    if ring[3] + k > ring[0].size:
+        ring = _ring_grown(ring, k, False)
+    ri, rc, rh, rn = ring
+    ri[rn:rn + k] = ids
+    rc[rn:rn + k] = costs
+    return ri, rc, rh, rn + k
+
+
+def _ring_prepend(ring: tuple, ids: List[int], costs: List[int]) -> tuple:
+    """Put entries in front of the carry ring, in order."""
+    d = len(ids)
+    if ring[2] < d:
+        ring = _ring_grown(ring, d, True)
+    ri, rc, rh, rn = ring
+    ri[rh - d:rh] = ids
+    rc[rh - d:rh] = costs
+    return ri, rc, rh - d, rn
+
+
+class _Pass:
+    """One :meth:`VectorAdmissionWindow.take`'s working state.
+
+    Holds the processable arrivals (``t``, ``idx``, ``cost``, their
+    intervals ``k_arr``), the plan columns it writes in place (every
+    pending arrival and carried entry is emitted at most once), and the
+    admission state and carry as the steps change them.  The window
+    adopts the state only once the whole take is known to be exact, so
+    a demotion leaves the window as it was.
+
+    The carry is the stack (its first entry last) ahead of the ring.
+    Entries leave from the head and denied arrivals join at the tail;
+    the few denied ahead of an admitted entry go on the stack.  The
+    ring entries the take started with are never written over.
+    """
+
+    __slots__ = ("t", "idx", "cost", "k_arr", "m", "cut", "limit",
+                 "interval_ms", "delay", "ring", "out_i", "out_t",
+                 "out_k", "out_a", "o", "pos", "stack_i", "stack_c",
+                 "carry_t", "carry_k", "interval", "count",
+                 "new_carry_times", "n_admitted", "n_rejected",
+                 "n_delayed")
+
+    def __init__(self, win: "VectorAdmissionWindow", t: np.ndarray,
+                 idx: np.ndarray, cost: np.ndarray, k_arr: np.ndarray,
+                 cut: float):
+        self.t, self.idx, self.cost, self.k_arr = t, idx, cost, k_arr
+        self.m = int(t.size)
+        self.cut = cut
+        self.limit = win.limit
+        self.interval_ms = win.interval_ms
+        self.delay = win.overflow == "delay"
+        ring = self.ring = win._ring
+        size = self.m + ring[3] - ring[2]
+        self.out_i = np.empty(size, dtype=np.int64)
+        self.out_t = np.empty(size, dtype=np.float64)
+        self.out_k = np.empty(size, dtype=np.int64)
+        self.out_a = np.ones(size, dtype=bool)
+        self.o = 0
+        self.pos = 0
+        self.stack_i: List[int] = []
+        self.stack_c: List[int] = []
+        self.carry_t = win._carry_time
+        self.carry_k = win._carry_interval
+        self.interval = win._interval
+        self.count = win._count
+        #: spill boundaries this take created (checked at its end)
+        self.new_carry_times: List[float] = []
+        self.n_admitted = self.n_rejected = self.n_delayed = 0
+
+    @property
+    def carried(self) -> int:
+        return len(self.stack_i) + self.ring[3] - self.ring[2]
+
+    def bulk(self, end: int, units: np.ndarray) -> None:
+        """Admit every arrival up to ``end`` at its own time: interval
+        runs that never pass the cap, ``units`` their running count."""
+        pos, o = self.pos, self.o
+        n = end - pos
+        self.out_i[o:o + n] = self.idx[pos:end]
+        self.out_t[o:o + n] = self.t[pos:end]
+        self.out_k[o:o + n] = self.k_arr[pos:end]
+        self.o = o + n
+        self.n_admitted += n
+        self.interval = int(self.k_arr[end - 1])
+        self.count = int(units[end - 1])
+        self.pos = end
+
+    def step(self) -> bool:
+        """One congested-or-carry interval step, on plain ints; False
+        when nothing more is due before the cut."""
+        pos, m, k_arr = self.pos, self.m, self.k_arr
+        carried = self.carried
+        k_pos = int(k_arr[pos]) if pos < m else -1
+        if carried and (pos >= m or self.carry_k <= k_pos):
+            k = self.carry_k
+            if not self.carry_t < self.cut:
+                # The carry is not due yet.  Arrivals that ARE due but
+                # sort at or before the carry instant sit in the
+                # sub-tolerance band below the boundary; deferring
+                # them to the next take() processes them with
+                # identical admission state, so the final played log
+                # is unchanged.
+                return False
+            joins = False
+        elif pos < m:
+            k = k_pos
+            # denied arrivals join the carry behind its entries
+            joins = carried > 0
+            carried = 0
+        else:
+            return False
+        hi = int(k_arr.searchsorted(k, side="right")) if k == k_pos \
+            else pos
+        seg_c = self.cost[pos:hi].tolist()
+        count0 = self.count if k == self.interval else 0
+        seq = self._order(pos, hi, carried, seg_c, count0)
+        first, later, count, seq_c = seq[-4:]
+        self.interval = k
+        self.count = count
+        adm_n = first + len(later)
+        self.n_admitted += adm_n
+        denied = carried + hi - pos - adm_n
+        if not self.delay:
+            self.n_rejected += denied
+            self._emit_rejecting(pos, hi, k, first, later)
+            self.pos = hi
+            return True
+        self._emit_admitted(seq, k, first, later)
+        # Entries up to the last admitted one leave their sources; the
+        # denied among them (holes) stay ahead of the rest.
+        if later:
+            done = later[-1] + 1
+            holes = [j for j in range(first, done) if j not in later]
+            front_i = [self._entry(seq, j)[0] for j in holes]
+            front_c = [seq_c[j] for j in holes]
+        else:
+            done = first
+            front_i, front_c = [], []
+        pos, n_pre, n_stack, n_ring = seq[:4]
+        if carried:
+            used_pre = min(done, n_pre)
+            rest = done - used_pre
+            used_stack = min(rest, n_stack)
+            rest -= used_stack
+            used_ring = min(rest, n_ring)
+            if used_stack:
+                del self.stack_i[n_stack - used_stack:]
+                del self.stack_c[n_stack - used_stack:]
+            if used_pre < n_pre:
+                front_i += self.idx[pos + used_pre:pos + n_pre].tolist()
+                front_c += seg_c[used_pre:n_pre]
+            self.stack_i.extend(reversed(front_i))
+            self.stack_c.extend(reversed(front_c))
+            ri, rc, rh, rn = self.ring
+            self.ring = (ri, rc, rh + used_ring, rn)
+            tail = pos + n_pre + rest - used_ring
+        else:
+            if front_i:
+                self.ring = _ring_append(self.ring, front_i, front_c)
+            tail = pos + done
+        if tail < hi:
+            self.ring = _ring_append(self.ring, self.idx[tail:hi],
+                                     self.cost[tail:hi])
+        self.pos = hi
+        if denied:
+            self.n_delayed += denied
+            if not joins:
+                # New spills from a late-fed batch in an already-
+                # processed interval join an existing carry for the
+                # same boundary, behind it (their re-queue sequence
+                # numbers are larger); any other denial opens the
+                # carry of the next boundary.
+                self.carry_t = (k + 1) * self.interval_ms
+                self.carry_k = k + 1
+                self.new_carry_times.append(self.carry_t)
+        return True
+
+    def _order(self, pos: int, hi: int, carried: int, seg_c: List[int],
+               count0: int) -> tuple:
+        """The step's processing order and greedy decision: the
+        arrivals ``[pos, hi)`` at or before the carry instant, the
+        carry (stack, then ring) when ``carried``, then the other
+        arrivals.  The carry is read ahead only as far as the greedy
+        rule can reach, doubling while it is unsettled.  Returns
+        ``(pos, n_pre, n_stack, n_ring, first, later, count, costs)``,
+        ``costs`` the order's head as far as it was read."""
+        if not carried:
+            return (pos, 0, 0, 0) + _greedy_admit(seg_c, count0,
+                                                  self.limit)[:3] \
+                + (seg_c,)
+        n_pre = 0
+        if hi > pos and self.t[pos] <= self.carry_t:
+            n_pre = min(hi, int(self.t.searchsorted(self.carry_t,
+                                                    "right"))) - pos
+        stack_c = self.stack_c
+        n_stack = len(stack_c)
+        rc, rh, rn = self.ring[1:]
+        n_carry = n_stack + rn - rh
+        ahead = min(n_carry, self.limit - count0 + 1 + _LOOKAHEAD)
+        pre_c = seg_c[:n_pre]
+        while True:
+            top = min(ahead, n_stack)
+            seq_c = pre_c + stack_c[n_stack - top:][::-1] \
+                + rc[rh:rh + ahead - top].tolist()
+            if ahead == n_carry:
+                seq_c += seg_c[n_pre:]
+            first, later, count, settled = _greedy_admit(seq_c, count0,
+                                                         self.limit)
+            if settled or ahead == n_carry:
+                return (pos, n_pre, n_stack, rn - rh, first, later, count,
+                        seq_c)
+            ahead = min(n_carry, 2 * ahead)
+
+    def _entry(self, seq: tuple, j: int) -> Tuple[int, float]:
+        """``(index, time)`` of entry ``j`` of a step's order ``seq``."""
+        pos, n_pre, n_stack, n_ring = seq[:4]
+        if j < n_pre:
+            return int(self.idx[pos + j]), float(self.t[pos + j])
+        j -= n_pre
+        if j < n_stack:
+            return self.stack_i[n_stack - 1 - j], self.carry_t
+        j -= n_stack
+        if j < n_ring:
+            return int(self.ring[0][self.ring[2] + j]), self.carry_t
+        j += pos + n_pre - n_ring
+        return int(self.idx[j]), float(self.t[j])
+
+    def _emit_admitted(self, seq: tuple, k: int, first: int,
+                       later: List[int]) -> None:
+        """Write a step's admitted entries to the plan: the first
+        ``first``, source by source, then ``later``."""
+        pos, n_pre, n_stack, n_ring = seq[:4]
+        out_i, out_t, o0 = self.out_i, self.out_t, self.o
+        o = o0
+        a = min(first, n_pre)
+        if a:
+            out_i[o:o + a] = self.idx[pos:pos + a]
+            out_t[o:o + a] = self.t[pos:pos + a]
+            o += a
+        b = min(first - a, n_stack)
+        if b:
+            out_i[o:o + b] = self.stack_i[n_stack - b:][::-1]
+            o += b
+        c = min(first - a - b, n_ring)
+        if c:
+            rh = self.ring[2]
+            out_i[o:o + c] = self.ring[0][rh:rh + c]
+            o += c
+        out_t[o - b - c:o] = self.carry_t
+        d = first - a - b - c
+        if d:
+            lo = pos + n_pre
+            out_i[o:o + d] = self.idx[lo:lo + d]
+            out_t[o:o + d] = self.t[lo:lo + d]
+            o += d
+        for j in later:
+            out_i[o], out_t[o] = self._entry(seq, j)
+            o += 1
+        self.out_k[o0:o] = k
+        self.o = o
+
+    def _emit_rejecting(self, pos: int, hi: int, k: int, first: int,
+                        later: List[int]) -> None:
+        """Write an interval's arrivals ``[pos, hi)`` to the plan under
+        ``overflow="reject"``.  Within each simultaneous batch the
+        scalar loop appends rejections immediately and dispatches the
+        admitted afterwards: a stable sort on (time, admitted) puts
+        rejected entries first at equal instants."""
+        n, o = hi - pos, self.o
+        flags = np.zeros(n, dtype=bool)
+        flags[:first] = True
+        flags[later] = True
+        emit = np.lexsort((flags, self.t[pos:hi]))
+        self.out_i[o:o + n] = self.idx[pos:hi][emit]
+        self.out_t[o:o + n] = self.t[pos:hi][emit]
+        self.out_k[o:o + n] = k
+        self.out_a[o:o + n] = flags[emit]
+        self.o = o + n
 
 
 class VectorAdmissionWindow:
@@ -212,13 +531,13 @@ class VectorAdmissionWindow:
         self._chunks_t: List[np.ndarray] = []
         self._chunks_i: List[np.ndarray] = []
         #: budget units per pending request (1 read, ``c`` write),
-        #: aligned with ``_t`` / ``_chunks_t`` / ``_carry``
+        #: aligned with ``_t`` / ``_chunks_t``
         self._c = _EMPTY_I8
         self._chunks_c: List[np.ndarray] = []
-        self._carry_c = _EMPTY_I8
-        #: delayed-spill queue: session indices due at ``_carry_time``
-        #: (always the start boundary of interval ``_carry_interval``)
-        self._carry = _EMPTY_I8
+        #: delayed-spill queue, due at ``_carry_time`` (always the
+        #: start boundary of interval ``_carry_interval``): a ring of
+        #: session indices and their costs, live from head to tail
+        self._ring = (_EMPTY_I8, _EMPTY_I8, 0, 0)
         self._carry_time = 0.0
         self._carry_interval = -1
         #: last interval whose admissions started, and its count --
@@ -231,7 +550,8 @@ class VectorAdmissionWindow:
     @property
     def n_pending(self) -> int:
         """Arrivals (or spilled re-queues) awaiting processing."""
-        n = int(self._t.size) + int(self._carry.size)
+        ring = self._ring
+        n = int(self._t.size) + ring[3] - ring[2]
         for chunk in self._chunks_t:
             n += int(chunk.size)
         return n
@@ -280,7 +600,7 @@ class VectorAdmissionWindow:
         return {
             "times": self._t,
             "indices": self._i,
-            "carry": self._carry,
+            "carry": self._ring[0][self._ring[2]:self._ring[3]].copy(),
             "carry_time": self._carry_time,
             "interval": self._interval,
             "count": self._count,
@@ -297,12 +617,11 @@ class VectorAdmissionWindow:
         """
         self._consolidate()
         t_all = self._t
-        i_all = self._i
         T = self.interval_ms
         S = self.limit
         cut = np.inf if until is None else float(until) - _BATCH_TOL
         m = int(np.searchsorted(t_all, cut, side="left"))
-        has_carry = self._carry.size > 0
+        has_carry = self._ring[3] > self._ring[2]
         carry_due = has_carry and self._carry_time < cut
         if m == 0 and not carry_due:
             return None
@@ -324,7 +643,6 @@ class VectorAdmissionWindow:
                 raise DemotionRequired("time_resolution")
 
         t = t_all[:m]
-        idx = i_all[:m]
         cost = self._c[:m]
         # The driver's own interval formula, elementwise: for t >= 0
         # int() truncation == floor == the int64 cast.
@@ -359,25 +677,10 @@ class VectorAdmissionWindow:
             units = _EMPTY_I8
             congested = _EMPTY_I8
 
-        out_i: List[np.ndarray] = []
-        out_t: List[np.ndarray] = []
-        out_k: List[np.ndarray] = []
-        out_a: List[np.ndarray] = []
-        state0 = (self._interval, self._count)
-        # spill boundaries created by this take (checked at the end)
-        new_carry_times: List[float] = []
-        n_admitted = 0
-        n_rejected = 0
-        n_delayed = 0
-        delay = self.overflow == "delay"
-        carry = self._carry
-        carry_c = self._carry_c
-        carry_t = self._carry_time
-        carry_k = self._carry_interval
-        pos = 0
-
+        run = _Pass(self, t, self._i[:m], cost, k_arr, cut)
         while True:
-            if not carry.size and pos < m:
+            pos = run.pos
+            if pos < m and not run.carried:
                 # Bulk emission: every interval run up to the next
                 # congested one admits everything at its own arrival
                 # time -- no per-interval work at all.
@@ -385,163 +688,56 @@ class VectorAdmissionWindow:
                 bulk_end = int(start_of[congested[j]]) \
                     if j < congested.size else m
                 if bulk_end > pos:
-                    out_i.append(idx[pos:bulk_end])
-                    out_t.append(t[pos:bulk_end])
-                    out_k.append(k_arr[pos:bulk_end])
-                    out_a.append(np.ones(bulk_end - pos, dtype=bool))
-                    n_admitted += bulk_end - pos
-                    self._interval = int(k_arr[bulk_end - 1])
-                    self._count = int(units[bulk_end - 1])
-                    pos = bulk_end
+                    run.bulk(bulk_end, units)
                     continue
-
-            # One congested-or-carry interval step.
-            if carry.size and (pos >= m or carry_k <= int(k_arr[pos])):
-                k = carry_k
-                if not carry_t < cut:
-                    # The carry is not due yet.  Arrivals that ARE due
-                    # but sort at or before the carry instant sit in
-                    # the sub-tolerance band below the boundary;
-                    # deferring them to the next take() processes them
-                    # with identical admission state, so the final
-                    # played log is unchanged.
-                    break
-                hi = pos + int(np.searchsorted(k_arr[pos:m], k,
-                                               side="right"))
-                seg_t = t[pos:hi]
-                n_pre = int(np.searchsorted(seg_t, carry_t,
-                                            side="right"))
-                mid = pos + n_pre
-                ord_i = np.concatenate((idx[pos:mid], carry, idx[mid:hi]))
-                ord_c = np.concatenate((cost[pos:mid], carry_c,
-                                        cost[mid:hi]))
-                ord_t = np.concatenate((
-                    seg_t[:n_pre],
-                    np.full(carry.size, carry_t, dtype=np.float64),
-                    seg_t[n_pre:]))
-                carry_len = int(carry.size)
-            elif pos < m:
-                k = int(k_arr[pos])
-                hi = pos + int(np.searchsorted(k_arr[pos:m], k,
-                                               side="right"))
-                ord_i = idx[pos:hi]
-                ord_c = cost[pos:hi]
-                ord_t = t[pos:hi]
-                carry_len = 0
-            else:
+            if not run.step():
                 break
 
-            cpos = int(np.searchsorted(ord_t, cut, side="left"))
-            if cpos == 0:
-                break
-            count0 = self._count if k == self._interval else 0
-            proc_i = ord_i[:cpos]
-            proc_t = ord_t[:cpos]
-            proc_c = ord_c[:cpos]
-            first, later, used = _greedy_admit(proc_c, count0, S)
-            if later is None:
-                adm = slice(0, first)
-                den = slice(first, cpos)
-                adm_n = first
-            else:
-                adm = np.zeros(cpos, dtype=bool)
-                adm[:first] = True
-                adm[later] = True
-                den = ~adm
-                adm_n = first + int(later.size)
-            self._interval = k
-            self._count = count0 + used
-            if carry_len:
-                # carry_t < cut, so the whole carry fell inside cpos.
-                pos += cpos - carry_len
-                carry = _EMPTY_I8
-                carry_c = _EMPTY_I8
-            else:
-                pos += cpos
-            denied = cpos - adm_n
-            if denied and delay:
-                n_delayed += denied
-                spill = proc_i[den].copy()
-                spill_c = proc_c[den].copy()
-                if carry.size:
-                    # New spills from a late-fed batch in an already-
-                    # processed interval join an existing carry for
-                    # the same boundary, behind it (their re-queue
-                    # sequence numbers are larger).
-                    carry = np.concatenate((carry, spill))
-                    carry_c = np.concatenate((carry_c, spill_c))
-                else:
-                    carry = spill
-                    carry_c = spill_c
-                    carry_t = (k + 1) * T
-                    carry_k = k + 1
-                    new_carry_times.append(carry_t)
-                if adm_n:
-                    # Copies: a slice would be a view of this interval's
-                    # carry concatenation (O(carry) long), and the plan
-                    # would keep one alive per congested interval.
-                    out_i.append(proc_i[adm].copy())
-                    out_t.append(proc_t[adm].copy())
-                    out_k.append(np.full(adm_n, k, dtype=np.int64))
-                    out_a.append(np.ones(adm_n, dtype=bool))
-                    n_admitted += adm_n
-            elif denied:
-                n_rejected += denied
-                flags = np.zeros(cpos, dtype=bool)
-                flags[adm] = True
-                # Within each simultaneous batch the scalar loop
-                # appends rejections immediately and dispatches the
-                # admitted afterwards: stable-sort on (time, admitted)
-                # puts rejected entries first at equal instants.
-                emit = np.lexsort((flags, proc_t))
-                out_i.append(proc_i[emit])
-                out_t.append(proc_t[emit])
-                out_k.append(np.full(cpos, k, dtype=np.int64))
-                out_a.append(flags[emit])
-                n_admitted += adm_n
-            elif adm_n:
-                out_i.append(proc_i)
-                out_t.append(proc_t)
-                out_k.append(np.full(adm_n, k, dtype=np.int64))
-                out_a.append(np.ones(adm_n, dtype=bool))
-                n_admitted += adm_n
-            if cpos < len(ord_t):
-                break
-
-        if new_carry_times:
+        if run.new_carry_times:
             # A spill boundary (k+1)·T may sit within the batching
             # tolerance of a distinct arrival: the hazard the up-front
             # guard checks, for instants that did not exist yet.  The
-            # scalar loop would batch the two, so undo and demote.
-            ct = np.array(new_carry_times)
+            # scalar loop would batch the two, so demote; the window
+            # has not adopted anything of this take.
+            ct = np.array(run.new_carry_times)
             lo = t_all.searchsorted(ct - _BATCH_TOL)
             hi = t_all.searchsorted(ct + _BATCH_TOL, "right")
             near = lo < hi
             if near.any():
                 lo, hi, ct = lo[near], hi[near], ct[near]
                 if bool(np.any((t_all[lo] != ct) | (t_all[hi - 1] != ct))):
-                    self._interval, self._count = state0
                     raise DemotionRequired("time_resolution")
 
-        self._t = t_all[pos:]
-        self._i = i_all[pos:]
-        self._c = self._c[pos:]
-        self._carry = carry
-        self._carry_c = carry_c
-        self._carry_time = carry_t
-        self._carry_interval = carry_k
+        ring = run.ring
+        if run.stack_i:
+            ring = _ring_prepend(ring, run.stack_i[::-1],
+                                 run.stack_c[::-1])
+        if ring[2] == ring[3]:
+            ring = (ring[0], ring[1], 0, 0)
+        self._ring = ring
+        pos = run.pos
+        if pos == t_all.size:
+            # nothing left: let the consumed arrays go
+            self._t, self._i, self._c = _EMPTY_F8, _EMPTY_I8, _EMPTY_I8
+        else:
+            self._t = t_all[pos:]
+            self._i = self._i[pos:]
+            self._c = self._c[pos:]
+        self._carry_time = run.carry_t
+        self._carry_interval = run.carry_k
+        self._interval = run.interval
+        self._count = run.count
 
-        if not out_i:
+        o = run.o
+        if not o:
             return None
-        order = np.concatenate(out_i)
-        times = np.concatenate(out_t)
-        intervals = np.concatenate(out_k)
-        admitted = np.concatenate(out_a)
-        starts = np.empty(order.size, dtype=bool)
+        times = run.out_t[:o]
+        starts = np.empty(o, dtype=bool)
         starts[0] = True
         np.not_equal(times[1:], times[:-1], out=starts[1:])
-        return AdmissionPlan(order=order, times=times,
-                             intervals=intervals, admitted=admitted,
-                             starts=starts, n_admitted=n_admitted,
-                             n_rejected=n_rejected,
-                             n_delayed=n_delayed)
+        return AdmissionPlan(order=run.out_i[:o], times=times,
+                             intervals=run.out_k[:o],
+                             admitted=run.out_a[:o], starts=starts,
+                             n_admitted=run.n_admitted,
+                             n_rejected=run.n_rejected,
+                             n_delayed=run.n_delayed)

@@ -99,6 +99,10 @@ def select_engine(engine: str, module_factory=None) -> Tuple[str, str]:
 #: the ``reason`` code of a request no live replica could serve
 _UNAVAILABLE = reason_code("unavailable")
 
+#: plan entries :meth:`OnlineStreamSession._walk` takes as Python lists
+#: at once (a slice ends at the first batch start past it)
+_SLICE = 2048
+
 
 def _collect_series(played: PlayedTable) -> IntervalSeries:
     # Observability sees every played request here -- the one pass both
@@ -109,11 +113,13 @@ def _collect_series(played: PlayedTable) -> IntervalSeries:
     # Never-served requests carry no meaningful response time; the QoS
     # layer accounts them separately (rejection counts, degraded-mode
     # ledger entries).
-    served = played[played.served]
+    # (column by column: a masked copy of the whole table would be
+    # the play's largest allocation)
+    served = played.served
     series = IntervalSeries()
     series.record_array(
-        served.interval, served.response_ms,
-        np.where(served.delayed, served.delay_ms, 0.0))
+        played.interval[served], played.response_ms[served],
+        np.where(played.delayed, played.delay_ms, 0.0)[served])
     return series
 
 
@@ -514,6 +520,8 @@ class OnlineStreamSession:
         self._mask_pts, self._masks = (
             self.faults.mask_segments() if self.faults is not None
             else ([], [frozenset()]))
+        #: the same change points as an array, for the plan walker
+        self._mask_at = np.asarray(self._mask_pts, dtype=np.float64)
         #: per mask segment: bucket -> live replica tuple
         self._live: List[Dict[int, Tuple[int, ...]]] = \
             [{} for _ in self._masks]
@@ -526,10 +534,13 @@ class OnlineStreamSession:
         #: the latest advance() bound: a later feed may not arrive
         #: before its cut (``until_ms - 1e-12``)
         self._until = -np.inf
-        #: request columns, growing with every feed()
-        self.arrivals: List[float] = []
-        self.buckets: List[int] = []
-        self.is_read: List[bool] = []
+        #: request columns, growing with every feed(): lists on the
+        #: scalar loop, arrays with spare capacity on the vector path
+        #: (whose plan walker reads them a slice of rows at a time)
+        self.arrivals: Sequence[float] = []
+        self.buckets: Sequence[int] = []
+        self.is_read: Sequence[bool] = []
+        self._n_fed = 0
         #: pending heap: (effective_time, origin, seq, index);
         #: origin 0 = fed arrival (seq = feed order), origin 1 =
         #: budget-overflow re-queue (seq = re-queue order)
@@ -552,6 +563,9 @@ class OnlineStreamSession:
                 self._vec = admitpath.VectorAdmissionWindow(
                     player.interval_ms, self.admission.limit,
                     player.overflow)
+                self.arrivals = np.empty(0, dtype=np.float64)
+                self.buckets = np.empty(0, dtype=np.int64)
+                self.is_read = np.empty(0, dtype=bool)
                 self.admission_kernel = "vector"
                 self.admission_fallback_reason = ""
             else:
@@ -559,7 +573,7 @@ class OnlineStreamSession:
 
     def __len__(self) -> int:
         """Requests fed so far."""
-        return len(self.arrivals)
+        return self._n_fed
 
     @property
     def played(self) -> PlayedTable:
@@ -608,17 +622,26 @@ class OnlineStreamSession:
                 f"arrival {bad} of the chunk is {float(times[bad])!r}, "
                 f"behind the last advance({self._until!r}); feed "
                 "arrivals at or after the advance cut")
-        base = len(self.arrivals)
+        base = self._n_fed
         n = len(times)
+        self._n_fed = base + n
         if self._vec is not None:
-            self.arrivals.extend(times.tolist())
-            self.buckets.extend(int(b) for b in buckets)
+            if base + n > self.arrivals.size:
+                size = max(base + n, 2 * self.arrivals.size)
+                for name in ("arrivals", "buckets", "is_read"):
+                    column = getattr(self, name)
+                    grown = np.empty(size, dtype=column.dtype)
+                    grown[:base] = column[:base]
+                    setattr(self, name, grown)
+            self.arrivals[base:base + n] = times
+            self.buckets[base:base + n] = np.asarray(buckets,
+                                                     dtype=np.int64)
             costs = None
             if reads is None:
-                self.is_read.extend([True] * n)
+                self.is_read[base:base + n] = True
             else:
                 flags = np.asarray(reads, dtype=bool).reshape(-1)
-                self.is_read.extend(flags.tolist())
+                self.is_read[base:base + n] = flags
                 if not flags.all():
                     # A write lands on every replica: c budget units.
                     costs = np.where(
@@ -754,12 +777,12 @@ class OnlineStreamSession:
                 return d
         return min(candidates, key=lambda d: busy_until[d])
 
-    def _issue_one(self, orig: int, dev: int, t: float, idx: int,
-                   candidates: Sequence[int]) -> None:
+    def _queue_read(self, dev: int, t: float) -> Tuple[float, float, bool]:
+        """Place one read on ``dev`` at ``t``: ``(issue_at, started,
+        held)``, and ``dev``'s busy-until advanced past its service.
+        ``held`` marks a read held until the device is idle."""
         busy_until = self.busy_until
         service = self.service
-        arrival = self.arrivals[orig]
-        bucket = self.buckets[orig]
         wait = busy_until[dev] - t
         guarantee = self.player.accesses * service
         # A queued request still meets the guarantee while
@@ -773,28 +796,32 @@ class OnlineStreamSession:
             # request (it queues) as long as the violation mass Q stays
             # below epsilon (see StatisticalAdmission.offer_conflict).
             admit_queued = bool(self.admission.offer_conflict())
-        if conflict and not admit_queued:
-            # Deterministic QoS (or epsilon budget exhausted): hold the
-            # request until the device is idle, then issue -- response
-            # time stays one service time and the wait is accounted as
-            # admission delay (Fig 8c/d).
-            issue_at = busy_until[dev]
-            delayed = True
-        else:
-            # Serve now; within-guarantee queueing (or an admitted
-            # conflict) absorbs the wait into the response (Fig 10b).
-            issue_at = t
-            delayed = arrival + 1e-9 < t  # delayed by budget earlier
+        held = conflict and not admit_queued
+        # Deterministic QoS (or epsilon budget exhausted): hold the
+        # request until the device is idle, then issue -- response time
+        # stays one service time and the wait is accounted as admission
+        # delay (Fig 8c/d).  Otherwise serve now; within-guarantee
+        # queueing (or an admitted conflict) absorbs the wait into the
+        # response (Fig 10b).
+        issue_at = busy_until[dev] if held else t
         started = max(busy_until[dev], issue_at)
         busy_until[dev] = started + service
-        flags = DELAYED if delayed else 0
+        return issue_at, started, held
+
+    def _issue_one(self, orig: int, dev: int, t: float, idx: int,
+                   candidates: Sequence[int]) -> None:
+        arrival = self.arrivals[orig]
+        bucket = self.buckets[orig]
+        issue_at, started, held = self._queue_read(dev, t)
+        # a held read was delayed; any other by budget earlier
+        flags = DELAYED if held or arrival + 1e-9 < t else 0
         log = self._log
         if self.array is None and self.replay is None:
             # Fast engine: with constant service times the busy-until
             # mirror *is* the module, so log the timestamps directly
             # (same max, same single addition as the service loop).
             log.add(arrival, bucket, True, issue_at, issue_at, started,
-                    busy_until[dev], dev, idx, orig, flags)
+                    self.busy_until[dev], dev, idx, orig, flags)
             return
         row = len(log)
         if self.array is not None:
@@ -998,6 +1025,10 @@ class OnlineStreamSession:
         """
         state = self._vec.export_state()
         self._vec = None
+        n = self._n_fed
+        self.arrivals = self.arrivals[:n].tolist()
+        self.buckets = self.buckets[:n].tolist()
+        self.is_read = self.is_read[:n].tolist()
         self.admission_kernel = "scalar"
         self.admission_fallback_reason = reason
         heap = self.heap
@@ -1017,18 +1048,15 @@ class OnlineStreamSession:
         """Dispatch one :class:`~repro.flash.admitpath.AdmissionPlan`.
 
         Walks the plan batch by batch in the order :meth:`process_now`
-        produces: rejected entries are logged first, then the admitted
-        ones go through the same :meth:`_place`, minus the heap and the
-        per-request admission bookkeeping the kernel already did.  ``offer_conflict`` cannot arise here (vector mode
-        requires ε = 0, where conflicts always hold the request).
-
-        One case is inlined: an admitted singleton read whose first
-        live replica ``dev`` is idle (``busy[dev] <= t``).  There
-        ``_pick`` provably returns ``dev`` (the first candidate within
-        tolerance), the issue starts at ``t`` (``max(busy, t) == t``)
-        and there is no conflict (``busy - t + service <= service <=
-        accesses * service``), so placement collapses to one addition
-        -- the same addition, on the same floats.
+        produces, minus the heap and the per-request admission
+        bookkeeping the kernel already did.  ``offer_conflict`` cannot
+        arise here (vector mode requires ε = 0, where conflicts always
+        hold the request).  The walk goes a slice of about
+        ``_SLICE`` entries at a time (:meth:`_walk`), each ending at a
+        batch start, so its Python lists stay bounded.  Every entry
+        yields one played row and a batch's rows are contiguous, so
+        the entry ``p`` of a plan starting at row ``base`` owns row
+        ``base + p`` when it is a batch of its own.
         """
         if obs.ACTIVE:
             session = obs.SESSION
@@ -1038,61 +1066,129 @@ class OnlineStreamSession:
                 session.on_admission("delayed", plan.n_delayed)
             if plan.n_rejected:
                 session.on_admission("rejected", plan.n_rejected)
-        order = plan.order.tolist()
-        times = plan.times.tolist()
-        intervals = plan.intervals.tolist()
-        admitted = plan.admitted.tolist()
         starts = np.flatnonzero(plan.starts)
         if self.replay is not None:
             self.replay.wakes.append(plan.times[starts])
-        bounds = starts.tolist()
-        bounds.append(len(order))
-        segs = np.searchsorted(np.asarray(self._mask_pts, np.float64),
-                               plan.times, side="right").tolist()
-        arrivals = self.arrivals
-        buckets = self.buckets
-        is_read = self.is_read
+        n = len(plan)
+        self._log.reserve(n)
+        base = len(self._log)
+        lo = 0
+        while lo < n:
+            end = int(starts.searchsorted(lo + _SLICE))
+            hi = int(starts[end]) if end < starts.size else n
+            self._walk(plan, lo, hi, base + lo)
+            lo = hi
+
+    def _walk(self, plan, lo: int, hi: int, row: int) -> None:
+        """Place plan entries ``[lo, hi)``, whose rows start at ``row``.
+
+        An admitted singleton read with a live replica is placed in the
+        loop and its row written by column when the slice ends, one
+        :meth:`PlayedLog.write` (and one :meth:`FaultedReplay.\
+submit_reads` under faults) for them all.  Its device is
+        :meth:`_pick`'s and its times :meth:`_queue_read`'s, with one
+        case inlined: a first live replica ``dev`` that is idle
+        (``busy[dev] <= t``).  There ``_pick`` provably returns ``dev``
+        (the first candidate within tolerance), the issue starts at
+        ``t`` (``max(busy, t) == t``) and there is no conflict
+        (``busy - t + service <= service <= accesses * service``), so
+        placement collapses to one addition -- the same addition, on
+        the same floats.  A read is flagged delayed when it was held
+        (issued after ``t``) or delayed by budget earlier.  Rejected
+        entries, unavailable reads, writes and batches of several
+        requests take :meth:`_reject` and :meth:`_place`, which log
+        their rows one by one at the log's cursor.
+        """
+        order = plan.order[lo:hi]
+        times = plan.times[lo:hi].tolist()
+        admitted = plan.admitted[lo:hi].tolist()
+        bounds = np.flatnonzero(plan.starts[lo:hi]).tolist()
+        bounds.append(hi - lo)
+        segs = self._mask_at.searchsorted(plan.times[lo:hi],
+                                          side="right").tolist()
+        buckets = self.buckets[order].tolist()
+        reads = self.is_read[order].tolist()
         busy = self.busy_until
         service = self.service
-        log = self._log
-        log.reserve(len(order))
-        add = log.add
-        submit = self.replay.submit_read if self.replay is not None \
-            else None
         live = self._live
+        pick = self._pick
+        queue_read = self._queue_read
         # busy <= t rules out a conflict only while one service fits
-        # the guarantee; otherwise every read takes _place.
+        # the guarantee; otherwise every read takes _queue_read.
         inline = service <= self.player.accesses * service + 1e-12
+        at: List[int] = []
+        devs: List[int] = []
+        issued: List[float] = []
+        began: List[float] = []
+        done: List[float] = []
+        cands: List[Tuple[int, ...]] = []
         for i, j in zip(bounds, bounds[1:]):
-            t = times[i]
-            idx = intervals[i]
-            seg = segs[i]
-            b = i
-            while b < j and not admitted[b]:
-                self._reject(order[b], idx)
-                b += 1
-            if j == b:
-                continue
-            orig = order[b]
-            if j - b == 1 and is_read[orig] and inline:
-                bucket = buckets[orig]
+            if j - i == 1 and admitted[i] and reads[i]:
+                t = times[i]
+                bucket = buckets[i]
+                seg = segs[i]
                 cs = live[seg].get(bucket) or \
                     self._live_replicas(seg, bucket)
-                if cs and busy[cs[0]] <= t:
+                if cs:
                     dev = cs[0]
-                    done = t + service
-                    busy[dev] = done
-                    arrival = arrivals[orig]
-                    flags = DELAYED if arrival + 1e-9 < t else 0
-                    if submit is None:
-                        add(arrival, bucket, True, t, t, t, done, dev, idx,
-                            orig, flags)
+                    if inline and busy[dev] <= t:
+                        busy[dev] = t + service
+                        issued.append(t)
+                        began.append(t)
                     else:
-                        submit(len(log), dev, t, t, cs)
-                        add(arrival, bucket, True, 0.0, 0.0, 0.0, 0.0, -1,
-                            idx, orig, flags)
+                        dev = pick(cs, t)
+                        issue_at, started, _ = queue_read(dev, t)
+                        issued.append(issue_at)
+                        began.append(started)
+                    at.append(i)
+                    devs.append(dev)
+                    done.append(busy[dev])
+                    cands.append(cs)
                     continue
-            self._place(order[b:j], t, idx, seg)
+            self._log.seek(row + i)
+            idx = int(plan.intervals[lo + i])
+            b = i
+            while b < j and not admitted[b]:
+                self._reject(int(order[b]), idx)
+                b += 1
+            if b < j:
+                self._place(order[b:j].tolist(), times[i], idx, segs[i])
+        self._log.seek(row + hi - lo)
+        if at:
+            self._write_reads(plan, lo, row, at, devs, issued, began,
+                              done, cands)
+
+    def _write_reads(self, plan, lo: int, row: int, at: List[int],
+                     devs: List[int], issued: List[float],
+                     began: List[float], done: List[float],
+                     cands: List[Tuple[int, ...]]) -> None:
+        """Write the rows of the reads :meth:`_walk` placed in its
+        loop: entries ``lo + at`` of ``plan``, rows ``row + at``."""
+        n = len(at)
+        entry = np.fromiter(at, np.int64, n)
+        rows = entry + row
+        entry += lo
+        orig = plan.order[entry]
+        t = plan.times[entry]
+        issue = np.fromiter(issued, np.float64, n)
+        device = np.fromiter(devs, np.int64, n)
+        arrival = self.arrivals[orig]
+        columns = {
+            "arrival": arrival, "bucket": self.buckets[orig],
+            "is_read": True, "interval": plan.intervals[entry],
+            "index": orig,
+            "flags": np.where((issue > t) | (arrival + 1e-9 < t),
+                              DELAYED, 0)}
+        if self.replay is None:
+            columns.update(issued=issue, enqueued=issue,
+                           started=np.fromiter(began, np.float64, n),
+                           completed=np.fromiter(done, np.float64, n),
+                           device=device)
+        else:
+            # served later: placeholders the replay fills in
+            columns["device"] = -1
+            self.replay.submit_reads(rows, device, issue, t, cands)
+        self._log.write(rows, columns)
 
     def drain(self) -> Tuple[IntervalSeries, PlayedTable]:
         """Process everything pending and close the session."""

@@ -185,6 +185,22 @@ class FaultedReplay:
         self._created.append(created)
         self._candidates.append(candidates)
 
+    def submit_reads(self, rows: np.ndarray, modules: np.ndarray,
+                     issue_at: np.ndarray, created: np.ndarray,
+                     candidates: Sequence[Sequence[int]]) -> None:
+        """:meth:`submit_read` over aligned columns, one read each.
+
+        The reads may follow submissions made after them in play
+        order: a submission's id breaks ties only between puts on one
+        module at one instant by processes created at one instant,
+        which share a wake-up, so this is exact when each read is the
+        only request of its wake-up's batch."""
+        self._row.frombytes(np.asarray(rows, np.int64).tobytes())
+        self._module.frombytes(np.asarray(modules, np.int64).tobytes())
+        self._put.frombytes(np.asarray(issue_at, np.float64).tobytes())
+        self._created.frombytes(np.asarray(created, np.float64).tobytes())
+        self._candidates.extend(candidates)
+
     def submit_write(self, row: int, devices: Sequence[int],
                      issue_at: float, created: float) -> None:
         """Record the write logged at ``row``, applied to every device

@@ -30,7 +30,7 @@ saw mid-stream before the columns existed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -319,6 +319,11 @@ class PlayedLog:
     every boundary without copying.  :meth:`fill` writes columns of
     rows already logged (the replay's and the DES's service outcomes);
     :meth:`close` commits and trims the array to its rows.
+
+    Rows can also be written a column at a time: :meth:`seek` moves
+    the row cursor forward past rows left for :meth:`write`, so rows
+    added one by one and rows written by column interleave in play
+    order.
     """
 
     _MIN_CAPACITY = 1024
@@ -326,11 +331,19 @@ class PlayedLog:
 
     def __init__(self):
         self._data = np.zeros(0, dtype=PLAYED_DTYPE)
+        #: rows before the pending ones: committed, written or skipped
         self._n = 0
         self._pending: List[list] = [[] for _ in PLAYED_DTYPE.names]
+        #: ``(pending index, row)`` wherever a :meth:`seek` moved the
+        #: row of the pending rows from that index on
+        self._seeks: List[Tuple[int, int]] = []
 
     def __len__(self) -> int:
-        """Rows logged, committed or not."""
+        """Rows logged, committed or not: the row the next
+        :meth:`add` writes."""
+        if self._seeks:
+            at, row = self._seeks[-1]
+            return row + len(self._pending[0]) - at
         return self._n + len(self._pending[0])
 
     def add(self, arrival: float, bucket: int, is_read: bool,
@@ -365,20 +378,53 @@ class PlayedLog:
         if n + rows > len(self._data):
             grown = np.zeros(max(2 * len(self._data), n + rows,
                                  self._MIN_CAPACITY), dtype=PLAYED_DTYPE)
-            grown[:self._n] = self._data[:self._n]
+            # rows written by column may lie past the committed ones
+            grown[:len(self._data)] = self._data
             self._data = grown
+
+    def seek(self, row: int) -> None:
+        """Move the row cursor to ``row``: the rows between the last
+        one logged and ``row`` stay placeholders for :meth:`write`."""
+        n = len(self)
+        if row == n:
+            return
+        if row < n:
+            raise ValueError(f"cannot seek back from row {n} to {row}")
+        if self._pending[0]:
+            self._seeks.append((len(self._pending[0]), row))
+        else:
+            self._n = row
+        self.reserve(0)
+
+    def write(self, rows: np.ndarray, columns: Dict[str, object]) -> None:
+        """Write whole rows by column: ``columns`` (name -> aligned
+        values or one value) at ``rows``, rows a :meth:`seek` passed
+        over; columns left out keep the placeholder's zero."""
+        data = self._data
+        for name, values in columns.items():
+            data[name][rows] = values
 
     def _commit(self) -> None:
         k = len(self._pending[0])
         if not k:
             return
-        n = self._n
+        end = len(self)
         self.reserve(0)  # room for the pending rows
-        rows = self._data[n:n + k]
+        if self._seeks:
+            # each pending row's own row: runs split where a seek moved
+            # the cursor
+            at = np.array([0] + [a for a, _ in self._seeks])
+            first = np.array([self._n] + [r for _, r in self._seeks])
+            rows = np.arange(k) + np.repeat(first - at,
+                                            np.diff(np.append(at, k)))
+            self._seeks = []
+        else:
+            rows = slice(self._n, end)
+        data = self._data
         for name, column in zip(PLAYED_DTYPE.names, self._pending):
-            rows[name] = column
+            data[name][rows] = column
             column.clear()
-        self._n = n + k
+        self._n = end
 
     def table(self) -> PlayedTable:
         """The rows logged so far, as a view to read now: rows logged

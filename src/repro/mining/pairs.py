@@ -62,8 +62,11 @@ def pair_counts(arrivals_ms: Sequence[float], blocks: Sequence[int],
     window = np.concatenate(([0], np.cumsum(win[1:] != win[:-1])))
     ids, rank = np.unique(blk, return_inverse=True)
     n_ids = len(ids)
-    # one row per (window, block), sorted by window, then rank
-    rows = np.unique(window * n_ids + rank)
+    # one row per (window, block), sorted by window, then rank; a
+    # sort and a neighbour compare, as np.unique without outputs
+    # imports numpy.ma on its first call
+    rows = np.sort(window * n_ids + rank)
+    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
     row_window, row_rank = np.divmod(rows, n_ids)
 
     item_support = np.bincount(row_rank, minlength=n_ids)

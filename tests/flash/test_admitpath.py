@@ -12,6 +12,7 @@ and the engine-resolution reporting.
 import numpy as np
 import pytest
 
+from repro.flash import admitpath
 from repro.flash.admitpath import (
     DemotionRequired,
     VectorAdmissionWindow,
@@ -321,3 +322,35 @@ class TestResultCacheCoupling:
                                             interval_ms=0.4))
         assert runtime_token() == before
         assert "admission_kernel" not in before
+
+
+class TestLinearCarry:
+    """Under sustained overload the delayed carry grows to most of the
+    trace.  A step reads the carry only as far as the greedy rule can
+    reach, so the entries all steps read grow linearly with the
+    requests, not with requests times carry length."""
+
+    def scanned(self, n, monkeypatch):
+        """Entries the greedy rule read over one take of an
+        overloaded ``n``-request window with 10% writes."""
+        counted = []
+        greedy = admitpath._greedy_admit
+
+        def counting(costs, count0, limit):
+            counted.append(len(costs))
+            return greedy(costs, count0, limit)
+
+        monkeypatch.setattr(admitpath, "_greedy_admit", counting)
+        rng = np.random.default_rng(0)
+        win = window(limit=5, interval_ms=0.133)
+        costs = np.where(rng.random(n) < 0.1, 3, 1)
+        win.feed(np.cumsum(rng.exponential(0.02, n)),
+                 np.arange(n, dtype=np.int64), costs)
+        plan = win.take(None)
+        assert plan.n_delayed > n  # most requests wait several intervals
+        return sum(counted)
+
+    def test_scanned_entries_grow_linearly(self, monkeypatch):
+        small, large = (self.scanned(n, monkeypatch) for n in (2000, 8000))
+        assert large <= 4.4 * small, (small, large)
+        assert large <= 8 * 8000, large
