@@ -357,7 +357,10 @@ def _admission_small(seed: int) -> str:
     timestamps, devices, delay/reject flags *and* the degraded-mode
     counts ``n_failed``/``n_faulted``.  The ``mixed_rw`` cell adds
     writes (``c`` budget units each) under the stochastic schedule.
-    Also asserts the kernel stayed engaged to the end of every cell --
+    The ``stat_*`` cells repeat the pileups and ``mixed_rw`` under
+    statistical admission (ε > 0, a fixed ``P_k`` table that is not
+    monotone), where admissions above ``S`` and admitted conflicts
+    couple the kernel's plan to placement.  Also asserts the kernel stayed engaged to the end of every cell --
     a session that demoted mid-stream counts as scalar, since a silent
     fallback would make the comparison vacuous.  The returned payload
     then guards the kernel's own run-to-run determinism.
@@ -382,14 +385,22 @@ def _admission_small(seed: int) -> str:
                        error_mean_ms=1.0, error_prob=0.5)
     stochastic = model.materialize(9, horizon_ms=4.0, seed=seed + 31)
     mixed_reads = [rng.random() >= 0.2 for _ in burst_arr]
+    # P_k above S = 5 (the design's c = 3, M = 1): decaying, with
+    # every third size knocked down, so 1 - P_k is not monotone
+    p_k = {k: 0.995 ** (k - 5) * (0.95 if k % 3 == 0 else 1.0)
+           for k in range(6, 64)}
     cells = [
-        ("pileup_delay", burst_arr, "delay", None, None),
-        ("pileup_reject", burst_arr, "reject", None, None),
-        ("random_delay", rand_arr, "delay", None, None),
+        ("pileup_delay", burst_arr, "delay", None, None, 0.0),
+        ("pileup_reject", burst_arr, "reject", None, None, 0.0),
+        ("random_delay", rand_arr, "delay", None, None, 0.0),
         ("crash", burst_arr, "delay",
-         FaultSchedule.crashes([0, 4], at=0.5), None),
-        ("stochastic", burst_arr, "delay", stochastic, None),
-        ("mixed_rw", burst_arr, "delay", stochastic, mixed_reads),
+         FaultSchedule.crashes([0, 4], at=0.5), None, 0.0),
+        ("stochastic", burst_arr, "delay", stochastic, None, 0.0),
+        ("mixed_rw", burst_arr, "delay", stochastic, mixed_reads, 0.0),
+        ("stat_pileup_delay", burst_arr, "delay", None, None, 0.6),
+        ("stat_pileup_reject", burst_arr, "reject", None, None, 0.6),
+        ("stat_mixed_rw", burst_arr, "delay", stochastic, mixed_reads,
+         0.6),
     ]
 
     def fingerprint(report) -> str:
@@ -404,10 +415,11 @@ def _admission_small(seed: int) -> str:
         """Cell fingerprints, and how many cells stayed on the kernel."""
         out = {}
         engaged = 0
-        for name, arr, overflow, faults, reads in cells:
+        for name, arr, overflow, faults, reads, epsilon in cells:
             player = OnlineTracePlayer(alloc, interval_ms=0.4,
                                        overflow=overflow,
-                                       faults=faults)
+                                       faults=faults, epsilon=epsilon,
+                                       probabilities=p_k)
             buckets = [i % alloc.n_buckets for i in range(len(arr))]
             # session + feed + drain is exactly play(), and leaves the
             # session to say which admission path it ended on

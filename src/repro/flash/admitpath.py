@@ -57,11 +57,20 @@ segmented recurrence that vectorizes exactly:
     its heap and fall back to the scalar loop mid-stream.  The same
     escape covers out-of-order feeds.
 
-Statistical admission (ε > 0) keeps the scalar loop (see
-:func:`supports_vector_admission`); its inner arithmetic is
-accelerated separately
-(:class:`repro.core.admission.StatisticalAdmission`'s vectorized ``Q``
-histogram).
+Statistical admission (ε > 0, §III-B2) runs on the same kernel.  Its
+controller (:class:`repro.core.admission.StatisticalAdmission`) admits
+an offer that takes the interval past ``S`` while the violation mass
+``Q < ε``; within an interval its ``R_k`` histogram is frozen, so a
+step applies the same greedy rule with that decision above ``S``
+(:func:`_statistical_admit`), through the controller's own float path
+on a copy whose histogram the take folds ahead in bulk
+(:meth:`~repro.core.admission.StatisticalAdmission.close_intervals`).
+The one coupling to placement is the violation count ``V``, which
+``offer_conflict`` raises while the plan is walked: a take plans with
+the ``V`` it starts with, the walker re-checks every admission above
+``S`` once ``V`` has moved (``Q`` grows with ``V``, so a denial stays
+a denial), and on a flip :meth:`VectorAdmissionWindow.retake` plans the
+take again with the ``V`` each batch actually saw.
 
 Everything here is decision *classification* only -- placement,
 busy-until arithmetic, faulted replay submission and played-request
@@ -79,34 +88,21 @@ admission``), the hypothesis properties in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "AdmissionPlan", "DemotionRequired", "VectorAdmissionWindow",
-    "supports_vector_admission",
+    "fold_intervals",
 ]
 
 #: The driver's wake-up batching tolerance (``process_now`` pops every
 #: heap entry within this of the batch anchor).
 _BATCH_TOL = 1e-12
-
-
-def supports_vector_admission(epsilon: float) -> Tuple[bool, str]:
-    """Static eligibility of a player configuration; ``(ok, reason)``.
-
-    The kernel implements exactly the deterministic ``S``-cap
-    controller.  Statistical admission interrogates the evolving
-    interval-size histogram per overflow decision, which is
-    sequential, so it keeps the scalar loop and the returned reason
-    (``"statistical"``) names why (mirroring
-    :func:`repro.flash.driver.select_engine`).
-    """
-    if epsilon > 0:
-        return False, "statistical"
-    return True, ""
 
 
 class DemotionRequired(Exception):
@@ -148,6 +144,15 @@ class AdmissionPlan:
     n_admitted: int = 0
     n_rejected: int = 0
     n_delayed: int = 0
+    #: statistical windows only: the interval's admitted units after
+    #: each entry's decision (an admitted entry's offer took the count
+    #: to this size)
+    counts: Optional[np.ndarray] = None
+    #: statistical windows only: ``(intervals, controllers)``, copies of
+    #: the controller with its histogram folded to each interval (in
+    #: ascending order) where the take asked for ``Q``, and to the
+    #: take's last interval
+    histograms: Optional[Tuple[List[int], list]] = None
 
     def __len__(self) -> int:
         return int(self.order.size)
@@ -200,6 +205,82 @@ def _greedy_admit(costs: List[int], count0: int, limit: int,
         else:
             return first, later, units + len(later), False
     return first, later, units + len(later), True
+
+
+def _statistical_admit(costs: List[int], count0: int, limit: int,
+                       kinds: Tuple[int, ...],
+                       admits: Callable[[int, int], bool],
+                       ) -> Tuple[int, List[int], int, bool]:
+    """:func:`_greedy_admit` for the statistical controller, whose
+    offers above ``S`` admit when ``admits(size, j)`` (``Q < ε`` for
+    position ``j`` taking the interval to ``size``).
+
+    Same returns.  A denial leaves the count as it was, so the next
+    request of the same cost is denied too (``Q`` only grows along the
+    order, with ``V``); once every cost in ``kinds`` is denied at the
+    count reached, nothing later can be admitted and the scan stops,
+    so a step reads the carry only as far as it can still admit.
+    """
+    units = count0
+    first = 0
+    for cost in costs:
+        new = units + cost
+        if new > limit and not admits(new, first):
+            break
+        units = new
+        first += 1
+    else:
+        return first, [], units, False
+    later: List[int] = []
+    denied = {costs[first]: units}
+
+    def settled(j: int) -> bool:
+        # every cost denied at this count, probing those not yet seen
+        for cost in kinds:
+            if denied.get(cost) != units:
+                new = units + cost
+                if new <= limit or admits(new, j):
+                    return False
+                denied[cost] = units
+        return True
+
+    if settled(first):
+        return first, later, units, True
+    for j in range(first + 1, len(costs)):
+        cost = costs[j]
+        if denied.get(cost) == units:
+            continue
+        new = units + cost
+        if new <= limit or admits(new, j):
+            units = new
+            later.append(j)
+        else:
+            denied[cost] = units
+            if settled(j):
+                return first, later, units, True
+    return first, later, units, settled(len(costs) - 1)
+
+
+def fold_intervals(admission, start: int, ks: Sequence[int],
+                   sizes: Sequence[int], until: int) -> None:
+    """Close intervals ``start .. until - 1`` of a statistical
+    controller in one :meth:`~repro.core.admission.StatisticalAdmission.\
+close_intervals` call: interval ``ks[i]`` holds ``sizes[i]`` requests
+    (``ks`` ascending, within the range), every other one is empty."""
+    g_sizes: List[int] = []
+    g_reps: List[int] = []
+    nxt = start
+    for k, size in zip(ks, sizes):
+        if k > nxt:
+            g_sizes.append(0)
+            g_reps.append(k - nxt)
+        g_sizes.append(size)
+        g_reps.append(1)
+        nxt = k + 1
+    if until > nxt:
+        g_sizes.append(0)
+        g_reps.append(until - nxt)
+    admission.close_intervals(g_sizes, g_reps)
 
 
 def _ring_grown(ring: tuple, extra: int, front: bool) -> tuple:
@@ -337,6 +418,7 @@ class _Pass:
             else pos
         seg_c = self.cost[pos:hi].tolist()
         count0 = self.count if k == self.interval else 0
+        self._enter(k, count0)
         seq = self._order(pos, hi, carried, seg_c, count0)
         first, later, count, seq_c = seq[-4:]
         self.interval = k
@@ -409,8 +491,7 @@ class _Pass:
         ``(pos, n_pre, n_stack, n_ring, first, later, count, costs)``,
         ``costs`` the order's head as far as it was read."""
         if not carried:
-            return (pos, 0, 0, 0) + _greedy_admit(seg_c, count0,
-                                                  self.limit)[:3] \
+            return (pos, 0, 0, 0) + self._admit(seg_c, count0, 0, 0)[:3] \
                 + (seg_c,)
         n_pre = 0
         if hi > pos and self.t[pos] <= self.carry_t:
@@ -420,7 +501,8 @@ class _Pass:
         n_stack = len(stack_c)
         rc, rh, rn = self.ring[1:]
         n_carry = n_stack + rn - rh
-        ahead = min(n_carry, self.limit - count0 + 1 + _LOOKAHEAD)
+        ahead = min(n_carry,
+                    max(self.limit - count0, 0) + 1 + _LOOKAHEAD)
         pre_c = seg_c[:n_pre]
         while True:
             top = min(ahead, n_stack)
@@ -428,12 +510,21 @@ class _Pass:
                 + rc[rh:rh + ahead - top].tolist()
             if ahead == n_carry:
                 seq_c += seg_c[n_pre:]
-            first, later, count, settled = _greedy_admit(seq_c, count0,
-                                                         self.limit)
+            first, later, count, settled = self._admit(seq_c, count0,
+                                                       n_pre, ahead)
             if settled or ahead == n_carry:
                 return (pos, n_pre, n_stack, rn - rh, first, later, count,
                         seq_c)
             ahead = min(n_carry, 2 * ahead)
+
+    def _enter(self, k: int, count0: int) -> None:
+        """A step in interval ``k`` begins, from ``count0`` units."""
+
+    def _admit(self, costs: List[int], count0: int, n_pre: int,
+               ahead: int) -> Tuple[int, List[int], int, bool]:
+        """The admission rule over one step's order (``n_pre`` arrivals,
+        then ``ahead`` carried entries, then arrivals)."""
+        return _greedy_admit(costs, count0, self.limit)
 
     def _entry(self, seq: tuple, j: int) -> Tuple[int, float]:
         """``(index, time)`` of entry ``j`` of a step's order ``seq``."""
@@ -500,22 +591,180 @@ class _Pass:
         self.out_k[o:o + n] = k
         self.out_a[o:o + n] = flags[emit]
         self.o = o + n
+        return flags, emit
+
+
+class _StatPass(_Pass):
+    """One take's working state under the statistical controller.
+
+    Adds a copy of the controller the steps fold ahead (the intervals a
+    take passes are collected and folded in one call just before a
+    step first asks for ``Q``), the plan's count column, and the ``V``
+    each offer sees: the controller's own at the take's start or, when
+    the take is planned again after a flip, the walker's observations
+    (``schedule``: the instants of the batches whose placement admitted
+    a conflict, and ``V`` after each).
+    """
+
+    __slots__ = ("adm", "adm_at", "closed_k", "closed_n", "out_n",
+                 "run_ids", "run_k", "run_n", "kinds", "eps", "v0",
+                 "sched_t", "sched_v", "step_k", "count0", "memo",
+                 "hist_k", "hists")
+
+    def __init__(self, win: "VectorAdmissionWindow", t: np.ndarray,
+                 idx: np.ndarray, cost: np.ndarray, k_arr: np.ndarray,
+                 cut: float, base, schedule: tuple, run_ids: np.ndarray,
+                 run_k: List[int], run_n: List[int]):
+        super().__init__(win, t, idx, cost, k_arr, cut)
+        self.adm = base.copy()
+        self.adm_at = self.interval
+        self.closed_k: List[int] = []
+        self.closed_n: List[int] = []
+        self.out_n = np.empty(self.out_i.size, dtype=np.int64)
+        #: interval runs of the arrivals: run of each position, and
+        #: each run's interval and units at its end
+        self.run_ids, self.run_k, self.run_n = run_ids, run_k, run_n
+        self.kinds = (1,) if win._write_cost == 1 else \
+            (1, win._write_cost)
+        self.eps = base.epsilon
+        self.v0 = base.violations
+        self.sched_t, self.sched_v = schedule
+        self.step_k = self.interval
+        self.count0 = 0
+        self.memo: dict = {}
+        self.hist_k: List[int] = []
+        self.hists: list = []
+
+    def _close(self) -> None:
+        """The take leaves its current interval."""
+        self.closed_k.append(self.interval)
+        self.closed_n.append(self.count)
+
+    def bulk(self, end: int, units: np.ndarray) -> None:
+        pos = self.pos
+        r0 = int(self.run_ids[pos])
+        r1 = int(self.run_ids[end - 1])
+        if self.run_k[r0] != self.interval:
+            self._close()
+        self.closed_k += self.run_k[r0:r1]
+        self.closed_n += self.run_n[r0:r1]
+        self.out_n[self.o:self.o + end - pos] = units[pos:end]
+        super().bulk(end, units)
+
+    def _enter(self, k: int, count0: int) -> None:
+        if k != self.interval:
+            self._close()
+        self.step_k = k
+        self.count0 = count0
+        self.memo = {}
+
+    def _q_below(self, size: int, extra: int) -> bool:
+        """``Q < ε`` for the step's interval reaching ``size``, with
+        ``V`` raised by ``extra``."""
+        if self.adm_at != self.step_k:
+            self._fold(True)
+        return self.adm.violation_probability(size, extra) < self.eps
+
+    def _admits(self, size: int, j: int) -> bool:
+        """The step's decision above ``S``, on the take's ``V``."""
+        hit = self.memo.get(size)
+        if hit is None:
+            hit = self.memo[size] = self._q_below(size, 0)
+        return hit
+
+    def _admit(self, costs: List[int], count0: int, n_pre: int,
+               ahead: int) -> Tuple[int, List[int], int, bool]:
+        if not self.sched_t:
+            admits = self._admits
+        else:
+            memo, q_below = self.memo, self._q_below
+            pos, t, carry_t = self.pos, self.t, self.carry_t
+            sched_t, sched_v, v0 = self.sched_t, self.sched_v, self.v0
+
+            def admits(size: int, j: int) -> bool:
+                if j < n_pre:
+                    tau = float(t[pos + j])
+                elif j < n_pre + ahead:
+                    tau = carry_t
+                else:
+                    tau = float(t[pos + j - ahead])
+                i = bisect_left(sched_t, tau)
+                extra = sched_v[i - 1] - v0 if i else 0
+                key = (size, extra)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = q_below(size, extra)
+                return hit
+
+        return _statistical_admit(costs, count0, self.limit, self.kinds,
+                                  admits)
+
+    def _fold(self, keep: bool) -> None:
+        """Fold the copy up to the current step's interval, and keep a
+        copy of it there for the plan (the copy itself when ``keep`` is
+        False: the take is done with it)."""
+        k = self.step_k
+        fold_intervals(self.adm, self.adm_at, self.closed_k,
+                       self.closed_n, k)
+        self.closed_k, self.closed_n = [], []
+        self.adm_at = k
+        self.hist_k.append(k)
+        self.hists.append(self.adm.copy() if keep else self.adm)
+
+    def histograms(self) -> Tuple[List[int], list]:
+        """The plan's :attr:`AdmissionPlan.histograms`, the copy folded
+        to the take's last interval among them."""
+        if self.adm_at != self.interval:
+            self.step_k = self.interval
+            self._fold(False)
+        return self.hist_k, self.hists
+
+    def _emit_admitted(self, seq: tuple, k: int, first: int,
+                       later: List[int]) -> None:
+        o0 = self.o
+        super()._emit_admitted(seq, k, first, later)
+        n = self.o - o0
+        if self.kinds == (1,):
+            # reads only: each admission adds one unit
+            self.out_n[o0:self.o] = np.arange(self.count0 + 1,
+                                              self.count0 + 1 + n)
+            return
+        costs = seq[-1]
+        admitted = costs[:first] + [costs[j] for j in later]
+        self.out_n[o0:self.o] = list(accumulate(admitted,
+                                                initial=self.count0))[1:]
+
+    def _emit_rejecting(self, pos: int, hi: int, k: int, first: int,
+                        later: List[int]):
+        o = self.o
+        flags, emit = super()._emit_rejecting(pos, hi, k, first, later)
+        units = np.cumsum(np.where(flags, self.cost[pos:hi], 0)) \
+            + self.count0
+        self.out_n[o:self.o] = units[emit]
+        return flags, emit
 
 
 class VectorAdmissionWindow:
-    """Streaming counting-admission classifier for one session.
+    """Streaming admission classifier for one session.
 
     Owns the vector-mode equivalents of the session's pending heap and
-    :class:`~repro.core.admission.DeterministicAdmission` counter:
-    unprocessed arrivals (kept sorted by arrival time), the current
-    interval and its admitted count, and the delayed-spill carry
-    queue.  :meth:`take` classifies everything processable before a
-    cut and returns an :class:`AdmissionPlan`; the state left behind
-    makes the next ``take`` resume exactly where the scalar loop
-    would.
+    admission counter: unprocessed arrivals (kept sorted by arrival
+    time), the current interval and its admitted count, and the
+    delayed-spill carry queue.  :meth:`take` classifies everything
+    processable before a cut and returns an :class:`AdmissionPlan`;
+    the state left behind makes the next ``take`` resume exactly where
+    the scalar loop would.
+
+    ``statistical`` is the session's
+    :class:`~repro.core.admission.StatisticalAdmission` (ε > 0), or
+    ``None`` for the counting controller.  Each take plans on a copy
+    of it, with its ``epsilon`` and ``V`` as they are when the take
+    begins; the window never changes the controller itself (the
+    session folds its histogram forward as it walks the plan).
     """
 
-    def __init__(self, interval_ms: float, limit: int, overflow: str):
+    def __init__(self, interval_ms: float, limit: int, overflow: str,
+                 statistical=None):
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         if limit < 1:
@@ -545,6 +794,33 @@ class VectorAdmissionWindow:
         #: ``DeterministicAdmission._count``
         self._interval = -1
         self._count = 0
+        self._stat = statistical
+        #: budget units of the costliest request fed so far
+        self._write_cost = 1
+        #: statistical windows: the last take's input and starting
+        #: state, for :meth:`retake`
+        self._before: Optional[tuple] = None
+
+    @property
+    def statistical(self) -> bool:
+        """Whether the window plans for the statistical controller."""
+        return self._stat is not None
+
+    @property
+    def start_controller(self):
+        """Statistical windows: the copy of the controller the last take
+        planned from (its histogram, ``V`` and ``epsilon`` then)."""
+        return self._before[-1]
+
+    @property
+    def interval(self) -> int:
+        """The last interval whose admissions started (-1 before any)."""
+        return self._interval
+
+    @property
+    def count(self) -> int:
+        """The units admitted so far in :attr:`interval`."""
+        return self._count
 
     # -- feeding -----------------------------------------------------------
     @property
@@ -564,9 +840,13 @@ class VectorAdmissionWindow:
         admitted: 1 for a read (the default, for a chunk of reads
         only), the replication degree ``c`` for a write.
         """
-        self._chunks_c.append(
-            np.ones(len(times), dtype=np.int64) if costs is None
-            else np.ascontiguousarray(costs, dtype=np.int64))
+        if costs is None:
+            costs = np.ones(len(times), dtype=np.int64)
+        else:
+            costs = np.ascontiguousarray(costs, dtype=np.int64)
+            if costs.size:
+                self._write_cost = max(self._write_cost, int(costs.max()))
+        self._chunks_c.append(costs)
         self._chunks_t.append(np.ascontiguousarray(times,
                                                    dtype=np.float64))
         self._chunks_i.append(np.ascontiguousarray(indices,
@@ -616,6 +896,46 @@ class VectorAdmissionWindow:
         untouched) when exactness cannot be guaranteed.
         """
         self._consolidate()
+        if self._stat is None:
+            return self._take(until, None, ())
+        ring = self._ring
+        live = slice(ring[2], ring[3])
+        self._before = (until, self._t, self._i, self._c,
+                        (ring[0][live].copy(), ring[1][live].copy(), 0,
+                         ring[3] - ring[2]),
+                        self._carry_time, self._carry_interval,
+                        self._interval, self._count, self._stat.copy())
+        return self._take(until, self._before[-1], ((), ()))
+
+    def retake(self, schedule: Tuple[Sequence[float], Sequence[int]],
+               ) -> Optional[AdmissionPlan]:
+        """Classify the last :meth:`take` again, from the state it began
+        with, where the ``V`` of a batch at ``τ`` is the last of
+        ``schedule``'s values whose instant is before ``τ`` (the
+        controller's own at the take's start if none is).
+
+        A statistical window's plan assumes ``V`` does not move during
+        the take; the session walks it, and when a batch's admission
+        above ``S`` no longer holds on the ``V`` its placements produced
+        it calls this with the instants and values it saw.  Every batch
+        before that one then plans as it did, and the rest on the ``V``
+        now.  The new plan may spill where the first did not, so it can
+        raise :class:`DemotionRequired` like :meth:`take`, with the
+        window back at the take's start (:attr:`start_controller` the
+        controller as it was then).
+        """
+        (until, t, i, c, ring, carry_time, carry_interval, interval,
+         count, base) = self._before
+        self._t, self._i, self._c = t, i, c
+        self._ring = ring
+        self._carry_time = carry_time
+        self._carry_interval = carry_interval
+        self._interval = interval
+        self._count = count
+        return self._take(until, base, schedule)
+
+    def _take(self, until: Optional[float], base, schedule: tuple,
+              ) -> Optional[AdmissionPlan]:
         t_all = self._t
         T = self.interval_ms
         S = self.limit
@@ -677,7 +997,18 @@ class VectorAdmissionWindow:
             units = _EMPTY_I8
             congested = _EMPTY_I8
 
-        run = _Pass(self, t, self._i[:m], cost, k_arr, cut)
+        if base is None:
+            run = _Pass(self, t, self._i[:m], cost, k_arr, cut)
+        else:
+            run_k: List[int] = []
+            run_n: List[int] = []
+            if m:
+                run_k = k_arr[run_starts].tolist()
+                run_n = units[np.append(run_starts[1:], m) - 1].tolist()
+            else:
+                run_ids = _EMPTY_I8
+            run = _StatPass(self, t, self._i[:m], cost, k_arr, cut, base,
+                            schedule, run_ids, run_k, run_n)
         while True:
             pos = run.pos
             if pos < m and not run.carried:
@@ -740,4 +1071,8 @@ class VectorAdmissionWindow:
                              admitted=run.out_a[:o], starts=starts,
                              n_admitted=run.n_admitted,
                              n_rejected=run.n_rejected,
-                             n_delayed=run.n_delayed)
+                             n_delayed=run.n_delayed,
+                             counts=None if base is None
+                             else run.out_n[:o],
+                             histograms=None if base is None
+                             else run.histograms())

@@ -31,7 +31,7 @@ service times state-dependent.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -453,6 +453,44 @@ advance` the clock to an interval boundary, act on what it saw
         return OnlineStreamSession(self)
 
 
+class _StatWalk:
+    """A statistical session's state while it walks one take's plan.
+
+    ``runs_k`` / ``runs_n`` are the plan's interval runs (interval and
+    units at the run's last entry, which is the interval's size when the
+    take ends); ``hist_k`` / ``hists`` the plan's controller copies
+    (:attr:`~repro.flash.admitpath.AdmissionPlan.histograms`);
+    ``v_plan`` is the ``V`` the plan assumed for the batches not yet
+    placed; ``at`` the last entry of the batch being placed;
+    ``change_t`` / ``change_v`` record each admitted conflict's batch
+    instant and ``V`` after it, for a re-plan.
+    """
+
+    __slots__ = ("plan", "runs_k", "runs_n", "hist_k", "hists", "start",
+                 "v0", "v_plan", "change_t", "change_v", "at")
+
+    def __init__(self, plan, violations: int, start: Tuple[int, int]):
+        #: the window's interval and count, and ``V``, when the take
+        #: began
+        self.start = start
+        self.v0 = violations
+        #: the last plan entry of the batch being placed
+        self.at = 0
+        self.change_t: List[float] = []
+        self.change_v: List[int] = []
+        self.reset(plan, violations)
+
+    def reset(self, plan, violations: int) -> None:
+        """Walk ``plan`` on, which assumes ``V = violations``."""
+        self.plan = plan
+        self.v_plan = violations
+        ks = plan.intervals
+        ends = np.append(np.flatnonzero(ks[1:] != ks[:-1]), ks.size - 1)
+        self.runs_k = ks[ends].tolist()
+        self.runs_n = plan.counts[ends].tolist()
+        self.hist_k, self.hists = plan.histograms
+
+
 class OnlineStreamSession:
     """One long-running play-through of an :class:`OnlineTracePlayer`.
 
@@ -548,28 +586,35 @@ class OnlineStreamSession:
         self._requeues = 0
         self._current_interval = -1
         self._drained = False
-        #: vectorized admission kernel (fast engine, deterministic
-        #: admission, ε = 0); ``None`` keeps the scalar reference
-        #: loop.  ``admission_kernel`` /
-        #: ``admission_fallback_reason`` report the resolution the
-        #: same way the player's ``engine`` / ``fallback_reason`` do.
+        #: vectorized admission kernel (every fast session, under
+        #: either controller; a statistical window plans on a copy of
+        #: ``admission`` and the walk below keeps the controller itself
+        #: in step); ``None`` keeps the scalar reference loop.
+        #: ``admission_kernel`` / ``admission_fallback_reason`` report
+        #: the resolution the same way the player's ``engine`` /
+        #: ``fallback_reason`` do.
         self._vec = None
         self.admission_kernel = "scalar"
         self.admission_fallback_reason = "des_engine"
+        #: statistical vector sessions: the interval the controller's
+        #: histogram is folded to (its count is that interval's), the
+        #: walk's state while a plan is walked, and how many times a
+        #: walk found an admission above ``S`` flipped by the ``V`` its
+        #: placements raised and had the take planned again
+        self._adm_k = -1
+        self._stat_walk: Optional[_StatWalk] = None
+        self.replans = 0
         if self.fast:
-            ok, reason = admitpath.supports_vector_admission(
-                player.epsilon)
-            if ok:
-                self._vec = admitpath.VectorAdmissionWindow(
-                    player.interval_ms, self.admission.limit,
-                    player.overflow)
-                self.arrivals = np.empty(0, dtype=np.float64)
-                self.buckets = np.empty(0, dtype=np.int64)
-                self.is_read = np.empty(0, dtype=bool)
-                self.admission_kernel = "vector"
-                self.admission_fallback_reason = ""
-            else:
-                self.admission_fallback_reason = reason
+            statistical = self.admission if isinstance(
+                self.admission, StatisticalAdmission) else None
+            self._vec = admitpath.VectorAdmissionWindow(
+                player.interval_ms, self.admission.limit,
+                player.overflow, statistical=statistical)
+            self.arrivals = np.empty(0, dtype=np.float64)
+            self.buckets = np.empty(0, dtype=np.int64)
+            self.is_read = np.empty(0, dtype=bool)
+            self.admission_kernel = "vector"
+            self.admission_fallback_reason = ""
 
     def __len__(self) -> int:
         """Requests fed so far."""
@@ -668,9 +713,18 @@ class OnlineStreamSession:
         between them is who serves the requests -- the DES modules
         or the (provably identical) busy-until arithmetic.
         """
-        player = self.player
         if self.replay is not None:
             self.replay.wakes.append(t)
+        idx, admitted = self._offer_batch(t)
+        self._place(admitted, t, idx, bisect_right(self._mask_pts, t))
+
+    def _offer_batch(self, t: float, log: bool = True,
+                     ) -> Tuple[int, List[int]]:
+        """Roll the admission window to ``t``'s interval and offer the
+        batch due at ``t``: returns the interval and the admitted
+        requests.  Rejected requests are logged (unless ``log`` is
+        False), delayed ones re-queued at the next boundary."""
+        player = self.player
         # Roll the admission window forward.
         idx = self.interval_of(t)
         while self._current_interval < idx:
@@ -692,7 +746,8 @@ class OnlineStreamSession:
             elif player.overflow == "reject":
                 if obs.ACTIVE:
                     obs.SESSION.on_admission("rejected")
-                self._reject(orig, idx)
+                if log:
+                    self._reject(orig, idx)
             else:
                 # Budget overflow: delay to the next interval.
                 if obs.ACTIVE:
@@ -701,7 +756,7 @@ class OnlineStreamSession:
                 heapq.heappush(self.heap, (next_start, 1,
                                            self._requeues, orig))
                 self._requeues += 1
-        self._place(admitted, t, idx, bisect_right(self._mask_pts, t))
+        return idx, admitted
 
     # -- placement ---------------------------------------------------------
     def _reject(self, orig: int, idx: int) -> None:
@@ -795,7 +850,7 @@ class OnlineStreamSession:
             # Statistical QoS: knowingly violate the guarantee for this
             # request (it queues) as long as the violation mass Q stays
             # below epsilon (see StatisticalAdmission.offer_conflict).
-            admit_queued = bool(self.admission.offer_conflict())
+            admit_queued = self._offer_conflict(t)
         held = conflict and not admit_queued
         # Deterministic QoS (or epsilon budget exhausted): hold the
         # request until the device is idle, then issue -- response time
@@ -807,6 +862,30 @@ class OnlineStreamSession:
         started = max(busy_until[dev], issue_at)
         busy_until[dev] = started + service
         return issue_at, started, held
+
+    def _offer_conflict(self, t: float) -> bool:
+        """``offer_conflict`` for a request of the batch at ``t``.
+
+        On the vector path the controller is brought to the batch
+        being placed first (the walk's ``at``, its last plan entry):
+        its histogram folded to the batch's interval and its count to
+        the batch's (:meth:`_sync_admission`).  An admitted
+        conflict raises ``V``, which the walk records by instant.
+        """
+        walk = self._stat_walk
+        if walk is None:
+            return bool(self.admission.offer_conflict())
+        plan, e = walk.plan, walk.at
+        k, count = int(plan.intervals[e]), int(plan.counts[e])
+        if k == self._adm_k:
+            self.admission.resume(count)
+        else:
+            self._sync_admission(k, count)
+        if not self.admission.offer_conflict():
+            return False
+        walk.change_t.append(t)
+        walk.change_v.append(self.admission.violations)
+        return True
 
     def _issue_one(self, orig: int, dev: int, t: float, idx: int,
                    candidates: Sequence[int]) -> None:
@@ -915,7 +994,7 @@ class OnlineStreamSession:
             max(guarantee, write_service) + 1e-12
         admit_queued = False
         if conflict and self.player.epsilon > 0:
-            admit_queued = bool(self.admission.offer_conflict())
+            admit_queued = self._offer_conflict(t)
         if conflict and not admit_queued:
             issue_at = max(busy_until[d] for d in devices)
             delayed = True
@@ -1005,13 +1084,60 @@ class OnlineStreamSession:
         feeds) the session demotes: the pending set is rebuilt into
         the reference heap and processing continues scalar.
         """
+        vec = self._vec
+        start = (vec.interval, vec.count)
         try:
-            plan = self._vec.take(until_ms)
+            plan = vec.take(until_ms)
         except admitpath.DemotionRequired as exc:
             self._demote(exc.reason)
             return
         if plan is not None:
+            if vec.statistical:
+                self._stat_walk = _StatWalk(
+                    plan, self.admission.violations, start)
             self._run_plan(plan)
+            if self._vec is None:
+                return  # a re-plan handed the take to the scalar loop
+        if vec.statistical:
+            # the controller follows the window to the take's end
+            self._sync_admission(vec.interval, vec.count)
+            self._stat_walk = None
+
+    def _sync_admission(self, k: int, count: int) -> None:
+        """Bring the statistical controller to interval ``k`` at
+        ``count`` units.
+
+        Its histogram becomes the plan's copy at the latest interval
+        not past ``k`` when there is one ahead of it, and the intervals
+        left are folded in with their sizes read off the plan (an
+        interval with no entry in it holds what it started the take
+        with: the take's first interval its count, any other none).
+        """
+        adm = self.admission
+        a = self._adm_k
+        if k != a:
+            walk = self._stat_walk
+            if walk is None:
+                admitpath.fold_intervals(adm, a, [a], [adm.interval_count],
+                                         k)
+            else:
+                j = bisect_right(walk.hist_k, k) - 1
+                if j >= 0 and walk.hist_k[j] > a:
+                    a = walk.hist_k[j]
+                    adm.adopt(walk.hists[j])
+                if k != a:
+                    runs_k = walk.runs_k
+                    r0 = bisect_left(runs_k, a)
+                    r1 = bisect_left(runs_k, k)
+                    ks = runs_k[r0:r1]
+                    sizes = walk.runs_n[r0:r1]
+                    if not ks or ks[0] != a:
+                        ks = [a] + ks
+                        sizes = [walk.start[1] if a == walk.start[0]
+                                 else 0] + sizes
+                    admitpath.fold_intervals(adm, a, ks, sizes, k)
+            self._adm_k = k
+        adm.resume(count)
 
     def _demote(self, reason: str) -> None:
         """Fall back to the scalar loop mid-stream, exactly.
@@ -1020,8 +1146,9 @@ class OnlineStreamSession:
         feed sequence *is* the column index) and the delayed-spill
         carry becomes ``(boundary, 1, requeue, index)`` entries in
         spill order, reproducing the heap the scalar loop would have
-        built; the admission window resumes mid-interval via
-        :meth:`~repro.core.admission.DeterministicAdmission.resume`.
+        built; the admission window resumes mid-interval via the
+        controller's ``resume`` (a statistical controller's histogram
+        is already folded to that interval).
         """
         state = self._vec.export_state()
         self._vec = None
@@ -1041,23 +1168,45 @@ class OnlineStreamSession:
         self._requeues = len(carry)
         heapq.heapify(heap)
         self._current_interval = state["interval"]
-        if state["interval"] >= 0:
-            self.admission.resume(state["count"])
+        self.admission.resume(state["count"])
 
     def _run_plan(self, plan) -> None:
         """Dispatch one :class:`~repro.flash.admitpath.AdmissionPlan`.
 
         Walks the plan batch by batch in the order :meth:`process_now`
         produces, minus the heap and the per-request admission
-        bookkeeping the kernel already did.  ``offer_conflict`` cannot
-        arise here (vector mode requires ε = 0, where conflicts always
-        hold the request).  The walk goes a slice of about
-        ``_SLICE`` entries at a time (:meth:`_walk`), each ending at a
-        batch start, so its Python lists stay bounded.  Every entry
+        bookkeeping the kernel already did.  The walk goes a slice of
+        about ``_SLICE`` entries at a time (:meth:`_walk`), each ending
+        at a batch start, so its Python lists stay bounded.  Every entry
         yields one played row and a batch's rows are contiguous, so
         the entry ``p`` of a plan starting at row ``base`` owns row
         ``base + p`` when it is a batch of its own.
+
+        Under the statistical controller placement can call
+        ``offer_conflict`` (:meth:`_offer_conflict`), which raises
+        ``V`` and so moves later decisions above ``S``: the walk stops
+        at a batch whose admission above ``S`` no longer holds, and the
+        take is planned again (:meth:`_replan`) from there on.
         """
+        starts = np.flatnonzero(plan.starts)
+        n = len(plan)
+        self._log.reserve(n)
+        base = len(self._log)
+        lo = 0
+        while lo < n:
+            end = int(starts.searchsorted(lo + _SLICE))
+            hi = int(starts[end]) if end < starts.size else n
+            stop = self._walk(plan, lo, hi, base + lo)
+            if stop is None:
+                lo = hi
+                continue
+            lo += stop
+            plan = self._replan(plan, lo)
+            if plan is None:
+                return
+            starts = np.flatnonzero(plan.starts)
+            n = len(plan)
+            self._log.reserve(n - lo)
         if obs.ACTIVE:
             session = obs.SESSION
             if plan.n_admitted:
@@ -1066,20 +1215,61 @@ class OnlineStreamSession:
                 session.on_admission("delayed", plan.n_delayed)
             if plan.n_rejected:
                 session.on_admission("rejected", plan.n_rejected)
-        starts = np.flatnonzero(plan.starts)
         if self.replay is not None:
             self.replay.wakes.append(plan.times[starts])
-        n = len(plan)
-        self._log.reserve(n)
-        base = len(self._log)
-        lo = 0
-        while lo < n:
-            end = int(starts.searchsorted(lo + _SLICE))
-            hi = int(starts[end]) if end < starts.size else n
-            self._walk(plan, lo, hi, base + lo)
-            lo = hi
 
-    def _walk(self, plan, lo: int, hi: int, row: int) -> None:
+    def _replan(self, plan, at: int):
+        """Plan the take again after its entry ``at`` (a batch start)
+        found an admission above ``S`` flipped by the ``V`` the walk
+        raised.  The entries before ``at`` were decided on the ``V``
+        their batches saw, so the new plan repeats them."""
+        walk = self._stat_walk
+        self.replans += 1
+        try:
+            new = self._vec.retake((walk.change_t, walk.change_v))
+        except admitpath.DemotionRequired as exc:
+            self._catch_up(plan, at, exc.reason)
+            return None
+        if at and (new is None or len(new) < at
+                   or not np.array_equal(new.order[:at], plan.order[:at])):
+            raise RuntimeError("a statistical re-plan changed the "
+                               "entries already placed")
+        if new is None:
+            # nothing of the take is admitted after all
+            self._stat_walk = None
+        else:
+            walk.reset(new, self.admission.violations)
+        return new
+
+    def _catch_up(self, plan, at: int, reason: str) -> None:
+        """Hand a take to the scalar loop at its entry ``at``, exactly.
+
+        The re-plan's spills were not exact on the kernel, which left
+        the window at the take's start.  The session demotes from there
+        with the controller as it was then, and replays the admissions
+        of the batches before ``at`` -- already placed and logged -- on
+        the scalar loop, each on the ``V`` it saw, leaving the heap and
+        the controller where the loop would hold them at ``at``.
+        """
+        walk = self._stat_walk
+        adm = self.admission
+        v_now = adm.violations
+        adm.adopt(self._vec.start_controller)
+        self._demote(reason)
+        self._stat_walk = None
+        if self.replay is not None:
+            self.replay.wakes.append(
+                plan.times[np.flatnonzero(plan.starts[:at])])
+        t_at = float(plan.times[at])
+        heap = self.heap
+        while heap and heap[0][0] < t_at:
+            t = heap[0][0]
+            i = bisect_left(walk.change_t, t)
+            adm.violations = walk.change_v[i - 1] if i else walk.v0
+            self._offer_batch(t, log=False)
+        adm.violations = v_now
+
+    def _walk(self, plan, lo: int, hi: int, row: int) -> Optional[int]:
         """Place plan entries ``[lo, hi)``, whose rows start at ``row``.
 
         An admitted singleton read with a live replica is placed in the
@@ -1093,11 +1283,19 @@ submit_reads` under faults) for them all.  Its device is
         ``t`` (``max(busy, t) == t``) and there is no conflict
         (``busy - t + service <= service <= accesses * service``), so
         placement collapses to one addition -- the same addition, on
-        the same floats.  A read is flagged delayed when it was held
-        (issued after ``t``) or delayed by budget earlier.  Rejected
-        entries, unavailable reads, writes and batches of several
-        requests take :meth:`_reject` and :meth:`_place`, which log
-        their rows one by one at the log's cursor.
+        the same floats, and no ``offer_conflict``.  A read is flagged
+        delayed when it was held (issued after ``t``) or delayed by
+        budget earlier.  Rejected entries, unavailable reads, writes
+        and batches of several requests take :meth:`_reject` and
+        :meth:`_place`, which log their rows one by one at the log's
+        cursor.
+
+        Under the statistical controller, once ``V`` has moved past
+        what the plan assumed, each batch holding an admission above
+        ``S`` is re-checked with the controller's own ``Q`` before it
+        is placed (:meth:`_admits_above`).  Returns the slice position
+        of the first batch that fails, having placed everything before
+        it, or ``None`` when the slice is done.
         """
         order = plan.order[lo:hi]
         times = plan.times[lo:hi].tolist()
@@ -1116,13 +1314,35 @@ submit_reads` under faults) for them all.  Its device is
         # busy <= t rules out a conflict only while one service fits
         # the guarantee; otherwise every read takes _queue_read.
         inline = service <= self.player.accesses * service + 1e-12
+        # entries admitted above S, and the next of them (the slice
+        # end when there are none)
+        walk = self._stat_walk
+        over: List[int] = []
+        if walk is not None:
+            over = np.flatnonzero(
+                plan.admitted[lo:hi]
+                & (plan.counts[lo:hi] > self.admission.limit)).tolist()
+        n_over = len(over)
+        p = 0
+        nxt = over[0] if over else hi - lo
         at: List[int] = []
         devs: List[int] = []
         issued: List[float] = []
         began: List[float] = []
         done: List[float] = []
         cands: List[Tuple[int, ...]] = []
+        stop = None
         for i, j in zip(bounds, bounds[1:]):
+            if nxt < j:
+                q = p
+                while p < n_over and over[p] < j:
+                    p += 1
+                nxt = over[p] if p < n_over else hi - lo
+                if self.admission.violations > walk.v_plan and \
+                        not self._admits_above(plan, lo + j - 1,
+                                               [lo + e for e in over[q:p]]):
+                    stop = i
+                    break
             if j - i == 1 and admitted[i] and reads[i]:
                 t = times[i]
                 bucket = buckets[i]
@@ -1136,6 +1356,8 @@ submit_reads` under faults) for them all.  Its device is
                         issued.append(t)
                         began.append(t)
                     else:
+                        if walk is not None:
+                            walk.at = lo + i
                         dev = pick(cs, t)
                         issue_at, started, _ = queue_read(dev, t)
                         issued.append(issue_at)
@@ -1152,11 +1374,27 @@ submit_reads` under faults) for them all.  Its device is
                 self._reject(int(order[b]), idx)
                 b += 1
             if b < j:
+                if walk is not None:
+                    walk.at = lo + j - 1
                 self._place(order[b:j].tolist(), times[i], idx, segs[i])
-        self._log.seek(row + hi - lo)
+        self._log.seek(row + (hi - lo if stop is None else stop))
         if at:
             self._write_reads(plan, lo, row, at, devs, issued, began,
                               done, cands)
+        return stop
+
+    def _admits_above(self, plan, last: int, entries: List[int]) -> bool:
+        """Whether a batch's admissions above ``S`` (plan ``entries``)
+        still hold on the ``V`` now: ``Q`` at each one's size, with the
+        controller brought to the batch (``last`` its final entry)."""
+        self._sync_admission(int(plan.intervals[last]),
+                             int(plan.counts[last]))
+        adm = self.admission
+        for e in entries:
+            if not adm.violation_probability(int(plan.counts[e])) \
+                    < adm.epsilon:
+                return False
+        return True
 
     def _write_reads(self, plan, lo: int, row: int, at: List[int],
                      devs: List[int], issued: List[float],

@@ -16,7 +16,6 @@ from repro.flash import admitpath
 from repro.flash.admitpath import (
     DemotionRequired,
     VectorAdmissionWindow,
-    supports_vector_admission,
 )
 from repro.flash.driver import OnlineTracePlayer
 
@@ -31,16 +30,6 @@ def window(limit=3, overflow="delay", interval_ms=0.4):
 def feed(win, times, base=0):
     arr = np.asarray(times, dtype=np.float64)
     win.feed(arr, np.arange(base, base + arr.size, dtype=np.int64))
-
-
-class TestSupportMatrix:
-    def test_counting_admission_is_eligible(self):
-        ok, reason = supports_vector_admission(0.0)
-        assert ok and reason == ""
-
-    def test_statistical_admission_is_the_one_reason(self):
-        ok, reason = supports_vector_admission(0.05)
-        assert not ok and reason == "statistical"
 
 
 class TestPlanShape:
